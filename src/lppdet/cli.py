@@ -23,12 +23,15 @@ from . import __version__
 from .cache import cached_pii_solution
 from .errors import (
     BreakdownError,
+    ConditioningError,
     TruncationError,
     ValidationError,
     VerificationError,
 )
 from .exact_dist import (
     build_dist_table,
+    certified,
+    ogroup_law,
     prob_external,
     prob_lattice,
     prob_square,
@@ -36,7 +39,6 @@ from .exact_dist import (
     prob_triangle_odd,
     scaled_cdf,
     square_opuc,
-    symmetrized_lattice_prob,
 )
 from .fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
 from .montecarlo import (
@@ -322,44 +324,51 @@ def _suite_corner(args) -> tuple[dict, bool, str]:
     return report, ok, f"corner deviation slopes {slope_v:.3f}, {slope_u:.3f}"
 
 
-def _exact_prob(model: ModelSpec, ell: int):
-    """Exact P(length <= ell) where the determinant side provides one,
-    else None (even triangle thresholds, group dimensions past the
-    quadrature limit)."""
+def _exact_law(model: ModelSpec, lmax: int):
+    """Exact P(length <= ell) as a function of ell <= lmax, building each
+    route's data once.  The function returns None where the determinant
+    side provides no value (even triangle thresholds) and raises
+    ConditioningError where the group-average guard refuses a threshold."""
     kind = model.kind
     if kind is ModelKind.POISSON_SQUARE:
-        return prob_square(model.t, ell, square_opuc(model.t))
-    if kind is ModelKind.POISSON_TRIANGLE:
-        if ell % 2 == 0:
-            return None
         data = square_opuc(model.t)
-        return prob_triangle_odd(model.t, model.alpha, (ell - 1) // 2, data)
-    if kind is ModelKind.TRIANGLE_POISSON_FS:
-        if ell == 0:
-            return math.exp(-(model.alpha * model.t + 0.5 * model.t**2))
-        if ell > 8:
-            return None
-        return prob_triangle_fs_via_ogroup(model.t, model.alpha, ell)
+        return lambda ell: prob_square(model.t, ell, data)
+    if kind is ModelKind.POISSON_TRIANGLE:
+        data = square_opuc(model.t)
+        return lambda ell: (
+            None if ell % 2 == 0
+            else prob_triangle_odd(model.t, model.alpha, (ell - 1) // 2, data)
+        )
+    if kind in (ModelKind.TRIANGLE_POISSON_FS, ModelKind.LATTICE_A_SYM,
+                ModelKind.LATTICE_C_SYM):
+        rows = ogroup_law(model, lmax)
+        return lambda ell: certified(*rows[ell], f"P(L <= {ell})")
     if kind is ModelKind.POISSON_EXTERNAL:
-        if ell < 1:
-            return None
-        data = square_opuc(model.t, ell=ell)
-        return prob_external(model.t, model.alpha_plus, model.alpha_minus, ell, data)
-    if kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-        if ell > 8:
-            return None
-        return symmetrized_lattice_prob(model, ell)
-    return prob_lattice(model, ell)
+        def external(ell):
+            if ell < 1:
+                return None
+            # the recursion cutoff grows with ell, so each threshold builds its own
+            data = square_opuc(model.t, ell=ell)
+            return prob_external(model.t, model.alpha_plus, model.alpha_minus, ell, data)
+
+        return external
+    return lambda ell: prob_lattice(model, ell)
 
 
 def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     model = model_from_args(args)
     config = SimConfig(model=model, trials=args.trials, seed=args.seed, workers=args.workers)
     emp = run_simulation(config)
+    exact_at = _exact_law(model, max(emp.counts))
     comparisons = []
+    refused = []
     ok = True
     for ell in sorted(emp.counts):
-        exact = _exact_prob(model, ell)
+        try:
+            exact = exact_at(ell)
+        except ConditioningError:
+            refused.append(ell)
+            continue
         if exact is None:
             continue
         # skip degenerate thresholds: the empirical CDF sits exactly at
@@ -374,8 +383,9 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
             ok = False
     if not comparisons:
         raise ValidationError(
-            "no comparable thresholds: all exact probabilities degenerate "
-            "or unavailable for this model at these parameters"
+            "no comparable thresholds: all exact probabilities degenerate, "
+            "unavailable or refused by the conditioning guard for this model "
+            "at these parameters"
         )
     worst = max(c["z"] for c in comparisons)
     report = {
@@ -383,9 +393,13 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
         "trials": args.trials,
         "seed": args.seed,
         "comparisons": comparisons,
+        "refused_thresholds": refused,
         "max_z": worst,
     }
-    return report, ok, f"max |z| over {len(comparisons)} thresholds: {worst:.2f}"
+    summary = f"max |z| over {len(comparisons)} thresholds: {worst:.2f}"
+    if refused:
+        summary += f"; {len(refused)} refused by the conditioning guard"
+    return report, ok, summary
 
 
 def _suite_oracles(args) -> tuple[dict, bool, str]:

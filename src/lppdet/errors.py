@@ -25,6 +25,10 @@ class BreakdownError(LppdetError):
     """
 
 
+class ConditioningError(BreakdownError):
+    """A float64 result's certified error bound exceeds its target."""
+
+
 class TruncationError(LppdetError):
     """A truncated infinite sum or product missed its error target."""
 

@@ -5,8 +5,10 @@ its symbol.  The square law is a plain determinant; the triangle law at
 odd thresholds couples polynomial boundary values with two infinite
 products over odd-index norms; the external-sources law takes a rank-two
 correction of the square determinant with a removable singularity where
-the two boundary rates multiply to one.  A low-dimensional orthogonal
-group quadrature provides an independent route to the triangle law.
+the two boundary rates multiply to one.  The triangle-FS and symmetrized
+lattice laws are orthogonal-group averages, evaluated as Toeplitz +- Hankel
+determinants of psi(z) psi(1/z) with a float64 conditioning guard; the
+triangle-FS one is an independent route to the triangle law.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_chebyt, roots_chebyu, roots_jacobi
 
-from .errors import TruncationError, ValidationError, VerificationError
+from .errors import (
+    ConditioningError,
+    TruncationError,
+    ValidationError,
+    VerificationError,
+)
 from .symbols import (
     ModelKind,
     ModelSpec,
@@ -46,8 +52,12 @@ __all__ = [
     "triangle_tail_bound",
     "prob_external",
     "prob_lattice",
+    "OGROUP_ROUTE",
+    "OGROUP_TOL",
+    "ogroup_law",
+    "certified",
+    "ogroup_expectation_spec",
     "weyl_ogroup_expectation",
-    "weyl_ogroup_expectation_spec",
     "prob_triangle_fs_via_ogroup",
     "symmetrized_lattice_prob",
     "scaled_cdf",
@@ -295,115 +305,131 @@ def prob_lattice(model: ModelSpec, ell: int) -> float:
     return math.exp(-normalization_log_z(model) + toeplitz_log_det(data, ell))
 
 
-def _component_quadrature(
-    ell: int, minus_component: bool, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Eigenvalue-angle quadrature for one component of the orthogonal group.
+# largest certified float64 error allowed on a group-average probability
+OGROUP_TOL = 1e-9
+OGROUP_ROUTE = "toeplitz-plus-hankel determinant"
 
-    Returns (cosine nodes, combined weights, fixed eigenvalues).  The
-    paired angles carry the squared Vandermonde in the cosines times a
-    component-specific one-dimensional weight:
 
-      even size, det +1 : arcsine weight (pure Chebyshev)
-      even size, det -1 : fixed +1 and -1, sine-squared weight
-      odd size,  det +1 : fixed +1, half-angle sine-squared  -> Jacobi(1/2,-1/2)
-      odd size,  det -1 : fixed -1, half-angle cosine-squared -> Jacobi(-1/2,1/2)
+def _pair_coeffs(spec: SymbolSpec, lmax: int) -> np.ndarray:
+    """g_n, n = 0..lmax + 2, of g(z) = psi(z) psi(1/z), which is even in n.
+
+    g mirrors every factor of psi onto the other side of the circle.
     """
-    if ell % 2 == 0:
-        m = ell // 2
-        if not minus_component:
-            x, w = roots_chebyt(n_nodes)
-            return x, w, []
-        x, w = roots_chebyu(n_nodes)
-        return x, w, [1.0, -1.0]
-    if not minus_component:
-        x, w = roots_jacobi(n_nodes, 0.5, -0.5)
-        return x, w, [1.0]
-    x, w = roots_jacobi(n_nodes, -0.5, 0.5)
-    return x, w, [-1.0]
-
-
-def _weyl_component_mean(
-    spec: SymbolSpec, ell: int, minus_component: bool, n_nodes: int
-) -> float:
-    x, w, fixed = _component_quadrature(ell, minus_component, n_nodes)
-    m = (ell - len(fixed)) // 2
-    fixed_value = 1.0
-    for lam in fixed:
-        fixed_value *= float(np.real(evaluate_symbol(spec, lam)))
-    if m == 0:
-        return fixed_value
-    # each conjugate eigenvalue pair contributes |psi(e^{i theta})|^2,
-    # a function of cos theta alone for real-coefficient psi
-    z = x + 1j * np.sqrt(1.0 - x * x)
-    pair_1d = np.abs(evaluate_symbol(spec, z)) ** 2
-    grids = np.meshgrid(*([x] * m), indexing="ij")
-    vandermonde = np.ones_like(grids[0])
-    for i in range(m):
-        for j in range(i + 1, m):
-            vandermonde = vandermonde * (grids[i] - grids[j]) ** 2
-    num_w = np.ones_like(grids[0])
-    den_w = np.ones_like(grids[0])
-    for axis in range(m):
-        shape = [1] * m
-        shape[axis] = n_nodes
-        num_w = num_w * (w * pair_1d).reshape(shape)
-        den_w = den_w * w.reshape(shape)
-    return fixed_value * float(
-        np.sum(vandermonde * num_w) / np.sum(vandermonde * den_w)
+    t = spec.exp_plus_t + spec.exp_minus_t
+    pair = SymbolSpec(
+        exp_plus_t=t,
+        exp_minus_t=t,
+        zeros_plus=spec.zeros_plus + spec.zeros_minus,
+        zeros_minus=spec.zeros_minus + spec.zeros_plus,
+        poles_plus=spec.poles_plus + spec.poles_minus,
+        poles_minus=spec.poles_minus + spec.poles_plus,
     )
+    return fourier_coeffs(pair, half_width=lmax + 2).coeffs[lmax + 2:]
 
 
-def weyl_ogroup_expectation_spec(
-    spec: SymbolSpec, ell: int, n_nodes: int = 48
-) -> float:
+def _ogroup_mean(
+    spec: SymbolSpec, g: np.ndarray, ell: int, log_z: float
+) -> tuple[float, float]:
+    """(E_{O(ell)} det psi(U) * e^{-log_z}, float64 error bound of that value).
+
+    Each determinant component of O(ell) is a Toeplitz +- Hankel
+    determinant in the coefficients g_n of g(z) = psi(z) psi(1/z), times
+    psi at its fixed eigenvalues (Weyl integration and Andreief):
+
+      even 2m, det +1 : (1/2) det(g_{j-k} + g_{j+k})_{m x m}
+      even 2m, det -1 : psi(1) psi(-1) det(g_{j-k} - g_{j+k+2})_{(m-1) x (m-1)}
+      odd 2m+1, det +1: psi(1) det(g_{j-k} - g_{j+k+1})_{m x m}
+      odd 2m+1, det -1: psi(-1) det(g_{j-k} + g_{j+k+1})_{m x m}
+
+    The group mean averages the two.  A component's relative error is
+    bounded by cond(M) * eps; the components may cancel (psi(-1) < 0 once
+    a zero parameter exceeds 1), so the bound adds their absolute errors.
+    """
+    psi_plus = float(np.real(evaluate_symbol(spec, 1.0)))
+    psi_minus = float(np.real(evaluate_symbol(spec, -1.0)))
+    m = ell // 2
+    if ell % 2 == 0:
+        parts = ((0.5, m, 1.0, 0), (psi_plus * psi_minus, m - 1, -1.0, 2))
+    else:
+        parts = ((psi_plus, m, -1.0, 1), (psi_minus, m, 1.0, 1))
+    value = bound = 0.0
+    for coef, size, sign, shift in parts:
+        j = np.arange(size)
+        mat = g[np.abs(j[:, None] - j)] + sign * g[j[:, None] + j + shift]
+        det_sign, log_det = np.linalg.slogdet(mat)
+        mean = coef * det_sign * math.exp(log_det - log_z)
+        kappa = np.linalg.cond(mat) if size else 1.0
+        value += 0.5 * mean
+        bound += 0.5 * np.finfo(float).eps * abs(mean) * kappa
+    return float(value), float(bound)
+
+
+def ogroup_law(model: ModelSpec, lmax: int) -> list[tuple[float, float]]:
+    """[(P(L <= ell), float64 error bound)] for ell = 0..lmax of a model
+    whose law is an orthogonal-group average, E_{O(ell)} det psi(U) / Z.
+
+    One Fourier table of psi(z) psi(1/z) serves every ell; the empty
+    group's mean is 1.  Bounds are returned, not enforced: callers
+    certify with ``certified``.
+    """
+    if lmax < 0:
+        raise ValidationError(f"lmax must be >= 0, got {lmax}")
+    spec, log_z = build_symbol(model), normalization_log_z(model)
+    g = _pair_coeffs(spec, lmax)
+    return [(math.exp(-log_z), 0.0)] + [
+        _ogroup_mean(spec, g, ell, log_z) for ell in range(1, lmax + 1)
+    ]
+
+
+def certified(value: float, bound: float, what: str) -> float:
+    """``value`` when its float64 error bound is within OGROUP_TOL."""
+    if not bound <= OGROUP_TOL:
+        raise ConditioningError(
+            f"{what}: float64 error bound {bound:.2e} of the {OGROUP_ROUTE} "
+            f"exceeds {OGROUP_TOL:.0e}"
+        )
+    return value
+
+
+def ogroup_expectation_spec(spec: SymbolSpec, ell: int) -> float:
     """Mean of det(psi(U)) over the full orthogonal group O(ell).
 
-    Averages the two determinant components; eigenvalue-pair angles are
-    integrated by the Gauss rules matching each component's weight.
+    Certified to OGROUP_TOL relative to the mean.
     """
-    if not 1 <= ell <= 8:
-        raise ValidationError(
-            f"group-quadrature path supports 1 <= ell <= 8, got {ell}"
-        )
-    plus = _weyl_component_mean(spec, ell, False, n_nodes)
-    minus = _weyl_component_mean(spec, ell, True, n_nodes)
-    return 0.5 * (plus + minus)
+    if ell < 1:
+        raise ValidationError(f"ell must be >= 1, got {ell}")
+    value, bound = _ogroup_mean(spec, _pair_coeffs(spec, ell), ell, 0.0)
+    relative = bound / abs(value) if value != 0.0 else math.inf
+    return certified(value, relative, f"O({ell}) mean")
 
 
-def weyl_ogroup_expectation(
-    t: float, alpha: float, ell: int, n_nodes: int = 48
-) -> float:
+def weyl_ogroup_expectation(t: float, alpha: float, ell: int) -> float:
     """Orthogonal-group mean of det((1 + alpha U) e^{t U})."""
     if alpha < 0 or t < 0:
         raise ValidationError("need alpha >= 0 and t >= 0")
-    spec = SymbolSpec(exp_plus_t=t, zeros_plus=(alpha,))
-    return weyl_ogroup_expectation_spec(spec, ell, n_nodes)
+    return ogroup_expectation_spec(SymbolSpec(exp_plus_t=t, zeros_plus=(alpha,)), ell)
+
+
+def _group_prob(model: ModelSpec, ell: int) -> float:
+    if ell < 0:
+        return 0.0
+    p, bound = ogroup_law(model, ell)[ell]
+    return certified(p, bound, f"P(L <= {ell})")
 
 
 def prob_triangle_fs_via_ogroup(t: float, alpha: float, ell: int) -> float:
     """Triangle law via the orthogonal-group average (validation path)."""
-    expectation = weyl_ogroup_expectation(t, alpha, ell)
-    return expectation * math.exp(-(alpha * t + 0.5 * t * t))
+    model = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=t, alpha=alpha)
+    return _group_prob(model, ell)
 
 
-def symmetrized_lattice_prob(
-    model: ModelSpec, ell: int, n_nodes: int = 48
-) -> float:
+def symmetrized_lattice_prob(model: ModelSpec, ell: int) -> float:
     """Law of the symmetric-array lattice models via the group average."""
     if model.kind not in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
         raise ValidationError(
             f"symmetrized path does not handle kind {model.kind.value}"
         )
-    if ell < 1:
-        return 0.0 if ell < 0 else _symmetrized_zero_prob(model)
-    expectation = weyl_ogroup_expectation_spec(build_symbol(model), ell, n_nodes)
-    return expectation * math.exp(-normalization_log_z(model))
-
-
-def _symmetrized_zero_prob(model: ModelSpec) -> float:
-    # empty-group expectation is 1, so P(L <= 0) = 1/Z
-    return math.exp(-normalization_log_z(model))
+    return _group_prob(model, ell)
 
 
 def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
@@ -513,18 +539,13 @@ def build_dist_table(model: ModelSpec, lmax: int) -> DistTable:
             )
             entries[ell] = (_log_or_neg_inf(p), p)
         info = {"cutoff": opuc.cutoff}
-    elif kind == ModelKind.TRIANGLE_POISSON_FS:
-        p0 = math.exp(-(model.alpha * model.t + 0.5 * model.t**2))
-        entries[0] = (_log_or_neg_inf(p0), p0)
-        for ell in range(1, min(lmax, 8) + 1):
-            p = float(prob_triangle_fs_via_ogroup(model.t, model.alpha, ell))
+    elif kind in (ModelKind.TRIANGLE_POISSON_FS, ModelKind.LATTICE_A_SYM,
+                  ModelKind.LATTICE_C_SYM):
+        rows = ogroup_law(model, lmax)
+        for ell, (p, bound) in enumerate(rows):
+            certified(p, bound, f"P(L <= {ell})")
             entries[ell] = (_log_or_neg_inf(p), p)
-        info = {"path": "orthogonal-group quadrature", "max_ell": 8}
-    elif kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-        for ell in range(min(lmax, 8) + 1):
-            p = float(symmetrized_lattice_prob(model, ell))
-            entries[ell] = (_log_or_neg_inf(p), p)
-        info = {"path": "orthogonal-group quadrature", "max_ell": 8}
+        info = {"path": OGROUP_ROUTE, "error_bound": max(b for _, b in rows)}
     else:
         for ell in range(lmax + 1):
             p = float(prob_lattice(model, ell))

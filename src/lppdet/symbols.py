@@ -267,8 +267,8 @@ class ModelKind(enum.Enum):
     POISSON_LINES_D = "PoissonLinesD"
     POISSON_LINES_E = "PoissonLinesE"
     TRIANGLE_POISSON_FS = "TrianglePoissonFS"
-    # Monte-Carlo-only symmetrized lattice models; their exact law goes
-    # through an orthogonal-group average rather than a Toeplitz form.
+    # Symmetrized lattice models; like TRIANGLE_POISSON_FS their exact law
+    # is an orthogonal-group average, a Toeplitz +- Hankel determinant.
     LATTICE_A_SYM = "LatticeASym"
     LATTICE_C_SYM = "LatticeCSym"
 
@@ -366,9 +366,9 @@ def build_symbol(model: ModelSpec) -> SymbolSpec:
     The triangle and external-source models reduce to the same symbol as
     the Poisson square model; their boundary rates enter the distribution
     formulas through polynomial evaluations rather than the symbol.  The
-    two symmetrized models carry the symbol of their orthogonal-group
-    average, which is evaluated pointwise and never fed to the Toeplitz
-    machinery.
+    triangle-FS and the two symmetrized models carry the symbol psi of
+    their orthogonal-group average; its determinants are Toeplitz +-
+    Hankel in the coefficients of psi(z) psi(1/z), not plain Toeplitz.
     """
     k = model.kind
     if k in (ModelKind.POISSON_SQUARE, ModelKind.POISSON_TRIANGLE,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -100,6 +101,27 @@ def test_numerical_failure_exits_two(run, monkeypatch, exc):
     monkeypatch.setitem(cli.COMMANDS, "dist", boom)
     code, _ = run("dist", "square")
     assert code == 2
+
+
+def test_ill_conditioned_group_average_exits_two(run, capsys):
+    code, _ = run("dist", "triangle-fs", "--t", "4", "--alpha", "1", "--lmax", "8")
+    assert code == 0
+    code, _ = run("dist", "triangle-fs", "--t", "4", "--alpha", "1", "--lmax", "20")
+    assert code == 2
+    assert re.search(r"error bound \d\.\d+e-\d+", capsys.readouterr().err)
+
+
+def test_mc_cross_counts_refused_thresholds(run):
+    code, out = run(
+        "verify", "mc-cross", "--model", "triangle-fs", "--t", "4", "--alpha", "1",
+        "--trials", "2000",
+    )
+    assert code == 0
+    report = json.loads((out / "verify_mc-cross.json").read_text())
+    compared = [c["ell"] for c in report["comparisons"]]
+    assert report["refused_thresholds"]
+    assert max(compared) < min(report["refused_thresholds"])
+    assert max(compared) > 8
 
 
 def test_failed_suite_exits_three(run, monkeypatch):

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from lppdet.errors import TruncationError, ValidationError, VerificationError
 from lppdet.exact_dist import (
+    OGROUP_ROUTE,
+    OGROUP_TOL,
     DistTable,
     build_dist_table,
+    ogroup_expectation_spec,
     prob_external,
     prob_lattice,
     prob_square,
@@ -20,7 +23,9 @@ from lppdet.exact_dist import (
     symmetrized_lattice_prob,
     weyl_ogroup_expectation,
 )
-from lppdet.symbols import ModelKind, ModelSpec
+from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
+
+from ogroup_quadrature import MAX_ELL, quadrature_expectation
 
 
 def test_square_closed_form_first_levels(opuc_t1):
@@ -210,10 +215,37 @@ def test_ogroup_dimension_one_closed_form():
     assert expectation == pytest.approx(closed, rel=1e-13)
 
 
-def test_ogroup_node_count_stability():
-    coarse = weyl_ogroup_expectation(1.0, 0.5, 5, n_nodes=32)
-    fine = weyl_ogroup_expectation(1.0, 0.5, 5, n_nodes=64)
-    assert coarse == pytest.approx(fine, rel=1e-12)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymbolSpec(exp_plus_t=1.0, zeros_plus=(0.5,)),
+        SymbolSpec(exp_plus_t=2.0, zeros_plus=(1.0,)),
+        SymbolSpec(zeros_plus=(0.8, 0.4, 0.5, 0.6)),
+        SymbolSpec(zeros_plus=(0.8,), poles_plus=(0.4, 0.5, 0.6)),
+        # psi(-1) < 0, so the two determinant components cancel
+        SymbolSpec(exp_plus_t=1.0, zeros_plus=(1.5,)),
+    ],
+    ids=["triangle-fs-t1", "triangle-fs-t2", "lattice-a-sym", "lattice-c-sym",
+         "alpha-above-one"],
+)
+def test_ogroup_determinant_matches_quadrature(spec):
+    """Toeplitz +- Hankel determinants against the eigenvalue-angle
+    quadrature of the Weyl integration formula."""
+    for ell in range(1, MAX_ELL + 1):
+        assert ogroup_expectation_spec(spec, ell) == pytest.approx(
+            quadrature_expectation(spec, ell), rel=1e-11
+        )
+
+
+def test_symmetrized_table_past_the_old_quadrature_limit():
+    model = ModelSpec(kind=ModelKind.LATTICE_A_SYM, alpha=0.5, row_params=(0.5,))
+    table = build_dist_table(model, 12)
+    assert sorted(table.entries) == list(range(13))
+    probs = [table.probability(ell) for ell in range(13)]
+    assert all(0.0 <= p <= 1.0 for p in probs)
+    assert all(b >= a for a, b in zip(probs, probs[1:]))
+    assert table.truncation_info["path"] == OGROUP_ROUTE
+    assert table.truncation_info["error_bound"] <= OGROUP_TOL
 
 
 def test_symmetrized_lattice_frozen_tables():
@@ -269,8 +301,8 @@ def test_build_dist_table_triangle_reports_odd_support():
 
 def test_triangle_and_fs_routes_agree_on_shared_thresholds():
     fs = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=1.0, alpha=0.5)
-    table = build_dist_table(fs, 6)
+    table = build_dist_table(fs, 11)
     data = square_opuc(1.0)
-    for thr in (1, 3, 5):
+    for thr in (1, 3, 5, 7, 9, 11):
         det_route = float(prob_triangle_odd(1.0, 0.5, (thr - 1) // 2, data))
-        assert table.entries[thr][1] == pytest.approx(det_route, abs=1e-9)
+        assert table.entries[thr][1] == pytest.approx(det_route, abs=1e-10)

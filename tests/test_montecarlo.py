@@ -292,15 +292,16 @@ def test_empirical_cdf_accounting():
 
 
 def test_haar_expectation_against_quadrature():
-    """Sampled group average versus the deterministic eigenvalue-density
-    integral, at four standard errors."""
-    t, alpha, ell = 1.0, 0.5, 3
+    """Sampled group average versus the deterministic Toeplitz +- Hankel
+    determinant, at four standard errors, up to the sampler's largest group."""
+    t, alpha = 1.0, 0.5
     psi = SymbolSpec(exp_plus_t=t, zeros_plus=(alpha,))
     rng = np.random.default_rng(77)
-    est, err = haar_orthogonal_expectation(psi, ell, 50000, rng)
-    exact = weyl_ogroup_expectation(t, alpha, ell)
-    assert err > 0.0
-    assert abs(est - exact) < 4.0 * err
+    for ell, trials in ((3, 50000), (12, 20000)):
+        est, err = haar_orthogonal_expectation(psi, ell, trials, rng)
+        exact = weyl_ogroup_expectation(t, alpha, ell)
+        assert err > 0.0
+        assert abs(est - exact) < 4.0 * err
 
 
 def test_haar_validation():
