@@ -344,14 +344,11 @@ def _exact_law(model: ModelSpec, lmax: int):
         rows = ogroup_law(model, lmax)
         return lambda ell: certified(*rows[ell], f"P(L <= {ell})")
     if kind is ModelKind.POISSON_EXTERNAL:
-        def external(ell):
-            if ell < 1:
-                return None
-            # the recursion cutoff grows with ell, so each threshold builds its own
-            data = square_opuc(model.t, ell=ell)
-            return prob_external(model.t, model.alpha_plus, model.alpha_minus, ell, data)
-
-        return external
+        data = square_opuc(model.t, ell=lmax)
+        return lambda ell: (
+            None if ell < 1
+            else prob_external(model.t, model.alpha_plus, model.alpha_minus, ell, data)
+        )
     return lambda ell: prob_lattice(model, ell)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BreakdownError,
     ConditioningError,
     TruncationError,
     ValidationError,
@@ -71,20 +72,39 @@ def _default_cutoff(t: float, ell: int) -> int:
 
 
 _HIGHPREC_T = 6.0
+# largest |sum_k log N_k - t^2| accepted from the extended-precision route.
+# At the default precision all 51 benchmark-catalogue squares with
+# t = 7..120 stay within 1.8e-12.  Short of digits the residual grows about
+# 1000-fold per 3 digits lost, from 5e-10 at t = 75 under the older slope.
+SZEGO_TOL = 1e-10
 
 
 def square_opuc(t: float, cutoff: int | None = None, ell: int = 0) -> OpucData:
     """Circle-recursion data for the exponential symbol at rate t.
 
-    Switches to the extended-precision moment path once e^{2t} starts
-    eating double-precision headroom.
+    Switches to the extended-precision route (fixed-point integers on
+    Miller moments, ``square_opuc_highprec``) once e^{2t} starts eating
+    double-precision headroom.  There, whenever the cutoff reaches past the
+    point where the reflection data is numerically zero, the log-norms
+    must sum to log Z = t^2 (strong Szego) within SZEGO_TOL, or the data is
+    refused with a BreakdownError: too little working precision shows up
+    as wrong digits before it breaks the recursion.
     """
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     if cutoff is None:
         cutoff = _default_cutoff(t, ell)
     if t > _HIGHPREC_T:
-        return square_opuc_highprec(t, cutoff)
+        data = square_opuc_highprec(t, cutoff)
+        if cutoff >= _default_cutoff(t, 0):
+            residual = abs(math.fsum(data.log_norms) - t * t)
+            if not residual <= SZEGO_TOL:
+                raise BreakdownError(
+                    f"strong Szego check failed at t = {t}: the log-norms sum "
+                    f"to t^2 only within {residual:.2e} > {SZEGO_TOL:.0e}; "
+                    "working precision too low"
+                )
+        return data
     spec = build_symbol(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=t))
     table = fourier_coeffs(spec, half_width=cutoff + 2)
     return levinson(table, cutoff)

@@ -17,9 +17,11 @@ update uses their product, which collapses to a square in the symmetric
 case.
 
 All determinant-scale quantities are kept in log space.  The recursion
-runs in float64 by default; a high-precision path (mpmath) is provided
-for the Poisson-square symbol at large t, where the moment scale e^{2t}
-makes the float64 inner products cancel below roundoff.
+runs in float64 by default.  For the Poisson-square symbol at large t,
+where the moment scale e^{2t} makes the float64 inner products cancel
+below roundoff, an extended-precision path runs the same recursion in
+fixed-point Python integers on Bessel moments from Miller's backward
+recurrence; mpmath only sets the precision and rounds the logarithms.
 """
 
 from __future__ import annotations
@@ -196,48 +198,106 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
     )
 
 
-def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucData:
-    """High-precision recursion for the exp(t(z + 1/z)) symbol.
+# Decimal digits of working precision per unit of t (divided by ln 10).
+# The recursion cancels digits against the e^{2t} moment scale, and the
+# digits it needs grow linearly in t and not with the cutoff: bisecting dps
+# for agreement to 1e-13 with a run 100+ digits higher, at t = 7..120 and
+# at cutoffs 150..800 for t = 60, gives 1.725 t + 11 digits.  At 4.0 the
+# rule gives 1.737 t + 60, a margin of 49 digits that does not shrink with
+# t.  The earlier slope 2.4 ran out at t = 75 (strong Szego sum off by
+# 5e-10; past it tables left [0, 1] or broke down), and 3.0 ran out at
+# t = 120 (off by 2e-10).
+_DPS_SLOPE = 4.0
 
-    The float64 path loses the reflection coefficients to cancellation
-    once e^{2t} eats the 16-digit budget; here moments are I_j(2t) in
-    mpmath working precision scaled to the moment range, and the results
-    are rounded to float64 at the end (they are all O(1) or log-scale).
+
+def _highprec_dps(t: float) -> int:
+    return int(_DPS_SLOPE * t / math.log(10.0)) + 60
+
+
+def _miller_moments(t: float, count: int, bits: int) -> tuple[list[int], int]:
+    """Fixed-point Bessel moments at scale 2^bits.
+
+    Returns ([I_j(2t)/I_0(2t) for j < count], I_0(2t)), each rounded to an
+    integer multiple of 2^-bits.  Miller's backward recurrence
+
+        I_{j-1} = I_{j+1} + (j/t) I_j
+
+    is stable for I_j; it starts at an index M where I_M(2t)/I_0(2t) <
+    2^-(bits + 32), from the bound I_n(2t) <= t^n/n! e^{t^2/(n+1)} and
+    I_0 >= 1, and the trial solution is normalized through the positive
+    series e^{2t} = I_0 + 2 sum_{k>=1} I_k.  t enters as the exact ratio of
+    its float value; the start carries 32 guard bits past ``bits``.
     """
     import mpmath as mp
+
+    target = -(bits + 32) * math.log(2.0)
+    m = count
+    while m * math.log(t) - math.lgamma(m + 1) + t * t / (m + 1) > target:
+        m += 1
+    num, den = float(t).as_integer_ratio()
+    y_next, y = 0, 1 << (bits + 32)
+    ys = [y]
+    for j in range(m, 0, -1):
+        y_next, y = y, y_next + (j * den * y) // num
+        ys.append(y)
+    ys.reverse()  # ys[j] is proportional to I_j(2t), j = 0..m
+    y0 = ys[0]
+    series = 2 * sum(ys) - y0
+    exp_2t = int(mp.ldexp(mp.exp(2 * mp.mpf(t)), bits))
+    return [(y << bits) // y0 for y in ys[:count]], exp_2t * y0 // series
+
+
+def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucData:
+    """Extended-precision recursion for the exp(t(z + 1/z)) symbol.
+
+    The float64 path loses the reflection coefficients to cancellation
+    once e^{2t} eats the 16-digit budget.  Here every quantity is a Python
+    integer in fixed point at scale 2^P, with P the binary precision of
+    ``dps`` decimal digits (default: ``_highprec_dps``).  The moments are
+    the ratios I_j(2t)/I_0(2t) from Miller's backward recurrence, and each
+    recursion step is two dot products and one vector update on numpy
+    object arrays of those integers.  Reflection coefficients are rounded
+    to float64, and log N_k = log(I_0(2t) N_k / I_0) is correctly rounded
+    from the exact product of the two fixed-point integers.
+    """
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp, mpf_log, to_float
 
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
     if dps is None:
-        # the recursion cancels ~2t/ln(10) digits against the e^{2t} moment
-        # scale, and the polynomial inner products cost a further slice that
-        # grows with t; calibrated so the corner study at k = 135 (t = 67.5)
-        # still carries >= 30 clean digits
-        dps = int(2.4 * t / math.log(10.0)) + 60
+        dps = _highprec_dps(t)
     with mp.workdps(dps):
-        two_t = mp.mpf(t) * 2
-        phi = [mp.besseli(j, two_t) for j in range(cutoff + 2)]
-        b = np.zeros(cutoff + 1)
-        log_norms = np.zeros(cutoff + 1)
-        log_norms[0] = float(mp.log(phi[0]))
-        pi = [mp.mpf(1)]
-        n_cur = phi[0]
-        for k in range(cutoff):
-            c = mp.fsum(pi[a] * phi[a + 1] for a in range(k + 1))
-            b_next = c / n_cur
-            if abs(b_next) >= 1:
-                raise BreakdownError(
-                    f"reflection coefficient at k = {k + 1} reached unit modulus"
-                )
-            pi = [
-                (pi[a - 1] if a >= 1 else mp.mpf(0)) - b_next * (pi[k - a] if a <= k else mp.mpf(0))
-                for a in range(k + 2)
-            ]
-            n_cur = mp.fsum(pi[a] * phi[k + 1 - a] for a in range(k + 2))
-            if n_cur <= 0:
-                raise BreakdownError(f"norm N_{k + 1} not positive at high precision")
-            b[k + 1] = float(b_next)
-            log_norms[k + 1] = float(mp.log(n_cur))
+        bits = mp.mp.prec
+        ratios, i0 = _miller_moments(t, cutoff + 2, bits)
+    one = 1 << bits
+    phi = np.array(ratios, dtype=object)
+
+    def log_norm(n: int) -> float:
+        # N_k = i0 * n / 2^(2 bits); correctly rounded even where N_k ~ 1
+        return to_float(mpf_log(from_man_exp(i0 * n, -2 * bits), 53, "n"))
+
+    b = np.zeros(cutoff + 1)
+    log_norms = np.zeros(cutoff + 1)
+    log_norms[0] = log_norm(one)
+    pi = np.array([one], dtype=object)
+    n_cur = one
+    for k in range(cutoff):
+        b_next = np.dot(pi, phi[1 : k + 2]) // n_cur
+        if abs(b_next) >= one:
+            raise BreakdownError(
+                f"reflection coefficient at k = {k + 1} reached unit modulus"
+            )
+        pi_next = np.empty(k + 2, dtype=object)
+        pi_next[0] = 0
+        pi_next[1:] = pi
+        pi_next[:-1] -= (pi[::-1] * b_next) >> bits
+        pi = pi_next
+        n_cur = np.dot(pi, phi[k + 1 :: -1]) >> bits
+        if n_cur <= 0:
+            raise BreakdownError(f"norm N_{k + 1} not positive at high precision")
+        b[k + 1] = b_next / one
+        log_norms[k + 1] = log_norm(n_cur)
     return OpucData(
         reflection=b,
         reflection_dual=b,

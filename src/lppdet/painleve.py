@@ -385,8 +385,9 @@ def corner_asymptotics_study(
     """Run the corner check at fixed x across several k, high precision.
 
     Each k gets its own t from the scaling relation and a fresh
-    high-precision recursion: float64 moment arithmetic loses these
-    reflection coefficients entirely once e^{2t} exceeds 1e16.
+    extended-precision recursion (fixed-point integers on Miller Bessel
+    moments): float64 moment arithmetic loses these reflection
+    coefficients entirely once e^{2t} exceeds 1e16.
     """
     reports = []
     for k in k_values:

@@ -398,9 +398,10 @@ def build_symbol(model: ModelSpec) -> SymbolSpec:
 def normalization_log_z(model: ModelSpec) -> float:
     """log of the normalization constant Z of the model's law.
 
-    Z is the large-order limit of the model's determinants; for the
-    Toeplitz-determinant models this is checked independently against the
-    strong Szego limit.
+    Z is the large-order limit of the model's determinants.  For the
+    Poisson square at t > 6 (the extended-precision route) the log-norms
+    must sum to log Z = t^2; ``exact_dist.square_opuc`` checks that strong
+    Szego identity and refuses the data when it fails.
     """
     k = model.kind
     t = model.t

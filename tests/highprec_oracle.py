@@ -1,0 +1,41 @@
+"""Floating-point mpmath recursion for the Poisson-square symbol: a test oracle.
+
+The Toeplitz recursion on the moments I_j(2t) from ``mpmath.besseli``,
+one scalar mpf at a time.  It costs O(cutoff^2 * dps) interpreted bignum
+operations, so the package runs the same recursion in fixed-point
+integers on Miller moments instead, and the tests compare the two.
+"""
+
+import mpmath as mp
+import numpy as np
+
+from lppdet.errors import BreakdownError
+
+
+def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reflection, log_norms) up to ``cutoff`` at ``dps`` decimal digits."""
+    with mp.workdps(dps):
+        two_t = mp.mpf(t) * 2
+        phi = [mp.besseli(j, two_t) for j in range(cutoff + 2)]
+        b = np.zeros(cutoff + 1)
+        log_norms = np.zeros(cutoff + 1)
+        log_norms[0] = float(mp.log(phi[0]))
+        pi = [mp.mpf(1)]
+        n_cur = phi[0]
+        for k in range(cutoff):
+            c = mp.fsum(pi[a] * phi[a + 1] for a in range(k + 1))
+            b_next = c / n_cur
+            if abs(b_next) >= 1:
+                raise BreakdownError(
+                    f"reflection coefficient at k = {k + 1} reached unit modulus"
+                )
+            pi = [
+                (pi[a - 1] if a >= 1 else mp.mpf(0)) - b_next * (pi[k - a] if a <= k else mp.mpf(0))
+                for a in range(k + 2)
+            ]
+            n_cur = mp.fsum(pi[a] * phi[k + 1 - a] for a in range(k + 2))
+            if n_cur <= 0:
+                raise BreakdownError(f"norm N_{k + 1} not positive at high precision")
+            b[k + 1] = float(b_next)
+            log_norms[k + 1] = float(mp.log(n_cur))
+    return b, log_norms

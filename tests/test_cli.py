@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -210,3 +212,34 @@ def test_mc_counts_and_determinism(run):
     code, out = run("--seed", "6", *args[2:])
     assert code == 0
     assert (out / "mc_lattice-a.csv").read_bytes() != first
+
+
+def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
+    """Every threshold of the external-sources law reads one recursion
+    table, built to the largest sampled threshold."""
+    calls = []
+    real = cli.square_opuc
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "square_opuc", counting)
+    code, out = run(
+        "--seed", "0", "verify", "mc-cross", "--model", "external", "--t", "8",
+        "--alpha-plus", "0.3", "--alpha-minus", "0.6", "--trials", "400",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads((out / "verify_mc-cross.json").read_text())
+    assert len(report["comparisons"]) > 1
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    """mpmath is imported only by the extended-precision route, so every
+    command that does not need it skips its import cost."""
+    code = "import lppdet.cli, sys; assert 'mpmath' not in sys.modules"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

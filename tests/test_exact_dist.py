@@ -5,7 +5,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lppdet.errors import TruncationError, ValidationError, VerificationError
+from lppdet.errors import (
+    BreakdownError,
+    TruncationError,
+    ValidationError,
+    VerificationError,
+)
 from lppdet.exact_dist import (
     OGROUP_ROUTE,
     OGROUP_TOL,
@@ -23,6 +28,7 @@ from lppdet.exact_dist import (
     symmetrized_lattice_prob,
     weyl_ogroup_expectation,
 )
+from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
 
 from ogroup_quadrature import MAX_ELL, quadrature_expectation
@@ -74,6 +80,31 @@ def test_square_cdf_monotone_in_threshold(t):
     values = [prob_square(t, ell, data) for ell in range(0, 8)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] <= 1.0 + 1e-12
+
+
+def test_square_past_the_old_precision_limit():
+    """At t = 100 the old precision rule broke the recursion down at
+    k = 175.  The table matches the circle Fredholm determinant
+    2^-k det(1 - K_k), an independent float64 route, at the top of the law."""
+    t, lmax = 100.0, 228
+    table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=t), lmax)
+    symbol = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
+    for k in (200, 214, 228):
+        log_det = fredholm_log_det(IntegrableKernelSpec(symbol=symbol, k=k, nodes=512))
+        fredholm_p = math.exp(log_det - k * math.log(2.0))
+        assert table.probability(k) == pytest.approx(fredholm_p, abs=1e-11)
+
+
+def test_square_refused_when_strong_szego_fails(monkeypatch):
+    """Too little working precision gives wrong digits before it breaks
+    the recursion; the strong Szego check turns them into a refusal."""
+    from lppdet import opuc
+
+    monkeypatch.setattr(opuc, "_DPS_SLOPE", 1.8)
+    with pytest.raises(BreakdownError, match="strong Szego check failed"):
+        square_opuc(60.0)
+    # short cutoffs do not reach the tail the identity needs
+    square_opuc(60.0, cutoff=100)
 
 
 def test_triangle_frozen_values(opuc_t1):

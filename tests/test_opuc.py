@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lppdet.errors import ValidationError
-from lppdet.exact_dist import square_opuc
+from lppdet.exact_dist import _default_cutoff, square_opuc
 from lppdet.opuc import (
+    _highprec_dps,
+    _miller_moments,
     dpii_residual,
     eval_pi,
     eval_pi_dense,
@@ -20,6 +22,8 @@ from lppdet.opuc import (
     y_corner,
 )
 from lppdet.symbols import SymbolSpec, fourier_coeffs
+
+from highprec_oracle import square_opuc_mpf
 
 
 def test_reflection_starts_from_bessel_ratio():
@@ -141,12 +145,41 @@ def test_highprec_agrees_with_float64():
 
 
 def test_highprec_survives_large_t():
-    """float64 moments overflow near t = 15; the mpmath path keeps the
+    """float64 moments overflow near t = 15; the fixed-point path keeps the
     reflection sequence finite and inside the unit interval in product."""
     data = square_opuc_highprec(15.0, 30)
     b = [float(v) for v in data.reflection[1:31]]
     assert all(abs(v) < 1.0 for v in b)
     assert all(math.isfinite(v) for v in b)
+
+
+@pytest.mark.parametrize("t", [7.0, 20.0, 40.0])
+def test_highprec_matches_mpf_oracle(t):
+    """The fixed-point route reproduces the scalar mpmath recursion on
+    ``besseli`` moments at the same working precision."""
+    cutoff = min(_default_cutoff(t, 0), 150)
+    data = square_opuc_highprec(t, cutoff)
+    reflection, log_norms = square_opuc_mpf(t, cutoff, _highprec_dps(t))
+    assert np.max(np.abs(data.reflection - reflection)) <= 1e-13
+    assert np.max(np.abs(data.log_norms - log_norms)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.5, 7.0, 67.5])
+def test_miller_moments_match_besseli(t):
+    """Every fixed-point moment ratio I_j(2t)/I_0(2t), j <= cutoff + 1, and
+    I_0(2t) itself are within 2^-(P - 16) of mpmath's Bessel values."""
+    import mpmath as mp
+
+    cutoff = _default_cutoff(t, 0)
+    with mp.workdps(_highprec_dps(t)):
+        bits = mp.mp.prec
+        ratios, i0 = _miller_moments(t, cutoff + 2, bits)
+        tol = mp.ldexp(1, -(bits - 16))
+        two_t = 2 * mp.mpf(t)
+        exact_i0 = mp.besseli(0, two_t)
+        assert abs(mp.ldexp(i0, -bits) / exact_i0 - 1) <= tol
+        for j, r in enumerate(ratios):
+            assert abs(mp.ldexp(r, -bits) - mp.besseli(j, two_t) / exact_i0) <= tol
 
 
 def test_levinson_requires_enough_coefficients():
