@@ -18,12 +18,13 @@ from .opuc import OpucData, levinson, square_opuc_highprec, toeplitz_log_det
 from .exact_dist import (
     DistTable,
     build_dist_table,
+    exact_law,
     prob_external,
-    prob_lattice,
-    prob_square,
     prob_triangle_odd,
     scaled_cdf,
     square_opuc,
+    toeplitz_opuc,
+    toeplitz_prob,
 )
 from .painleve import PiiSolution, f_goe, f_gse, f_gue, solve_hastings_mcleod
 from .fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
@@ -50,6 +51,7 @@ __all__ = [
     "build_dist_table",
     "build_symbol",
     "evaluate_symbol",
+    "exact_law",
     "f_goe",
     "f_gse",
     "f_gue",
@@ -57,8 +59,6 @@ __all__ = [
     "identity_checks",
     "levinson",
     "prob_external",
-    "prob_lattice",
-    "prob_square",
     "prob_triangle_odd",
     "run_simulation",
     "scaled_cdf",
@@ -66,4 +66,6 @@ __all__ = [
     "square_opuc",
     "square_opuc_highprec",
     "toeplitz_log_det",
+    "toeplitz_opuc",
+    "toeplitz_prob",
 ]

@@ -1,16 +1,20 @@
 """Disk cache for the expensive solver artifacts.
 
-The cache root is taken from the LPPDET_CACHE_DIR environment variable,
-defaulting to ~/.cache/lppdet.  Entries are keyed by a digest of their
-construction parameters and carry the format version of their payload;
-a version mismatch or an unreadable file causes a silent recompute and
-overwrite, never an error.
+The cache is always on.  Its root is taken from the LPPDET_CACHE_DIR
+environment variable, defaulting to ~/.cache/lppdet.  Entries are keyed by
+a digest of their construction parameters and carry the format version of
+their payload; a version mismatch or an unreadable or truncated file
+causes a silent recompute and overwrite, never an error.  Entries are
+written to a temporary file in the same directory and renamed into place,
+so a reader never sees a partial entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
+import zipfile
 from pathlib import Path
 
 from .errors import LppdetError
@@ -50,11 +54,18 @@ def cached_pii_solution(
     if path.exists():
         try:
             return PiiSolution.load_npz(path), True
-        except (LppdetError, OSError, ValueError, KeyError):
+        except (LppdetError, OSError, ValueError, KeyError, zipfile.BadZipFile):
             pass
     sol = solve_hastings_mcleod(
         x_min=x_min, x_right=x_right, tol=tol, grid_step=grid_step
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    sol.save_npz(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".pii-", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            sol.save_npz(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return sol, False

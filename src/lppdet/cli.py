@@ -31,18 +31,15 @@ from .errors import (
 from .exact_dist import (
     build_dist_table,
     certified,
-    ogroup_law,
-    prob_external,
-    prob_lattice,
-    prob_square,
+    exact_law,
     prob_triangle_fs_via_ogroup,
     prob_triangle_odd,
     scaled_cdf,
     square_opuc,
+    toeplitz_prob,
 )
 from .fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
 from .montecarlo import (
-    EmpiricalCdf,
     SimConfig,
     brute_force_lis_distribution,
     poissonized_square_cdf,
@@ -68,18 +65,27 @@ PRECISION_PROFILES = {
     "high": (1e-13, 0.002),
 }
 
-MODEL_CHOICES = {
-    "square": ModelKind.POISSON_SQUARE,
-    "triangle": ModelKind.POISSON_TRIANGLE,
-    "external": ModelKind.POISSON_EXTERNAL,
-    "lattice-a": ModelKind.LATTICE_A,
-    "lattice-b": ModelKind.LATTICE_B,
-    "lattice-c": ModelKind.LATTICE_C,
-    "lines-d": ModelKind.POISSON_LINES_D,
-    "lines-e": ModelKind.POISSON_LINES_E,
-    "triangle-fs": ModelKind.TRIANGLE_POISSON_FS,
-    "lattice-a-sym": ModelKind.LATTICE_A_SYM,
-    "lattice-c-sym": ModelKind.LATTICE_C_SYM,
+_TRIANGLE = {"t": "t", "alpha": "alpha"}
+_LATTICE = {"row_params": "q", "col_params": "qp"}
+_LINES = {"t": "t", "col_params": "q"}
+_SYMMETRIZED = {"alpha": "alpha", "row_params": "q"}
+
+# model name on the command line -> (kind, {ModelSpec field: flag setting it})
+MODELS = {
+    "square": (ModelKind.POISSON_SQUARE, {"t": "t"}),
+    "triangle": (ModelKind.POISSON_TRIANGLE, _TRIANGLE),
+    "external": (
+        ModelKind.POISSON_EXTERNAL,
+        {"t": "t", "alpha_plus": "alpha_plus", "alpha_minus": "alpha_minus"},
+    ),
+    "lattice-a": (ModelKind.LATTICE_A, _LATTICE),
+    "lattice-b": (ModelKind.LATTICE_B, _LATTICE),
+    "lattice-c": (ModelKind.LATTICE_C, _LATTICE),
+    "lines-d": (ModelKind.POISSON_LINES_D, _LINES),
+    "lines-e": (ModelKind.POISSON_LINES_E, _LINES),
+    "triangle-fs": (ModelKind.TRIANGLE_POISSON_FS, _TRIANGLE),
+    "lattice-a-sym": (ModelKind.LATTICE_A_SYM, _SYMMETRIZED),
+    "lattice-c-sym": (ModelKind.LATTICE_C_SYM, _SYMMETRIZED),
 }
 
 
@@ -116,7 +122,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("model", choices=sorted(MODEL_CHOICES))
+        p.add_argument("model", choices=sorted(MODELS))
         p.add_argument("--t", type=float, default=1.0, help="Poisson intensity scale")
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--alpha-plus", type=float, default=0.0)
@@ -141,7 +147,7 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("--t", type=float, default=1.0)
     p_verify.add_argument("--kmax", type=int, default=8)
-    p_verify.add_argument("--model", choices=sorted(MODEL_CHOICES), default="square")
+    p_verify.add_argument("--model", choices=sorted(MODELS), default="square")
     p_verify.add_argument("--alpha", type=float, default=0.0)
     p_verify.add_argument("--alpha-plus", type=float, default=0.0)
     p_verify.add_argument("--alpha-minus", type=float, default=0.0)
@@ -163,32 +169,14 @@ def build_parser() -> _Parser:
 
 
 def model_from_args(args) -> ModelSpec:
-    kind = MODEL_CHOICES[args.model]
-    kwargs = {"kind": kind}
-    if kind in (ModelKind.POISSON_SQUARE, ModelKind.POISSON_TRIANGLE,
-                ModelKind.POISSON_EXTERNAL, ModelKind.POISSON_LINES_D,
-                ModelKind.POISSON_LINES_E, ModelKind.TRIANGLE_POISSON_FS):
-        kwargs["t"] = args.t
-    if kind in (ModelKind.POISSON_TRIANGLE, ModelKind.TRIANGLE_POISSON_FS,
-                ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-        kwargs["alpha"] = args.alpha
-    if kind is ModelKind.POISSON_EXTERNAL:
-        kwargs["alpha_plus"] = args.alpha_plus
-        kwargs["alpha_minus"] = args.alpha_minus
-    if kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_B, ModelKind.LATTICE_C,
-                ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-        if args.q is None:
-            raise ValidationError(f"model {args.model} needs --q")
-        kwargs["row_params"] = args.q
-    if kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_B, ModelKind.LATTICE_C):
-        if args.qp is None:
-            raise ValidationError(f"model {args.model} needs --qp")
-        kwargs["col_params"] = args.qp
-    if kind in (ModelKind.POISSON_LINES_D, ModelKind.POISSON_LINES_E):
-        if args.q is None:
-            raise ValidationError(f"model {args.model} needs --q")
-        kwargs["col_params"] = args.q
-    return ModelSpec(**kwargs)
+    kind, fields = MODELS[args.model]
+    kwargs = {}
+    for name, flag in fields.items():
+        value = getattr(args, flag)
+        if value is None:
+            raise ValidationError(f"model {args.model} needs --{flag}")
+        kwargs[name] = value
+    return ModelSpec(kind=kind, **kwargs)
 
 
 def _sha256(path: Path) -> str:
@@ -324,49 +312,20 @@ def _suite_corner(args) -> tuple[dict, bool, str]:
     return report, ok, f"corner deviation slopes {slope_v:.3f}, {slope_u:.3f}"
 
 
-def _exact_law(model: ModelSpec, lmax: int):
-    """Exact P(length <= ell) as a function of ell <= lmax, building each
-    route's data once.  The function returns None where the determinant
-    side provides no value (even triangle thresholds) and raises
-    ConditioningError where the group-average guard refuses a threshold."""
-    kind = model.kind
-    if kind is ModelKind.POISSON_SQUARE:
-        data = square_opuc(model.t)
-        return lambda ell: prob_square(model.t, ell, data)
-    if kind is ModelKind.POISSON_TRIANGLE:
-        data = square_opuc(model.t)
-        return lambda ell: (
-            None if ell % 2 == 0
-            else prob_triangle_odd(model.t, model.alpha, (ell - 1) // 2, data)
-        )
-    if kind in (ModelKind.TRIANGLE_POISSON_FS, ModelKind.LATTICE_A_SYM,
-                ModelKind.LATTICE_C_SYM):
-        rows = ogroup_law(model, lmax)
-        return lambda ell: certified(*rows[ell], f"P(L <= {ell})")
-    if kind is ModelKind.POISSON_EXTERNAL:
-        data = square_opuc(model.t, ell=lmax)
-        return lambda ell: (
-            None if ell < 1
-            else prob_external(model.t, model.alpha_plus, model.alpha_minus, ell, data)
-        )
-    return lambda ell: prob_lattice(model, ell)
-
-
 def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     model = model_from_args(args)
     config = SimConfig(model=model, trials=args.trials, seed=args.seed, workers=args.workers)
     emp = run_simulation(config)
-    exact_at = _exact_law(model, max(emp.counts))
+    rows, _ = exact_law(model, max(emp.counts))
     comparisons = []
     refused = []
     ok = True
-    for ell in sorted(emp.counts):
+    # thresholds without a row (even triangle ones) have no exact value
+    for ell in sorted(set(emp.counts) & set(rows)):
         try:
-            exact = exact_at(ell)
+            exact = certified(*rows[ell], f"P(L <= {ell})")
         except ConditioningError:
             refused.append(ell)
-            continue
-        if exact is None:
             continue
         # skip degenerate thresholds: the empirical CDF sits exactly at
         # 0 or 1 there and the normal error model is meaningless
@@ -406,7 +365,7 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
     from scipy.special import iv
 
     checks["square_closed_form_l1"] = abs(
-        prob_square(1.0, 1, data) - math.exp(-1.0) * float(iv(0, 2.0))
+        toeplitz_prob(1.0, 1, data) - math.exp(-1.0) * float(iv(0, 2.0))
     )
     coeffs = fourier_coeffs(SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0), 12)
     checks["toeplitz_vs_dense_lu"] = max(
@@ -414,7 +373,7 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
         for n in range(1, 7)
     )
     checks["poissonized_plancherel"] = max(
-        abs(poissonized_square_cdf(1.0, ell, 40)[0] - prob_square(1.0, ell, data))
+        abs(poissonized_square_cdf(1.0, ell, 40)[0] - toeplitz_prob(1.0, ell, data))
         for ell in range(0, 6)
     )
     # the half-index norm products need the full default cutoff to

@@ -1,14 +1,18 @@
 """Exact distribution laws assembled from circle-recursion data.
 
 Every model's cumulative law is a ratio of Toeplitz-type determinants of
-its symbol.  The square law is a plain determinant; the triangle law at
-odd thresholds couples polynomial boundary values with two infinite
-products over odd-index norms; the external-sources law takes a rank-two
-correction of the square determinant with a removable singularity where
-the two boundary rates multiply to one.  The triangle-FS and symmetrized
-lattice laws are orthogonal-group averages, evaluated as Toeplitz +- Hankel
-determinants of psi(z) psi(1/z) with a float64 conditioning guard; the
-triangle-FS one is an independent route to the triangle law.
+its symbol, and ``EXACT_ROUTES`` holds one route per model kind that builds
+the law's data once for a whole table.  The square, lattice and lines laws
+are plain determinants, p(ell) = D_ell / Z, from one recursion builder that
+switches to extended precision for the exponential symbol at t > 6.  The
+triangle law at odd thresholds couples polynomial boundary values with two
+infinite products over odd-index norms; the external-sources law takes a
+rank-two correction of the square determinant with a removable
+singularity where the two boundary rates multiply to one.  The
+triangle-FS and symmetrized lattice laws are orthogonal-group averages,
+evaluated as Toeplitz +- Hankel determinants of psi(z) psi(1/z) with a
+float64 conditioning guard; the triangle-FS one is an independent route
+to the triangle law.
 """
 
 from __future__ import annotations
@@ -45,14 +49,13 @@ from .opuc import (
 
 __all__ = [
     "DistTable",
+    "toeplitz_opuc",
     "square_opuc",
-    "model_opuc",
-    "prob_square",
+    "toeplitz_prob",
     "prob_square_product",
     "prob_triangle_odd",
     "triangle_tail_bound",
     "prob_external",
-    "prob_lattice",
     "OGROUP_ROUTE",
     "OGROUP_TOL",
     "ogroup_law",
@@ -62,6 +65,8 @@ __all__ = [
     "prob_triangle_fs_via_ogroup",
     "symmetrized_lattice_prob",
     "scaled_cdf",
+    "EXACT_ROUTES",
+    "exact_law",
     "build_dist_table",
 ]
 
@@ -79,22 +84,21 @@ _HIGHPREC_T = 6.0
 SZEGO_TOL = 1e-10
 
 
-def square_opuc(t: float, cutoff: int | None = None, ell: int = 0) -> OpucData:
-    """Circle-recursion data for the exponential symbol at rate t.
+def toeplitz_opuc(spec: SymbolSpec, cutoff: int) -> OpucData:
+    """Circle-recursion data of a symbol up to ``cutoff``.
 
-    Switches to the extended-precision route (fixed-point integers on
-    Miller moments, ``square_opuc_highprec``) once e^{2t} starts eating
-    double-precision headroom.  There, whenever the cutoff reaches past the
-    point where the reflection data is numerically zero, the log-norms
-    must sum to log Z = t^2 (strong Szego) within SZEGO_TOL, or the data is
-    refused with a BreakdownError: too little working precision shows up
-    as wrong digits before it breaks the recursion.
+    Runs float64 Levinson on the symbol's Fourier table, except for the
+    exponential symbol exp(t(z + 1/z)) at t > 6, where e^{2t} eats the
+    double-precision headroom: there the recursion runs in fixed-point
+    integers on Miller moments (``square_opuc_highprec``).  Whenever that
+    route's cutoff reaches past the point where the reflection data is
+    numerically zero, the log-norms must sum to log Z = t^2 (strong Szego)
+    within SZEGO_TOL, or the data is refused with a BreakdownError: too
+    little working precision shows up as wrong digits before it breaks the
+    recursion.
     """
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    if cutoff is None:
-        cutoff = _default_cutoff(t, ell)
-    if t > _HIGHPREC_T:
+    t = spec.exp_plus_t
+    if t > _HIGHPREC_T and spec == SymbolSpec(exp_plus_t=t, exp_minus_t=t):
         data = square_opuc_highprec(t, cutoff)
         if cutoff >= _default_cutoff(t, 0):
             residual = abs(math.fsum(data.log_norms) - t * t)
@@ -105,26 +109,31 @@ def square_opuc(t: float, cutoff: int | None = None, ell: int = 0) -> OpucData:
                     "working precision too low"
                 )
         return data
-    spec = build_symbol(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=t))
-    table = fourier_coeffs(spec, half_width=cutoff + 2)
-    return levinson(table, cutoff)
+    return levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
 
 
-def model_opuc(model: ModelSpec, cutoff: int) -> OpucData:
-    spec = build_symbol(model)
-    table = fourier_coeffs(spec, half_width=cutoff + 2)
-    return levinson(table, cutoff)
+def square_opuc(t: float, cutoff: int | None = None, ell: int = 0) -> OpucData:
+    """``toeplitz_opuc`` of the exponential symbol at rate t.
+
+    The default cutoff covers thresholds up to ``ell`` together with every
+    product tail the square, triangle and external-source formulas need.
+    """
+    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
+    if cutoff is None:
+        cutoff = _default_cutoff(t, ell)
+    return toeplitz_opuc(spec, cutoff)
 
 
-def prob_square(t: float, ell: int, opuc: OpucData) -> float:
-    """P(longest chain <= ell) for the rate-t square process."""
+def toeplitz_prob(log_z: float, ell: int, opuc: OpucData) -> float:
+    """P(L <= ell) = D_ell / Z for a law that is the order-ell Toeplitz
+    determinant of the recursion's symbol over its normalization Z."""
     if ell < 0:
         return 0.0
     if ell > opuc.cutoff:
         raise ValidationError(
             f"ell = {ell} exceeds recursion cutoff {opuc.cutoff}"
         )
-    return math.exp(-t * t + toeplitz_log_det(opuc, ell))
+    return math.exp(-log_z + toeplitz_log_det(opuc, ell))
 
 
 def prob_square_product(
@@ -195,13 +204,17 @@ def triangle_tail_bound(opuc: OpucData, ell: int, k_tail: int) -> float:
     return float(np.sum(terms)) + _geometric_remainder(terms)
 
 
+_TRIANGLE_K_TAIL = 40
+_TRIANGLE_TAIL_TOL = 1e-12
+
+
 def prob_triangle_odd(
     t: float,
     alpha: float,
     ell: int,
     opuc: OpucData,
-    k_tail: int = 40,
-    tail_tol: float = 1e-12,
+    k_tail: int = _TRIANGLE_K_TAIL,
+    tail_tol: float = _TRIANGLE_TAIL_TOL,
 ) -> float:
     """P(longest chain <= 2*ell + 1) for the triangle process.
 
@@ -209,10 +222,17 @@ def prob_triangle_odd(
     half-index norm products; the products are truncated after k_tail
     factors and the dropped mass is bounded by ``triangle_tail_bound``.
     """
+    return _triangle_row(t, alpha, ell, opuc, k_tail, tail_tol)[0]
+
+
+def _triangle_row(
+    t: float, alpha: float, ell: int, opuc: OpucData, k_tail: int, tail_tol: float
+) -> tuple[float, float]:
+    """(``prob_triangle_odd``, its relative truncation bound)."""
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     if ell < 0:
-        return 0.0
+        return 0.0, 0.0
     if 2 * (ell + k_tail) + 1 > opuc.cutoff:
         k_tail = (opuc.cutoff - 1) // 2 - ell
         if k_tail < 4:
@@ -240,7 +260,7 @@ def prob_triangle_odd(
         a_plus * math.exp(pair.log_scale + log_h_plus)
         + a_minus * math.exp(pair.log_scale + log_h_minus)
     )
-    return math.exp(-alpha * t) * value
+    return float(math.exp(-alpha * t) * value), bound
 
 
 _EXTERNAL_SINGULAR_TOL = 1e-4
@@ -305,24 +325,6 @@ def _external_direct(
         # exact zero or rounding residue at tiny probabilities
         return 0.0
     return math.exp(s - log_z) * combined
-
-
-def prob_lattice(model: ModelSpec, ell: int) -> float:
-    """Cumulative law of any Toeplitz-catalog lattice or lines model."""
-    if model.kind not in (
-        ModelKind.LATTICE_A,
-        ModelKind.LATTICE_B,
-        ModelKind.LATTICE_C,
-        ModelKind.POISSON_LINES_D,
-        ModelKind.POISSON_LINES_E,
-    ):
-        raise ValidationError(
-            f"prob_lattice does not handle kind {model.kind.value}"
-        )
-    if ell < 0:
-        return 0.0
-    data = model_opuc(model, ell + 2)
-    return math.exp(-normalization_log_z(model) + toeplitz_log_det(data, ell))
 
 
 # largest certified float64 error allowed on a group-average probability
@@ -463,8 +465,8 @@ def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
         opuc = square_opuc(t, ell=ell)
     if ell >= opuc.cutoff:
         # far right of the edge window: the distribution has converged
-        return prob_square(t, opuc.cutoff, opuc)
-    return prob_square(t, ell, opuc)
+        return toeplitz_prob(t * t, opuc.cutoff, opuc)
+    return toeplitz_prob(t * t, ell, opuc)
 
 
 @dataclass(frozen=True)
@@ -479,14 +481,21 @@ class DistTable:
         return self.entries[ell][1]
 
     def check_monotone(self, slack: float = 1e-10) -> None:
-        ells = sorted(self.entries)
-        probs = [self.entries[e][1] for e in ells]
-        for p in probs:
+        """Every p must lie in [0, 1] and no p below the largest entry
+        before it, each up to ``slack``.  Comparing with the running
+        maximum rather than the predecessor keeps drops that each fit the
+        slack from adding up to a larger one."""
+        peak = -math.inf
+        for ell in sorted(self.entries):
+            p = self.entries[ell][1]
             if not (-slack <= p <= 1.0 + slack):
                 raise VerificationError(f"probability {p} outside [0,1]")
-        for lo, hi in zip(probs, probs[1:]):
-            if hi < lo - slack:
-                raise VerificationError("table is not nondecreasing")
+            if p < peak - slack:
+                raise VerificationError(
+                    f"table is not nondecreasing: P(L <= {ell}) = {p!r} lies "
+                    f"{peak - p:.2e} below an earlier entry"
+                )
+            peak = max(peak, p)
 
     def csv_rows(self) -> list[tuple[int, float, float]]:
         return [
@@ -525,51 +534,98 @@ def _log_or_neg_inf(p: float) -> float:
     return math.log(p) if p > 0 else -math.inf
 
 
-def build_dist_table(model: ModelSpec, lmax: int) -> DistTable:
-    """Fill a cumulative table for ell = 0..lmax (odd ell only for triangle)."""
+# A route maps (model, lmax) to the exact law's rows {ell: (p, bound)} and
+# provenance for the table.  ``bound`` is the error bound the route
+# certifies for p, checked by ``certified``: the group averages' float64
+# bound, the triangle's relative product-truncation bound (held to 1e-12
+# inside the route), and 0 for plain Toeplitz rows, whose float64 Levinson
+# carries none and which are guarded by breakdown, the strong Szego check
+# and the monotone check instead.
+Law = tuple[dict[int, tuple[float, float]], dict]
+
+
+def _toeplitz_law(model: ModelSpec, lmax: int, opuc: OpucData) -> Law:
+    log_z = normalization_log_z(model)
+    rows = {ell: (toeplitz_prob(log_z, ell, opuc), 0.0) for ell in range(lmax + 1)}
+    return rows, {"cutoff": opuc.cutoff}
+
+
+def _square_law(model: ModelSpec, lmax: int) -> Law:
+    return _toeplitz_law(model, lmax, square_opuc(model.t, ell=lmax))
+
+
+def _lattice_law(model: ModelSpec, lmax: int) -> Law:
+    return _toeplitz_law(model, lmax, toeplitz_opuc(build_symbol(model), lmax + 2))
+
+
+def _triangle_law(model: ModelSpec, lmax: int) -> Law:
+    opuc = square_opuc(model.t, ell=lmax)
+    rows = {
+        2 * j + 1: _triangle_row(
+            model.t, model.alpha, j, opuc, _TRIANGLE_K_TAIL, _TRIANGLE_TAIL_TOL
+        )
+        for j in range((lmax - 1) // 2 + 1)
+    }
+    return rows, {
+        "cutoff": opuc.cutoff,
+        "tail_bound": max((b for _, b in rows.values()), default=0.0),
+        "note": "odd thresholds only; even ones bracket between neighbors",
+    }
+
+
+def _external_law(model: ModelSpec, lmax: int) -> Law:
+    opuc = square_opuc(model.t, ell=lmax)
+    a_plus, a_minus = model.alpha_plus, model.alpha_minus
+    rows = {
+        ell: (float(prob_external(model.t, a_plus, a_minus, ell, opuc)), 0.0)
+        for ell in range(1, lmax + 1)
+    }
+    return rows, {"cutoff": opuc.cutoff}
+
+
+def _group_law(model: ModelSpec, lmax: int) -> Law:
+    rows = ogroup_law(model, lmax)
+    return dict(enumerate(rows)), {
+        "path": OGROUP_ROUTE,
+        "error_bound": max(b for _, b in rows),
+    }
+
+
+EXACT_ROUTES = {
+    ModelKind.POISSON_SQUARE: _square_law,
+    ModelKind.POISSON_TRIANGLE: _triangle_law,
+    ModelKind.POISSON_EXTERNAL: _external_law,
+    ModelKind.LATTICE_A: _lattice_law,
+    ModelKind.LATTICE_B: _lattice_law,
+    ModelKind.LATTICE_C: _lattice_law,
+    ModelKind.POISSON_LINES_D: _lattice_law,
+    ModelKind.POISSON_LINES_E: _lattice_law,
+    ModelKind.TRIANGLE_POISSON_FS: _group_law,
+    ModelKind.LATTICE_A_SYM: _group_law,
+    ModelKind.LATTICE_C_SYM: _group_law,
+}
+
+
+def exact_law(model: ModelSpec, lmax: int) -> Law:
+    """The model's exact law up to ``lmax`` from its route in EXACT_ROUTES:
+    ({ell: (p, bound)}, provenance).  Each route builds its data once, at
+    lmax.  The triangle law has odd thresholds only, the external-source
+    law starts at ell = 1."""
     if lmax < 0:
         raise ValidationError(f"lmax must be >= 0, got {lmax}")
-    entries: dict[int, tuple[float, float]] = {}
-    info: dict = {}
-    kind = model.kind
-    if kind == ModelKind.POISSON_SQUARE:
-        opuc = square_opuc(model.t, ell=lmax)
-        for ell in range(lmax + 1):
-            p = prob_square(model.t, ell, opuc)
-            entries[ell] = (_log_or_neg_inf(p), p)
-        info = {"cutoff": opuc.cutoff}
-    elif kind == ModelKind.POISSON_TRIANGLE:
-        ell_top = (lmax - 1) // 2
-        opuc = square_opuc(
-            model.t, cutoff=_default_cutoff(model.t, 2 * ell_top + 1) + 80
-        )
-        for j in range(ell_top + 1):
-            p = float(prob_triangle_odd(model.t, model.alpha, j, opuc))
-            entries[2 * j + 1] = (_log_or_neg_inf(p), p)
-        info = {
-            "cutoff": opuc.cutoff,
-            "tail_bound": triangle_tail_bound(opuc, 0, 40),
-            "note": "odd thresholds only; even ones bracket between neighbors",
-        }
-    elif kind == ModelKind.POISSON_EXTERNAL:
-        opuc = square_opuc(model.t, ell=lmax)
-        for ell in range(1, lmax + 1):
-            p = float(
-                prob_external(model.t, model.alpha_plus, model.alpha_minus, ell, opuc)
-            )
-            entries[ell] = (_log_or_neg_inf(p), p)
-        info = {"cutoff": opuc.cutoff}
-    elif kind in (ModelKind.TRIANGLE_POISSON_FS, ModelKind.LATTICE_A_SYM,
-                  ModelKind.LATTICE_C_SYM):
-        rows = ogroup_law(model, lmax)
-        for ell, (p, bound) in enumerate(rows):
-            certified(p, bound, f"P(L <= {ell})")
-            entries[ell] = (_log_or_neg_inf(p), p)
-        info = {"path": OGROUP_ROUTE, "error_bound": max(b for _, b in rows)}
-    else:
-        for ell in range(lmax + 1):
-            p = float(prob_lattice(model, ell))
-            entries[ell] = (_log_or_neg_inf(p), p)
+    return EXACT_ROUTES[model.kind](model, lmax)
+
+
+def build_dist_table(model: ModelSpec, lmax: int) -> DistTable:
+    """Cumulative table of the model's exact law for ell <= lmax.
+
+    Every row must be certified and the table nondecreasing in [0, 1].
+    """
+    rows, info = exact_law(model, lmax)
+    entries = {}
+    for ell, (p, bound) in rows.items():
+        certified(p, bound, f"P(L <= {ell})")
+        entries[ell] = (_log_or_neg_inf(p), p)
     table = DistTable(model=model, entries=entries, truncation_info=info)
     table.check_monotone()
     return table

@@ -44,12 +44,11 @@ __all__ = [
     "lattice_chain_fast",
     "lattice_chain_reference",
     "sample_lattice_matrix",
-    "lattice_lpp",
-    "symmetrized_lattice_sample",
     "brute_force_lis_distribution",
     "plancherel_lis_cdf",
     "poissonized_square_cdf",
     "haar_orthogonal_expectation",
+    "SAMPLERS",
     "run_simulation",
 ]
 
@@ -315,26 +314,6 @@ def _sample_lines(model: ModelSpec, rng: np.random.Generator) -> int:
     return patience_lis(line[order].tolist(), strict=strict)
 
 
-def lattice_lpp(model: ModelSpec, rng: np.random.Generator) -> int:
-    """One longest-path draw for a lattice or line-process model."""
-    if model.kind in (ModelKind.POISSON_LINES_D, ModelKind.POISSON_LINES_E):
-        return _sample_lines(model, rng)
-    x = sample_lattice_matrix(model, rng, 1)
-    return int(lattice_chain_fast(x, model.kind)[0])
-
-
-def symmetrized_lattice_sample(
-    model: ModelSpec, rng: np.random.Generator
-) -> int:
-    """One draw for the symmetric-array models."""
-    if model.kind not in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-        raise ValidationError(
-            f"symmetrized sampler does not handle {model.kind.value}"
-        )
-    x = sample_lattice_matrix(model, rng, 1)
-    return int(lattice_chain_fast(x, model.kind)[0])
-
-
 _BRUTE_FORCE_MAX = 8
 
 
@@ -531,26 +510,37 @@ class EmpiricalCdf:
 _BLOCK_SIZE = 2048
 
 
-def _draw_one(model: ModelSpec, rng: np.random.Generator) -> int:
-    kind = model.kind
-    if kind == ModelKind.POISSON_SQUARE:
-        return sample_poisson_square(model.t, rng)
-    if kind in (ModelKind.POISSON_TRIANGLE, ModelKind.TRIANGLE_POISSON_FS):
-        return sample_triangle(model.t, model.alpha, rng)
-    if kind == ModelKind.POISSON_EXTERNAL:
-        return sample_external(model.t, model.alpha_plus, model.alpha_minus, rng)
-    if kind in (ModelKind.POISSON_LINES_D, ModelKind.POISSON_LINES_E):
-        return _sample_lines(model, rng)
-    raise ValidationError(f"no sampler for kind {kind.value}")
+def _one_at_a_time(draw):
+    """Block sampler that makes ``count`` single draws in sequence."""
+    return lambda model, rng, count: [draw(model, rng) for _ in range(count)]
 
 
-_BATCH_KINDS = (
-    ModelKind.LATTICE_A,
-    ModelKind.LATTICE_B,
-    ModelKind.LATTICE_C,
-    ModelKind.LATTICE_A_SYM,
-    ModelKind.LATTICE_C_SYM,
-)
+def _lattice_block(model: ModelSpec, rng: np.random.Generator, count: int):
+    return lattice_chain_fast(sample_lattice_matrix(model, rng, count), model.kind)
+
+
+_triangle_draw = _one_at_a_time(lambda m, rng: sample_triangle(m.t, m.alpha, rng))
+
+# kind -> sampler(model, rng, count) returning ``count`` chain values; the
+# lattice kinds draw a whole block of arrays at once
+SAMPLERS = {
+    ModelKind.POISSON_SQUARE: _one_at_a_time(
+        lambda m, rng: sample_poisson_square(m.t, rng)
+    ),
+    ModelKind.POISSON_TRIANGLE: _triangle_draw,
+    ModelKind.TRIANGLE_POISSON_FS: _triangle_draw,
+    ModelKind.POISSON_EXTERNAL: _one_at_a_time(
+        lambda m, rng: sample_external(m.t, m.alpha_plus, m.alpha_minus, rng)
+    ),
+    ModelKind.POISSON_LINES_D: _one_at_a_time(_sample_lines),
+    ModelKind.POISSON_LINES_E: _one_at_a_time(_sample_lines),
+    ModelKind.LATTICE_A: _lattice_block,
+    ModelKind.LATTICE_B: _lattice_block,
+    ModelKind.LATTICE_C: _lattice_block,
+    ModelKind.LATTICE_A_SYM: _lattice_block,
+    ModelKind.LATTICE_C_SYM: _lattice_block,
+}
+_BATCH_KINDS = tuple(k for k, f in SAMPLERS.items() if f is _lattice_block)
 
 
 def _run_block(args) -> dict[int, int]:
@@ -559,19 +549,9 @@ def _run_block(args) -> dict[int, int]:
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     )
-    counts: dict[int, int] = {}
-    if model.kind in _BATCH_KINDS:
-        values = lattice_chain_fast(
-            sample_lattice_matrix(model, rng, count), model.kind
-        )
-        uniq, freq = np.unique(values, return_counts=True)
-        for v, c in zip(uniq.tolist(), freq.tolist()):
-            counts[int(v)] = int(c)
-        return counts
-    for _ in range(count):
-        v = _draw_one(model, rng)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
+    values = SAMPLERS[model.kind](model, rng, count)
+    uniq, freq = np.unique(values, return_counts=True)
+    return dict(zip(uniq.tolist(), freq.tolist()))
 
 
 def run_simulation(config: SimConfig) -> EmpiricalCdf:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, BreakdownError
-from .symbols import FourierTable, SymbolSpec
+from .symbols import FourierTable
 
 __all__ = [
     "OpucData",
@@ -82,10 +82,6 @@ class OpucData:
                 raise ValidationError(
                     f"{name} must have length cutoff+1 = {n}, got {len(arr)}"
                 )
-
-    @property
-    def symmetric(self) -> bool:
-        return bool(np.array_equal(self.reflection, self.reflection_dual))
 
     def to_json(self) -> str:
         d = {
@@ -350,22 +346,6 @@ class ScaledPair:
     pi_mantissa: complex
     pi_star_mantissa: complex
     log_scale: float
-
-    @property
-    def pi(self) -> complex:
-        return self.pi_mantissa * math.exp(self.log_scale) if self.log_scale < 700 else self.pi_mantissa * float("inf")
-
-    @property
-    def pi_star(self) -> complex:
-        return self.pi_star_mantissa * math.exp(self.log_scale) if self.log_scale < 700 else self.pi_star_mantissa * float("inf")
-
-    def log_abs_pi(self) -> float:
-        m = abs(self.pi_mantissa)
-        return self.log_scale + (math.log(m) if m > 0 else float("-inf"))
-
-    def log_abs_pi_star(self) -> float:
-        m = abs(self.pi_star_mantissa)
-        return self.log_scale + (math.log(m) if m > 0 else float("-inf"))
 
 
 _RESCALE_THRESHOLD = 1e120

@@ -5,9 +5,8 @@ circle, its symbol.  Distribution values are normalized Toeplitz
 determinants in the Fourier coefficients of phi, so this module is the
 root of the exact-computation stack: it builds the symbol attached to
 each model, computes Fourier coefficients by trapezoid quadrature on the
-circle (spectrally accurate for these analytic symbols), and evaluates
-the normalization constant two independent ways (closed form per model,
-and the strong Szego limit of the determinants).
+circle (spectrally accurate for these analytic symbols), and gives each
+model's normalization constant in closed form.
 
 The symbol family is
 
@@ -27,21 +26,17 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ValidationError, BreakdownError, TruncationError
+from .errors import ValidationError, BreakdownError
 
 __all__ = [
     "SymbolSpec",
     "FourierTable",
     "ModelKind",
     "ModelSpec",
-    "SzegoResult",
     "build_symbol",
     "evaluate_symbol",
-    "evaluate_log_symbol",
     "fourier_coeffs",
-    "square_fourier_coeffs_bessel",
     "normalization_log_z",
-    "strong_szego_log_dinf",
 ]
 
 
@@ -125,31 +120,6 @@ def evaluate_symbol(spec: SymbolSpec, z):
         out = out / (1.0 - q * z)
     for q in spec.poles_minus:
         out = out / (1.0 - q / z)
-    return out
-
-
-def evaluate_log_symbol(spec: SymbolSpec, z):
-    """Evaluate log phi(z) factor by factor.
-
-    On |z| = 1 each non-exponential factor has positive real part
-    whenever its parameter is below 1, so the principal branch per factor
-    yields the continuous logarithm with zero winding.
-    """
-    if not spec.winding_free:
-        raise ValidationError(
-            "log symbol requires all zeros_plus/zeros_minus parameters < 1 "
-            "(otherwise phi winds around 0 on the circle)"
-        )
-    z = np.asarray(z, dtype=complex)
-    out = spec.exp_plus_t * z + spec.exp_minus_t / z
-    for q in spec.zeros_plus:
-        out = out + np.log(1.0 + q * z)
-    for q in spec.zeros_minus:
-        out = out + np.log(1.0 + q / z)
-    for q in spec.poles_plus:
-        out = out - np.log(1.0 - q * z)
-    for q in spec.poles_minus:
-        out = out - np.log(1.0 - q / z)
     return out
 
 
@@ -243,18 +213,6 @@ def fourier_coeffs(
     return FourierTable(
         coeffs=coeffs, half_width=half_width, quadrature_nodes=nodes, symbol=spec
     )
-
-
-def square_fourier_coeffs_bessel(t: float, half_width: int) -> np.ndarray:
-    """Analytic fast path for the exp(t(z + 1/z)) symbol.
-
-    phi_j = I_j(2t), modified Bessel of the first kind.  Quadrature
-    remains the reference path; this is used for cross-checks.
-    """
-    from scipy.special import iv
-
-    js = np.arange(-half_width, half_width + 1)
-    return iv(np.abs(js), 2.0 * t)
 
 
 class ModelKind(enum.Enum):
@@ -400,7 +358,7 @@ def normalization_log_z(model: ModelSpec) -> float:
 
     Z is the large-order limit of the model's determinants.  For the
     Poisson square at t > 6 (the extended-precision route) the log-norms
-    must sum to log Z = t^2; ``exact_dist.square_opuc`` checks that strong
+    must sum to log Z = t^2; ``exact_dist.toeplitz_opuc`` checks that strong
     Szego identity and refuses the data when it fails.
     """
     k = model.kind
@@ -440,59 +398,3 @@ def normalization_log_z(model: ModelSpec) -> float:
         )
         return out
     raise ValidationError(f"unsupported model kind {k!r}")
-
-
-@dataclass(frozen=True)
-class SzegoResult:
-    log_dinf: float
-    remainder_bound: float
-    truncation: int
-
-
-def strong_szego_log_dinf(
-    spec: SymbolSpec, truncation: int = 256, nodes: int | None = None
-) -> SzegoResult:
-    """Strong Szego limit: log D_inf = sum_{j>=1} j * (log phi)_j * (log phi)_{-j}.
-
-    The log-symbol Fourier coefficients are computed by the same circle
-    quadrature as ``fourier_coeffs``.  The truncation remainder is
-    estimated by geometric extrapolation of the last retained terms; a
-    non-decaying coefficient sequence is rejected.
-    """
-    if truncation < 1:
-        raise ValidationError(f"truncation must be >= 1, got {truncation}")
-    if nodes is None:
-        nodes = max(2048, 8 * truncation)
-    if nodes < 4 * (truncation + 1):
-        raise ValidationError(
-            f"nodes={nodes} too small for truncation={truncation}"
-        )
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    logs = evaluate_log_symbol(spec, np.exp(1j * theta))
-    c = np.fft.fft(logs) / nodes
-    js = np.arange(1, truncation + 1)
-    plus = np.real(c[js])
-    minus = np.real(c[np.mod(-js, nodes)])
-    terms = js * plus * minus
-    total = float(np.sum(terms))
-
-    tail = np.abs(terms[-8:])
-    scale = max(1.0, abs(total))
-    if np.max(tail) > 1e-13 * scale and np.max(tail) >= np.max(np.abs(terms)) * 0.5:
-        raise TruncationError(
-            "strong Szego series not decaying at the requested truncation "
-            f"(last |term| = {float(np.max(tail)):.3e}); increase truncation"
-        )
-    if np.max(tail) <= 1e-300:
-        remainder = 0.0
-    else:
-        # Ratio of successive magnitudes over the last few terms gives the
-        # geometric decay rate; remainder <= last * r / (1 - r).
-        nz = tail[tail > 0]
-        if len(nz) >= 2 and nz[-1] < nz[0]:
-            r = (nz[-1] / nz[0]) ** (1.0 / (len(nz) - 1))
-            r = min(r, 0.99)
-            remainder = float(nz[-1] * r / (1.0 - r))
-        else:
-            remainder = float(np.max(tail))
-    return SzegoResult(log_dinf=total, remainder_bound=remainder, truncation=truncation)

@@ -19,13 +19,13 @@ import pytest
 
 from lppdet import cli
 from lppdet.exact_dist import (
+    build_dist_table,
     prob_external,
-    prob_lattice,
-    prob_square,
     prob_triangle_fs_via_ogroup,
     prob_triangle_odd,
     scaled_cdf,
     square_opuc,
+    toeplitz_prob,
     weyl_ogroup_expectation,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
@@ -66,7 +66,7 @@ def test_criterion_1_exact_vs_combinatorial(opuc_t1, criterion_log):
     for ell in range(1, 6):
         oracle, tail = poissonized_square_cdf(1.0, ell)
         assert tail < 1e-12
-        worst = max(worst, abs(oracle - prob_square(1.0, ell, opuc_t1)))
+        worst = max(worst, abs(oracle - toeplitz_prob(1.0, ell, opuc_t1)))
     criterion_log(
         1, worst < 1e-8, f"max |oracle - determinant| = {worst:.3e} (tol 1e-8)"
     )
@@ -278,7 +278,7 @@ def test_criterion_7_monte_carlo_cross_validation(opuc_t1, criterion_log):
     trials, seed = 200000, 7
 
     def exact_square(ell):
-        return prob_square(1.0, ell, opuc_t1)
+        return toeplitz_prob(1.0, ell, opuc_t1)
 
     def exact_triangle(alpha):
         def f(ell):
@@ -322,8 +322,8 @@ def test_criterion_7_monte_carlo_cross_validation(opuc_t1, criterion_log):
             ),
             exact_external,
         ),
-        (lattice_a, lambda ell: prob_lattice(lattice_a, ell)),
-        (lattice_b, lambda ell: prob_lattice(lattice_b, ell)),
+        (lattice_a, lambda ell: build_dist_table(lattice_a, ell).probability(ell)),
+        (lattice_b, lambda ell: build_dist_table(lattice_b, ell).probability(ell)),
     ]
     worst = 0.0
     checked = 0

@@ -9,9 +9,11 @@ import sys
 
 import pytest
 
-from lppdet import cli
+from lppdet import cli, exact_dist
 from lppdet.cache import CACHE_ENV_VAR
 from lppdet.errors import BreakdownError, TruncationError
+from lppdet.montecarlo import SAMPLERS
+from lppdet.symbols import ModelKind
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -218,13 +220,13 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
     """Every threshold of the external-sources law reads one recursion
     table, built to the largest sampled threshold."""
     calls = []
-    real = cli.square_opuc
+    real = exact_dist.toeplitz_opuc
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "square_opuc", counting)
+    monkeypatch.setattr(exact_dist, "toeplitz_opuc", counting)
     code, out = run(
         "--seed", "0", "verify", "mc-cross", "--model", "external", "--t", "8",
         "--alpha-plus", "0.3", "--alpha-minus", "0.6", "--trials", "400",
@@ -243,3 +245,12 @@ def test_cli_import_leaves_mpmath_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_every_model_kind_has_a_cli_name_route_and_sampler():
+    """Adding a model is one entry in each table; a missing one fails here."""
+    named = {kind for kind, _ in cli.MODELS.values()}
+    for kind in ModelKind:
+        assert kind in named, f"{kind} has no command-line name"
+        assert kind in exact_dist.EXACT_ROUTES, f"{kind} has no exact route"
+        assert kind in SAMPLERS, f"{kind} has no sampler"

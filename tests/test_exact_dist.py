@@ -18,14 +18,13 @@ from lppdet.exact_dist import (
     build_dist_table,
     ogroup_expectation_spec,
     prob_external,
-    prob_lattice,
-    prob_square,
     prob_square_product,
     prob_triangle_fs_via_ogroup,
     prob_triangle_odd,
     scaled_cdf,
     square_opuc,
     symmetrized_lattice_prob,
+    toeplitz_prob,
     weyl_ogroup_expectation,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
@@ -34,12 +33,17 @@ from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
 from ogroup_quadrature import MAX_ELL, quadrature_expectation
 
 
+def top_of_table(model, ell):
+    """P(L <= ell) as the last row of the model's table up to ell."""
+    return build_dist_table(model, ell).probability(ell)
+
+
 def test_square_closed_form_first_levels(opuc_t1):
     """At t = 1, P(L <= 0) = e^{-1} and P(L <= 1) = e^{-1} I_0(2)."""
     from scipy.special import iv
 
-    assert prob_square(1.0, 0, opuc_t1) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert prob_square(1.0, 1, opuc_t1) == pytest.approx(
+    assert toeplitz_prob(1.0, 0, opuc_t1) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert toeplitz_prob(1.0, 1, opuc_t1) == pytest.approx(
         math.exp(-1.0) * float(iv(0, 2.0)), rel=1e-13
     )
 
@@ -54,13 +58,13 @@ def test_square_frozen_table(opuc_t1):
         5: 0.9999984914527477,
     }
     for ell, value in expected.items():
-        assert prob_square(1.0, ell, opuc_t1) == pytest.approx(value, abs=1e-12)
+        assert toeplitz_prob(1.0, ell, opuc_t1) == pytest.approx(value, abs=1e-12)
 
 
 def test_square_out_of_range(opuc_t1):
-    assert prob_square(1.0, -1, opuc_t1) == 0.0
+    assert toeplitz_prob(1.0, -1, opuc_t1) == 0.0
     with pytest.raises(ValidationError):
-        prob_square(1.0, opuc_t1.cutoff + 5, opuc_t1)
+        toeplitz_prob(1.0, opuc_t1.cutoff + 5, opuc_t1)
 
 
 @settings(deadline=None, max_examples=20)
@@ -68,7 +72,7 @@ def test_square_out_of_range(opuc_t1):
 def test_square_product_route_agrees(t):
     data = square_opuc(t)
     for ell in range(0, 6):
-        direct = prob_square(t, ell, data)
+        direct = toeplitz_prob(t * t, ell, data)
         via_product, bound = prob_square_product(t, ell, data)
         assert via_product == pytest.approx(direct, abs=1e-11 + bound)
 
@@ -77,7 +81,7 @@ def test_square_product_route_agrees(t):
 @given(t=st.floats(0.1, 2.5))
 def test_square_cdf_monotone_in_threshold(t):
     data = square_opuc(t)
-    values = [prob_square(t, ell, data) for ell in range(0, 8)]
+    values = [toeplitz_prob(t * t, ell, data) for ell in range(0, 8)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] <= 1.0 + 1e-12
 
@@ -151,7 +155,7 @@ def test_external_frozen_values(opuc_t1):
 def test_external_reduces_to_square_at_zero_rates(opuc_t1):
     for ell in (1, 2, 3):
         assert float(prob_external(1.0, 0.0, 0.0, ell, opuc_t1)) == pytest.approx(
-            prob_square(1.0, ell, opuc_t1), abs=1e-11
+            toeplitz_prob(1.0, ell, opuc_t1), abs=1e-11
         )
 
 
@@ -177,7 +181,7 @@ def test_lattice_a_single_cell_closed_form(q, qp, ell):
     if q * qp >= 0.999:
         return
     model = ModelSpec(kind=ModelKind.LATTICE_A, row_params=(q,), col_params=(qp,))
-    assert prob_lattice(model, ell) == pytest.approx(
+    assert top_of_table(model, ell) == pytest.approx(
         1.0 - (q * qp) ** (ell + 1), abs=1e-11
     )
 
@@ -188,45 +192,45 @@ def test_lattice_b_single_cell_closed_form(q, qp):
     """One Bernoulli cell with odds p: P(L <= 0) = 1/(1+p), P(L <= 1) = 1."""
     p = q * qp
     model = ModelSpec(kind=ModelKind.LATTICE_B, row_params=(q,), col_params=(qp,))
-    assert prob_lattice(model, 0) == pytest.approx(1.0 / (1.0 + p), abs=1e-11)
-    assert prob_lattice(model, 1) == pytest.approx(1.0, abs=1e-11)
+    assert top_of_table(model, 0) == pytest.approx(1.0 / (1.0 + p), abs=1e-11)
+    assert top_of_table(model, 1) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_lattice_frozen_tables():
     la = ModelSpec(kind=ModelKind.LATTICE_A, row_params=(0.3, 0.2), col_params=(0.25, 0.2))
     expected_a = [0.792984, 0.9737843519999998, 0.9973034644559999, 0.9997514869483672]
     for ell, value in enumerate(expected_a):
-        assert prob_lattice(la, ell) == pytest.approx(value, abs=1e-12)
+        assert top_of_table(la, ell) == pytest.approx(value, abs=1e-12)
 
     lb = ModelSpec(kind=ModelKind.LATTICE_B, row_params=(0.6,), col_params=(0.5, 0.4, 0.3))
     expected_b = [0.5257181309669008, 0.9042351852630693, 0.9931866930226686, 1.0]
     for ell, value in enumerate(expected_b):
-        assert prob_lattice(lb, ell) == pytest.approx(value, abs=1e-12)
+        assert top_of_table(lb, ell) == pytest.approx(value, abs=1e-12)
 
     lc = ModelSpec(kind=ModelKind.LATTICE_C, row_params=(0.3, 0.2), col_params=(0.25, 0.2))
     expected_c = [0.792984, 0.9969999999999999, 1.0]
     for ell, value in enumerate(expected_c):
-        assert prob_lattice(lc, ell) == pytest.approx(value, abs=1e-12)
+        assert top_of_table(lc, ell) == pytest.approx(value, abs=1e-12)
 
 
 def test_lattice_c_saturates_at_min_side():
     # at most one point per cell and per strict chain step, so the
     # chain length cannot exceed min(rows, cols)
     lc = ModelSpec(kind=ModelKind.LATTICE_C, row_params=(0.3, 0.2), col_params=(0.25, 0.2))
-    assert prob_lattice(lc, 2) == pytest.approx(1.0, abs=1e-12)
-    assert prob_lattice(lc, 5) == pytest.approx(1.0, abs=1e-12)
+    assert top_of_table(lc, 2) == pytest.approx(1.0, abs=1e-12)
+    assert top_of_table(lc, 5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lines_frozen_values():
     ld = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=1.0, col_params=(0.5, 0.4))
     le = ModelSpec(kind=ModelKind.POISSON_LINES_E, t=1.0, col_params=(0.5, 0.4))
     # both share P(L <= 0) = e^{-t sum q}
-    assert prob_lattice(ld, 0) == pytest.approx(math.exp(-0.9), abs=1e-12)
-    assert prob_lattice(le, 0) == pytest.approx(math.exp(-0.9), abs=1e-12)
-    assert prob_lattice(ld, 1) == pytest.approx(0.8131393194811982, abs=1e-12)
-    assert prob_lattice(le, 1) == pytest.approx(0.9254775913276625, abs=1e-12)
+    assert top_of_table(ld, 0) == pytest.approx(math.exp(-0.9), abs=1e-12)
+    assert top_of_table(le, 0) == pytest.approx(math.exp(-0.9), abs=1e-12)
+    assert top_of_table(ld, 1) == pytest.approx(0.8131393194811982, abs=1e-12)
+    assert top_of_table(le, 1) == pytest.approx(0.9254775913276625, abs=1e-12)
     # one point per line caps the strict variant at the line count
-    assert prob_lattice(le, 2) == pytest.approx(1.0, abs=1e-10)
+    assert top_of_table(le, 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lines_d_level_one_closed_form():
@@ -234,9 +238,9 @@ def test_lines_d_level_one_closed_form():
     e^{-t sum q} * prod over nonempty-line subsets... reduced to the
     single-line case: (1 + t q) e^{-t q}."""
     ld = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=1.0, col_params=(0.7,))
-    assert prob_lattice(ld, 1) == pytest.approx((1.0 + 0.7) * math.exp(-0.7), abs=1e-12)
+    assert top_of_table(ld, 1) == pytest.approx((1.0 + 0.7) * math.exp(-0.7), abs=1e-12)
     le = ModelSpec(kind=ModelKind.POISSON_LINES_E, t=1.0, col_params=(0.7,))
-    assert prob_lattice(le, 1) == pytest.approx(1.0, abs=1e-12)
+    assert top_of_table(le, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ogroup_dimension_one_closed_form():
@@ -322,6 +326,46 @@ def test_dist_table_monotone_guard():
     )
     with pytest.raises(VerificationError):
         bad.check_monotone()
+    # every step drops 6e-11, inside the slack; together they drop 1.2e-10
+    drift = [0.5, 1.0, 1.0 - 6e-11, 1.0 - 1.2e-10]
+    bad = DistTable(
+        model=model,
+        entries={ell: (math.log(p), p) for ell, p in enumerate(drift)},
+        truncation_info={},
+    )
+    with pytest.raises(VerificationError, match="below an earlier entry"):
+        bad.check_monotone()
+
+
+def test_lines_d_drift_refused():
+    """This table ends 1.2e-9 below its reference, falling at most 1.1e-11
+    per step but 1.3e-10 from its peak; the running-maximum guard refuses
+    it where a predecessor check would not."""
+    model = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=10.0, col_params=(0.3, 0.3))
+    with pytest.raises(VerificationError, match="below an earlier entry"):
+        build_dist_table(model, 35)
+
+
+@pytest.mark.parametrize("t, lines, lmax", [(3.0, 5, 45), (6.0, 2, 40)])
+def test_lines_d_saturated_tail(t, lines, lmax):
+    """One recursion for the whole table keeps the saturated tail within
+    1e-10 of 1; a recursion per threshold wobbled past 1 + 1e-10."""
+    model = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=t, col_params=(0.7,) * lines)
+    table = build_dist_table(model, lmax)
+    assert sorted(table.entries) == list(range(lmax + 1))
+    assert table.probability(lmax) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_triangle_table_at_the_default_cutoff():
+    """At t = 2 the extra cutoff the triangle table once carried put the
+    product truncation bound on the roundoff plateau past 1e-12."""
+    model = ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=2.0, alpha=0.5)
+    table = build_dist_table(model, 11)
+    for ell in (1, 3, 5, 7, 9, 11):
+        assert table.probability(ell) == pytest.approx(
+            prob_triangle_fs_via_ogroup(2.0, 0.5, ell), abs=1e-10
+        )
+    assert table.truncation_info["tail_bound"] <= 1e-12
 
 
 def test_build_dist_table_triangle_reports_odd_support():

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import iv
 
 from lppdet.errors import ValidationError
-from lppdet.exact_dist import prob_square, square_opuc
+from lppdet.exact_dist import square_opuc, toeplitz_prob
 from lppdet.fredholm import (
     IdentityReport,
     IntegrableKernelSpec,
@@ -63,7 +63,7 @@ def test_normalized_dets_are_cdf_values():
     data = square_opuc(t)
     report = identity_checks(t, 4, data)
     for k, val in enumerate(report.normalized_dets):
-        assert val == pytest.approx(prob_square(t, k, data), abs=1e-12)
+        assert val == pytest.approx(toeplitz_prob(t * t, k, data), abs=1e-12)
 
 
 def test_node_halving_stability():

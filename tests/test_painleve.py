@@ -126,6 +126,20 @@ def test_cache_miss_then_hit(tmp_path, monkeypatch):
     assert list(tmp_path.glob("pii-*.npz"))
 
 
+def test_cache_recovers_from_a_partial_write(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    cached_pii_solution(tol=1e-9, grid_step=0.05)
+    victim = next(tmp_path.glob("pii-*.npz"))
+    data = victim.read_bytes()
+    victim.write_bytes(data[: len(data) // 2])
+    sol, hit = cached_pii_solution(tol=1e-9, grid_step=0.05)
+    assert not hit
+    assert sol.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
+    # the rewrite went through a temporary file that is gone now
+    assert [p.name for p in tmp_path.iterdir()] == [victim.name]
+    assert cached_pii_solution(tol=1e-9, grid_step=0.05)[1]
+
+
 def test_cache_recovers_from_corruption(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     cached_pii_solution(tol=1e-9, grid_step=0.05)
