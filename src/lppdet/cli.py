@@ -31,6 +31,7 @@ from .errors import (
 from .exact_dist import (
     build_dist_table,
     certified,
+    check_cdf,
     exact_law,
     prob_triangle_fs_via_ogroup,
     prob_triangle_odd,
@@ -317,16 +318,22 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     config = SimConfig(model=model, trials=args.trials, seed=args.seed, workers=args.workers)
     emp = run_simulation(config)
     rows, _ = exact_law(model, max(emp.counts))
-    comparisons = []
+    law = {}
     refused = []
+    for ell, (p, bound) in rows.items():
+        try:
+            law[ell] = certified(p, bound, f"P(L <= {ell})")
+        except ConditioningError:
+            if ell in emp.counts:
+                refused.append(ell)
+    # the rows build_dist_table would check, so that none out of [0, 1]
+    # passes below as a degenerate threshold
+    check_cdf(law)
+    comparisons = []
     ok = True
     # thresholds without a row (even triangle ones) have no exact value
-    for ell in sorted(set(emp.counts) & set(rows)):
-        try:
-            exact = certified(*rows[ell], f"P(L <= {ell})")
-        except ConditioningError:
-            refused.append(ell)
-            continue
+    for ell in sorted(set(emp.counts) & set(law)):
+        exact = law[ell]
         # skip degenerate thresholds: the empirical CDF sits exactly at
         # 0 or 1 there and the normal error model is meaningless
         if exact < 1e-6 or exact > 1.0 - 1e-6:

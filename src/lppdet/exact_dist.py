@@ -12,7 +12,9 @@ singularity where the two boundary rates multiply to one.  The
 triangle-FS and symmetrized lattice laws are orthogonal-group averages,
 evaluated as Toeplitz +- Hankel determinants of psi(z) psi(1/z) with a
 float64 conditioning guard; the triangle-FS one is an independent route
-to the triangle law.
+to the triangle law.  Lattice and lines rows carry a measured float64
+error too: the spread against a twin recursion on a second quadrature
+grid.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "OGROUP_TOL",
     "ogroup_law",
     "certified",
+    "check_cdf",
     "ogroup_expectation_spec",
     "weyl_ogroup_expectation",
     "prob_triangle_fs_via_ogroup",
@@ -208,31 +211,26 @@ _TRIANGLE_K_TAIL = 40
 _TRIANGLE_TAIL_TOL = 1e-12
 
 
-def prob_triangle_odd(
-    t: float,
-    alpha: float,
-    ell: int,
-    opuc: OpucData,
-    k_tail: int = _TRIANGLE_K_TAIL,
-    tail_tol: float = _TRIANGLE_TAIL_TOL,
-) -> float:
+def prob_triangle_odd(t: float, alpha: float, ell: int, opuc: OpucData) -> float:
     """P(longest chain <= 2*ell + 1) for the triangle process.
 
     Combines the degree-2*ell polynomial pair at -alpha with the two
-    half-index norm products; the products are truncated after k_tail
-    factors and the dropped mass is bounded by ``triangle_tail_bound``.
+    half-index norm products; the products are truncated after 40
+    factors (fewer where the cutoff ends first) and the dropped mass,
+    bounded by ``triangle_tail_bound``, must stay within 1e-12.
     """
-    return _triangle_row(t, alpha, ell, opuc, k_tail, tail_tol)[0]
+    return _triangle_row(t, alpha, ell, opuc)[0]
 
 
 def _triangle_row(
-    t: float, alpha: float, ell: int, opuc: OpucData, k_tail: int, tail_tol: float
+    t: float, alpha: float, ell: int, opuc: OpucData
 ) -> tuple[float, float]:
     """(``prob_triangle_odd``, its relative truncation bound)."""
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     if ell < 0:
         return 0.0, 0.0
+    k_tail = _TRIANGLE_K_TAIL
     if 2 * (ell + k_tail) + 1 > opuc.cutoff:
         k_tail = (opuc.cutoff - 1) // 2 - ell
         if k_tail < 4:
@@ -241,10 +239,10 @@ def _triangle_row(
                 f"least {2 * ell + 9}"
             )
     bound = triangle_tail_bound(opuc, ell, k_tail)
-    if bound > tail_tol:
+    if bound > _TRIANGLE_TAIL_TOL:
         raise TruncationError(
-            f"product truncation bound {bound:.3e} exceeds {tail_tol:.1e}; "
-            "increase k_tail or the recursion cutoff"
+            f"product truncation bound {bound:.3e} exceeds {_TRIANGLE_TAIL_TOL:.1e}; "
+            "increase the recursion cutoff"
         )
     log_h_plus = 0.0
     log_h_minus = 0.0
@@ -327,7 +325,7 @@ def _external_direct(
     return math.exp(s - log_z) * combined
 
 
-# largest certified float64 error allowed on a group-average probability
+# largest certified float64 error allowed on a probability
 OGROUP_TOL = 1e-9
 OGROUP_ROUTE = "toeplitz-plus-hankel determinant"
 
@@ -407,8 +405,7 @@ def certified(value: float, bound: float, what: str) -> float:
     """``value`` when its float64 error bound is within OGROUP_TOL."""
     if not bound <= OGROUP_TOL:
         raise ConditioningError(
-            f"{what}: float64 error bound {bound:.2e} of the {OGROUP_ROUTE} "
-            f"exceeds {OGROUP_TOL:.0e}"
+            f"{what}: float64 error bound {bound:.2e} exceeds {OGROUP_TOL:.0e}"
         )
     return value
 
@@ -469,6 +466,24 @@ def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
     return toeplitz_prob(t * t, ell, opuc)
 
 
+def check_cdf(probs: dict[int, float], slack: float = 1e-10) -> None:
+    """Every p must lie in [0, 1] and no p below the largest entry before
+    it, each up to ``slack``.  Comparing with the running maximum rather
+    than the predecessor keeps drops that each fit the slack from adding
+    up to a larger one."""
+    peak = -math.inf
+    for ell in sorted(probs):
+        p = probs[ell]
+        if not (-slack <= p <= 1.0 + slack):
+            raise VerificationError(f"probability {p} outside [0,1]")
+        if p < peak - slack:
+            raise VerificationError(
+                f"table is not nondecreasing: P(L <= {ell}) = {p!r} lies "
+                f"{peak - p:.2e} below an earlier entry"
+            )
+        peak = max(peak, p)
+
+
 @dataclass(frozen=True)
 class DistTable:
     """Cumulative table p(ell) for one model, with provenance metadata."""
@@ -481,21 +496,7 @@ class DistTable:
         return self.entries[ell][1]
 
     def check_monotone(self, slack: float = 1e-10) -> None:
-        """Every p must lie in [0, 1] and no p below the largest entry
-        before it, each up to ``slack``.  Comparing with the running
-        maximum rather than the predecessor keeps drops that each fit the
-        slack from adding up to a larger one."""
-        peak = -math.inf
-        for ell in sorted(self.entries):
-            p = self.entries[ell][1]
-            if not (-slack <= p <= 1.0 + slack):
-                raise VerificationError(f"probability {p} outside [0,1]")
-            if p < peak - slack:
-                raise VerificationError(
-                    f"table is not nondecreasing: P(L <= {ell}) = {p!r} lies "
-                    f"{peak - p:.2e} below an earlier entry"
-                )
-            peak = max(peak, p)
+        check_cdf({ell: p for ell, (_, p) in self.entries.items()}, slack)
 
     def csv_rows(self) -> list[tuple[int, float, float]]:
         return [
@@ -538,9 +539,10 @@ def _log_or_neg_inf(p: float) -> float:
 # provenance for the table.  ``bound`` is the error bound the route
 # certifies for p, checked by ``certified``: the group averages' float64
 # bound, the triangle's relative product-truncation bound (held to 1e-12
-# inside the route), and 0 for plain Toeplitz rows, whose float64 Levinson
-# carries none and which are guarded by breakdown, the strong Szego check
-# and the monotone check instead.
+# inside the route), and the roundoff spread of the lattice and lines
+# rows.  The square and external-source rows carry 0: past t = 6 the
+# strong Szego check guards their recursion, below it only the range and
+# monotone checks do.
 Law = tuple[dict[int, tuple[float, float]], dict]
 
 
@@ -555,15 +557,35 @@ def _square_law(model: ModelSpec, lmax: int) -> Law:
 
 
 def _lattice_law(model: ModelSpec, lmax: int) -> Law:
-    return _toeplitz_law(model, lmax, toeplitz_opuc(build_symbol(model), lmax + 2))
+    """Toeplitz rows with a measured float64 error.
+
+    The recursion amplifies the Fourier table's rounding by up to its
+    condition number, which for these symbols grows with the number of
+    factors and their closeness to the circle.  A twin recursion on a
+    table from another quadrature grid carries independent table
+    roundoff, so the two values of each row differ by about their error;
+    that spread is the row's bound.  It is an estimate, not a proof: it
+    misses error the two runs share.  A twin breakdown refuses the table.
+    """
+    spec, cutoff = build_symbol(model), lmax + 2
+    opuc = toeplitz_opuc(spec, cutoff)
+    nodes = opuc.source.quadrature_nodes * 3 // 2 + 1
+    twin = levinson(fourier_coeffs(spec, cutoff + 2, nodes), cutoff)
+    log_z = normalization_log_z(model)
+    rows = {}
+    for ell in range(lmax + 1):
+        p = toeplitz_prob(log_z, ell, opuc)
+        # a twin value past e is no probability; the clamp keeps exp finite
+        q = math.exp(min(toeplitz_log_det(twin, ell) - log_z, 1.0))
+        rows[ell] = (p, abs(p - q))
+    spread = max(b for _, b in rows.values())
+    return rows, {"cutoff": cutoff, "roundoff_spread": spread}
 
 
 def _triangle_law(model: ModelSpec, lmax: int) -> Law:
     opuc = square_opuc(model.t, ell=lmax)
     rows = {
-        2 * j + 1: _triangle_row(
-            model.t, model.alpha, j, opuc, _TRIANGLE_K_TAIL, _TRIANGLE_TAIL_TOL
-        )
+        2 * j + 1: _triangle_row(model.t, model.alpha, j, opuc)
         for j in range((lmax - 1) // 2 + 1)
     }
     return rows, {

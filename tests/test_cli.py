@@ -128,6 +128,33 @@ def test_mc_cross_counts_refused_thresholds(run):
     assert max(compared) > 8
 
 
+def test_mc_cross_refuses_an_ill_conditioned_lattice(run):
+    """A float64 recursion puts this law above 1 near its top; the twin
+    recursion breaks down, so the suite exits 2 rather than skipping those
+    rows as degenerate thresholds."""
+    q = ",".join(["0.8366600265340756"] * 12)
+    code, _ = run(
+        "verify", "mc-cross", "--model", "lattice-b", "--q", q, "--qp", q,
+        "--trials", "500",
+    )
+    assert code == 2
+
+
+def test_mc_cross_checks_the_range_of_its_rows(run, monkeypatch):
+    """A certified row above 1 fails the suite (exit 3); it is not skipped
+    as a degenerate threshold."""
+    real = cli.exact_law
+
+    def above_one(model, lmax):
+        rows, info = real(model, lmax)
+        rows[lmax] = (1.05, 0.0)
+        return rows, info
+
+    monkeypatch.setattr(cli, "exact_law", above_one)
+    code, _ = run("verify", "mc-cross", "--model", "square", "--trials", "400")
+    assert code == 3
+
+
 def test_failed_suite_exits_three(run, monkeypatch):
     monkeypatch.setitem(
         cli.VERIFY_SUITES, "dpii", lambda args: ({"planted": 1}, False, "forced")

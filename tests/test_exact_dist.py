@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lppdet.errors import (
     BreakdownError,
+    ConditioningError,
     TruncationError,
     ValidationError,
     VerificationError,
@@ -16,6 +17,8 @@ from lppdet.exact_dist import (
     OGROUP_TOL,
     DistTable,
     build_dist_table,
+    check_cdf,
+    exact_law,
     ogroup_expectation_spec,
     prob_external,
     prob_square_product,
@@ -339,11 +342,31 @@ def test_dist_table_monotone_guard():
 
 def test_lines_d_drift_refused():
     """This table ends 1.2e-9 below its reference, falling at most 1.1e-11
-    per step but 1.3e-10 from its peak; the running-maximum guard refuses
-    it where a predecessor check would not."""
+    per step but 1.3e-10 from its peak.  Its rows spread 1.8e-9 against a
+    twin recursion, so the table is refused before the monotone check;
+    the running-maximum guard refuses the same rows where a predecessor
+    check would not."""
     model = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=10.0, col_params=(0.3, 0.3))
-    with pytest.raises(VerificationError, match="below an earlier entry"):
+    with pytest.raises(ConditioningError, match="error bound"):
         build_dist_table(model, 35)
+    rows, _ = exact_law(model, 35)
+    with pytest.raises(VerificationError, match="below an earlier entry"):
+        check_cdf({ell: p for ell, (p, _) in rows.items()})
+
+
+def test_ill_conditioned_lattice_refused():
+    """Ten rows and columns at q = 0.9 put the symbol's zeros 0.1 from
+    the circle.  One recursion for the table returns p(60) = 2.1e-7 where
+    an 80-digit dense determinant gives 3.7e-8; the twin recursion on a
+    second quadrature grid breaks down, which refuses the table.  At
+    lmax 42 the two agree to 1e-14 and the table stands."""
+    q = (0.9,) * 10
+    model = ModelSpec(kind=ModelKind.LATTICE_A, row_params=q, col_params=q)
+    with pytest.raises(BreakdownError):
+        build_dist_table(model, 60)
+    rows, info = exact_law(model, 42)
+    assert 0.0 < max(b for _, b in rows.values()) == info["roundoff_spread"] <= 1e-12
+    build_dist_table(model, 42)
 
 
 @pytest.mark.parametrize("t, lines, lmax", [(3.0, 5, 45), (6.0, 2, 40)])
