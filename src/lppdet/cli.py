@@ -313,6 +313,12 @@ def _suite_corner(args) -> tuple[dict, bool, str]:
     return report, ok, f"corner deviation slopes {slope_v:.3f}, {slope_u:.3f}"
 
 
+def _sampling(config: SimConfig) -> dict:
+    """How a simulation's draws were split; deterministic, so manifests
+    stay byte-identical across reruns."""
+    return {"block_size": config.block_size, "blocks": config.blocks}
+
+
 def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     model = model_from_args(args)
     config = SimConfig(model=model, trials=args.trials, seed=args.seed, workers=args.workers)
@@ -358,6 +364,7 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
         "comparisons": comparisons,
         "refused_thresholds": refused,
         "max_z": worst,
+        "diagnostics": _sampling(config),
     }
     summary = f"max |z| over {len(comparisons)} thresholds: {worst:.2f}"
     if refused:
@@ -427,10 +434,12 @@ def cmd_verify(args, out_dir: Path) -> None:
     json_path = out_dir / f"verify_{args.suite}.json"
     _write_json(json_path, report)
     params = {"suite": args.suite, "t": args.t, "kmax": args.kmax}
+    extra = None
     if args.suite == "mc-cross":
         params.update(_model_parameters(args))
         params["trials"] = args.trials
-    _write_manifest(out_dir, args, params, [json_path])
+        extra = {"diagnostics": report["diagnostics"]}
+    _write_manifest(out_dir, args, params, [json_path], extra)
     print(f"verify {args.suite}: {'pass' if ok else 'FAIL'} ({summary})")
     if not ok:
         raise VerificationError(f"suite {args.suite} failed: {summary}")
@@ -490,7 +499,7 @@ def cmd_mc(args, out_dir: Path) -> None:
     params = _model_parameters(args)
     params["trials"] = args.trials
     params["workers"] = args.workers
-    _write_manifest(out_dir, args, params, [csv_path])
+    _write_manifest(out_dir, args, params, [csv_path], {"diagnostics": _sampling(config)})
 
 
 COMMANDS = {

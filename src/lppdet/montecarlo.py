@@ -1,10 +1,10 @@
 """Samplers and enumeration oracles for every percolation model.
 
 This module is the ground truth the determinant formulas are tested
-against: direct simulation of the point processes and lattice arrays,
-exhaustive enumeration over small permutation groups, and an exact
-hook-length route to the permutation distribution for sizes far beyond
-enumeration range.
+against: direct simulation of the point processes and lattice arrays, a
+block of draws at a time, exhaustive enumeration over small permutation
+groups, and an exact hook-length route to the permutation distribution
+for sizes far beyond enumeration range.
 
 Path semantics, resolved against the determinant normalizations:
 weak-direction steps may repeat a coordinate and sums accumulate entry
@@ -35,10 +35,6 @@ __all__ = [
     "EmpiricalCdf",
     "patience_lis",
     "lis_quadratic",
-    "longest_chain_2d",
-    "sample_poisson_square",
-    "sample_triangle",
-    "sample_external",
     "sample_g_prime",
     "g_prime_pmf_check",
     "lattice_chain_fast",
@@ -70,6 +66,58 @@ def patience_lis(values, strict: bool = True) -> int:
     return len(tops)
 
 
+def _patience_rows(vals, lens, strict: bool = True) -> np.ndarray:
+    """``patience_lis`` of every row's first ``lens[r]`` entries at once.
+
+    Patience sorting takes one step per point, so column j of the padded
+    array advances every row longer than j by one numpy operation.  Rows
+    are sorted by length, longest first, so the rows still active at a
+    column form a prefix; the pile tops are stored as (pile, row), so the
+    comparison against every pile of the active rows reads contiguous
+    memory.  Each row's tops increase along its piles, so the number of
+    tops below the new value (strict) or at most it (weak) is the pile
+    the value lands on, as bisect_left / bisect_right give in
+    ``patience_lis``.  Entries past a row's length are never read.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    rows = len(lens)
+    width = int(lens.max(initial=0))
+    order = np.argsort(-lens, kind="stable")
+    cols = np.asarray(vals, dtype=float).T[:width, order]
+    active = rows - np.searchsorted(np.sort(lens), np.arange(width), side="right")
+    below = np.less if strict else np.less_equal
+    # a pile index fits in int16 below 2^15 points, and its sum runs
+    # about twice as fast as one in intp
+    index_type = np.int16 if width < 2**15 else np.intp
+    tops = np.full((8, rows), np.inf)
+    where = np.arange(rows)
+    piles = 0
+    for j, a in enumerate(active.tolist()):
+        v = cols[j, :a]
+        idx = below(tops[:piles, :a], v).sum(axis=0, dtype=index_type)
+        if idx.max() == piles:
+            piles += 1
+            if piles == len(tops):
+                tops = np.vstack([tops, np.full_like(tops, np.inf)])
+        tops[idx, where[:a]] = v
+    out = np.empty(rows, dtype=np.int64)
+    out[order] = np.count_nonzero(tops[:piles] < np.inf, axis=0)
+    return out
+
+
+def _chain_rows(xs, ys, lens, strict: bool = True) -> np.ndarray:
+    """Longest chain of planar points, every row of padded (rows, points) arrays.
+
+    Rows are sorted by x ascending with ``np.lexsort``; equal x (possible
+    only for boundary points, measure zero otherwise) is broken by y
+    descending in the strict case and y ascending in the weak case, so that
+    patience sorting over y realizes exactly the admissible chains.  The
+    padding is inf in both coordinates, so padded points sort last.
+    """
+    order = np.lexsort((-ys, xs) if strict else (ys, xs), axis=-1)
+    return _patience_rows(np.take_along_axis(ys, order, axis=-1), lens, strict)
+
+
 def lis_quadratic(values, strict: bool = True) -> int:
     """O(n^2) dynamic-programming oracle for ``patience_lis``."""
     v = np.asarray(values, dtype=float)
@@ -82,75 +130,6 @@ def lis_quadratic(values, strict: bool = True) -> int:
         if mask.any():
             best[i] = 1 + best[:i][mask].max()
     return int(best.max())
-
-
-def longest_chain_2d(
-    xs: np.ndarray, ys: np.ndarray, strict: bool = True
-) -> int:
-    """Longest chain of planar points increasing in both coordinates.
-
-    Sorting is by x ascending; equal x (possible only for boundary
-    points, measure zero otherwise) is broken by y descending in the
-    strict case and y ascending in the weak case, so that patience
-    sorting over y realizes exactly the admissible chains.
-    """
-    if len(xs) == 0:
-        return 0
-    order = np.lexsort((-ys, xs) if strict else (ys, xs))
-    return patience_lis(ys[order].tolist(), strict=strict)
-
-
-def sample_poisson_square(t: float, rng: np.random.Generator) -> int:
-    """One draw of the longest chain among Poisson points in a square."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    n = rng.poisson(t * t)
-    if n == 0:
-        return 0
-    return longest_chain_2d(rng.random(n), rng.random(n), strict=True)
-
-
-def sample_triangle(t: float, alpha: float, rng: np.random.Generator) -> int:
-    """Longest chain for bulk points below the diagonal plus diagonal points.
-
-    The diagonal one-dimensional process has rate alpha per unit of the
-    x coordinate; bulk points are uniform on the open triangle y < x.
-    """
-    if t < 0 or alpha < 0:
-        raise ValidationError("need t >= 0 and alpha >= 0")
-    n_bulk = rng.poisson(0.5 * t * t)
-    u = rng.random(n_bulk) * t
-    v = rng.random(n_bulk) * t
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    n_diag = rng.poisson(alpha * t)
-    d = rng.random(n_diag) * t
-    xs = np.concatenate([hi, d])
-    ys = np.concatenate([lo, d])
-    return longest_chain_2d(xs, ys, strict=True)
-
-
-def sample_external(
-    t: float, a_plus: float, a_minus: float, rng: np.random.Generator
-) -> int:
-    """Longest chain for the square process with sources on both axes.
-
-    Axis points share a coordinate, so chains are taken in the weak
-    (product) order; in the bulk this coincides with strict chains
-    almost surely.  The corner carries no point.
-    """
-    if t < 0 or a_plus < 0 or a_minus < 0:
-        raise ValidationError("rates must be >= 0")
-    n = rng.poisson(t * t)
-    xs = [rng.random(n) * t]
-    ys = [rng.random(n) * t]
-    n_x = rng.poisson(a_plus * t)
-    xs.append(rng.random(n_x) * t)
-    ys.append(np.zeros(n_x))
-    n_y = rng.poisson(a_minus * t)
-    xs.append(np.zeros(n_y))
-    ys.append(rng.random(n_y) * t)
-    return longest_chain_2d(np.concatenate(xs), np.concatenate(ys), strict=False)
 
 
 def g_prime_pmf_check(alpha: float, q: float, tol: float = 1e-12) -> None:
@@ -296,24 +275,6 @@ def lattice_chain_reference(x: np.ndarray, kind: ModelKind) -> int:
     return int(out)
 
 
-def _sample_lines(model: ModelSpec, rng: np.random.Generator) -> int:
-    rates = model.col_params
-    t = model.t
-    idx: list[np.ndarray] = []
-    pos: list[np.ndarray] = []
-    for i, q in enumerate(rates):
-        k = rng.poisson(q * t)
-        idx.append(np.full(k, i))
-        pos.append(rng.random(k) * t)
-    line = np.concatenate(idx) if idx else np.empty(0)
-    x = np.concatenate(pos) if pos else np.empty(0)
-    if len(x) == 0:
-        return 0
-    order = np.argsort(x, kind="stable")
-    strict = model.kind == ModelKind.POISSON_LINES_E
-    return patience_lis(line[order].tolist(), strict=strict)
-
-
 _BRUTE_FORCE_MAX = 8
 
 
@@ -457,6 +418,15 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
 
+    @property
+    def block_size(self) -> int:
+        """Draws per block; each block has its own random stream."""
+        return _BLOCK_SIZE
+
+    @property
+    def blocks(self) -> int:
+        return (self.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+
     @classmethod
     def from_kv_text(cls, text: str, model: ModelSpec) -> "SimConfig":
         """Parse ``key=value`` lines (trials, seed, workers)."""
@@ -509,43 +479,155 @@ class EmpiricalCdf:
 
 _BLOCK_SIZE = 2048
 
+# entries of one padded (rows, points) array; a block whose padded arrays
+# would be larger is sampled in row chunks, cut from the block's own
+# point counts so that the chunking never depends on the worker count
+_PAD_ELEMENTS = 1 << 20
 
-def _one_at_a_time(draw):
-    """Block sampler that makes ``count`` single draws in sequence."""
-    return lambda model, rng, count: [draw(model, rng) for _ in range(count)]
+
+def _in_chunks(counts: np.ndarray, sample_rows) -> np.ndarray:
+    """Chain values of a block, ``sample_rows(counts[chunk])`` per row chunk.
+
+    ``counts`` holds one row per draw and one column per point process.
+    Rows without points are 0 and never reach ``sample_rows``.
+    """
+    lens = counts.sum(axis=1)
+    out = np.zeros(len(lens), dtype=np.int64)
+    width = int(lens.max(initial=0))
+    if width == 0:
+        return out
+    step = max(1, _PAD_ELEMENTS // width)
+    for lo in range(0, len(lens), step):
+        out[lo : lo + step] = sample_rows(counts[lo : lo + step])
+    return out
+
+
+def _padded(counts: np.ndarray, segments) -> np.ndarray:
+    """Point coordinates laid out as (rows, points), padded with inf.
+
+    Row r holds the next ``counts[r, s]`` entries of ``segments[s]`` for
+    each process s in turn; each flat segment lists its rows in order.
+    """
+    ends = np.cumsum(counts, axis=1)
+    width = int(ends[:, -1].max(initial=0))
+    out = np.full((len(counts), width), np.inf)
+    col = np.arange(width)
+    for s, flat in enumerate(segments):
+        lo = (ends[:, s] - counts[:, s])[:, np.newaxis]
+        out[(col >= lo) & (col < ends[:, s, np.newaxis])] = flat
+    return out
+
+
+def _square_block(model: ModelSpec, rng: np.random.Generator, count: int):
+    """Longest chains among Poisson(t^2) uniform points in a square.
+
+    Sorting the points by x leaves their y values in uniformly random
+    order, independent of the point count, so the chain is the longest
+    increasing subsequence of ``rng.random(n)`` in the order drawn and the
+    x coordinates are never drawn.
+    """
+    counts = rng.poisson(model.t * model.t, size=(count, 1))
+
+    def rows(c):
+        ys = _padded(c, [rng.random(int(c.sum()))])
+        return _patience_rows(ys, c[:, 0], strict=True)
+
+    return _in_chunks(counts, rows)
+
+
+def _triangle_block(model: ModelSpec, rng: np.random.Generator, count: int):
+    """Bulk points uniform on the triangle y < x < t plus diagonal points.
+
+    The diagonal process has rate alpha per unit of the x coordinate.
+    """
+    t = model.t
+    counts = rng.poisson([0.5 * t * t, model.alpha * t], size=(count, 2))
+
+    def rows(c):
+        n_bulk, n_diag = c.sum(axis=0).tolist()
+        u = rng.random(n_bulk) * t
+        v = rng.random(n_bulk) * t
+        d = rng.random(n_diag) * t
+        xs = _padded(c, [np.maximum(u, v), d])
+        ys = _padded(c, [np.minimum(u, v), d])
+        return _chain_rows(xs, ys, c.sum(axis=1), strict=True)
+
+    return _in_chunks(counts, rows)
+
+
+def _external_block(model: ModelSpec, rng: np.random.Generator, count: int):
+    """The square process plus sources on both axes; no point at the corner.
+
+    Axis points share a coordinate, so chains are taken in the weak
+    (product) order; in the bulk this coincides with strict chains almost
+    surely.
+    """
+    t = model.t
+    rates = [t * t, model.alpha_plus * t, model.alpha_minus * t]
+    counts = rng.poisson(rates, size=(count, 3))
+
+    def rows(c):
+        n, n_x, n_y = c.sum(axis=0).tolist()
+        bulk_x = rng.random(n) * t
+        bulk_y = rng.random(n) * t
+        on_x = rng.random(n_x) * t
+        on_y = rng.random(n_y) * t
+        xs = _padded(c, [bulk_x, on_x, np.zeros(n_y)])
+        ys = _padded(c, [bulk_y, np.zeros(n_x), on_y])
+        return _chain_rows(xs, ys, c.sum(axis=1), strict=False)
+
+    return _in_chunks(counts, rows)
+
+
+def _lines_block(model: ModelSpec, rng: np.random.Generator, count: int):
+    """Longest chains through Poisson points on parallel lines.
+
+    Line i carries a Poisson(q_i t) process of positions.  Merged, the
+    lines form one Poisson(t sum q) process whose line labels are i.i.d.
+    with weights q / sum q, so the labels are drawn in position order and
+    never sorted.  A chain may use several points of one line in model D
+    (weak order) and at most one in model E (strict order).
+    """
+    rates = np.asarray(model.col_params, dtype=float)
+    if np.any(rates < 0.0):
+        raise ValidationError(f"line rates must be >= 0, got {model.col_params}")
+    lines = np.flatnonzero(rates > 0.0)  # a line of rate 0 gets no point
+    cum = np.cumsum(rates[lines])
+    counts = rng.poisson(model.t * float(rates.sum()), size=(count, 1))
+    strict = model.kind == ModelKind.POISSON_LINES_E
+
+    def rows(c):
+        u = rng.random(int(c.sum())) * cum[-1]
+        labels = lines[np.searchsorted(cum[:-1], u, side="right")]
+        return _patience_rows(_padded(c, [labels]), c[:, 0], strict=strict)
+
+    return _in_chunks(counts, rows)
 
 
 def _lattice_block(model: ModelSpec, rng: np.random.Generator, count: int):
     return lattice_chain_fast(sample_lattice_matrix(model, rng, count), model.kind)
 
 
-_triangle_draw = _one_at_a_time(lambda m, rng: sample_triangle(m.t, m.alpha, rng))
-
-# kind -> sampler(model, rng, count) returning ``count`` chain values; the
-# lattice kinds draw a whole block of arrays at once
+# kind -> sampler(model, rng, count) returning ``count`` chain values, each
+# drawing the whole block at once
 SAMPLERS = {
-    ModelKind.POISSON_SQUARE: _one_at_a_time(
-        lambda m, rng: sample_poisson_square(m.t, rng)
-    ),
-    ModelKind.POISSON_TRIANGLE: _triangle_draw,
-    ModelKind.TRIANGLE_POISSON_FS: _triangle_draw,
-    ModelKind.POISSON_EXTERNAL: _one_at_a_time(
-        lambda m, rng: sample_external(m.t, m.alpha_plus, m.alpha_minus, rng)
-    ),
-    ModelKind.POISSON_LINES_D: _one_at_a_time(_sample_lines),
-    ModelKind.POISSON_LINES_E: _one_at_a_time(_sample_lines),
+    ModelKind.POISSON_SQUARE: _square_block,
+    ModelKind.POISSON_TRIANGLE: _triangle_block,
+    ModelKind.TRIANGLE_POISSON_FS: _triangle_block,
+    ModelKind.POISSON_EXTERNAL: _external_block,
+    ModelKind.POISSON_LINES_D: _lines_block,
+    ModelKind.POISSON_LINES_E: _lines_block,
     ModelKind.LATTICE_A: _lattice_block,
     ModelKind.LATTICE_B: _lattice_block,
     ModelKind.LATTICE_C: _lattice_block,
     ModelKind.LATTICE_A_SYM: _lattice_block,
     ModelKind.LATTICE_C_SYM: _lattice_block,
 }
-_BATCH_KINDS = tuple(k for k, f in SAMPLERS.items() if f is _lattice_block)
+_BATCH_KINDS = tuple(SAMPLERS)  # read by the benchmark tracer
 
 
 def _run_block(args) -> dict[int, int]:
-    model_json, seed, block_index, count = args
-    model = ModelSpec.from_json(model_json)
+    model, seed, block_index, count = args
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     )
@@ -561,19 +643,17 @@ def run_simulation(config: SimConfig) -> EmpiricalCdf:
     counter-based stream keyed by (seed, block index), so the merged
     integer counts do not depend on the worker count or scheduling.
     """
-    n_blocks = (config.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE
-    model_json = config.model.to_json()
     jobs = [
         (
-            model_json,
+            config.model,
             config.seed,
             b,
             min(_BLOCK_SIZE, config.trials - b * _BLOCK_SIZE),
         )
-        for b in range(n_blocks)
+        for b in range(config.blocks)
     ]
     totals: dict[int, int] = {}
-    if config.workers == 1 or n_blocks == 1:
+    if config.workers == 1 or config.blocks == 1:
         results = map(_run_block, jobs)
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

@@ -234,6 +234,7 @@ def test_mc_counts_and_determinism(run):
     assert header == "value,count,cdf,stderr"
     assert sum(int(r.split(",")[1]) for r in rows) == 3000
     assert float(rows[-1].split(",")[2]) == 1.0
+    assert _manifest(out)["diagnostics"] == {"block_size": 2048, "blocks": 2}
     first = (out / "mc_lattice-a.csv").read_bytes()
     code, out = run(*args)
     assert code == 0
@@ -262,6 +263,7 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
     assert len(calls) == 1
     report = json.loads((out / "verify_mc-cross.json").read_text())
     assert len(report["comparisons"]) > 1
+    assert _manifest(out)["diagnostics"] == {"block_size": 2048, "blocks": 1}
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +79,21 @@ def test_square_product_route_agrees(t):
         direct = toeplitz_prob(t * t, ell, data)
         via_product, bound = prob_square_product(t, ell, data)
         assert via_product == pytest.approx(direct, abs=1e-11 + bound)
+
+
+def test_square_product_bound_covers_the_szego_residual():
+    """At this t the table's log-norms sum to t^2 + 6.6e-11, which moves the
+    product route 5.9e-11 off a 40-digit dense determinant; a bound of
+    truncation only (4.9e-11) missed it."""
+    t, ell = 2.965466227443639, 5
+    with mp.workdps(40):
+        moments = [mp.besseli(abs(j), 2 * mp.mpf(t)) for j in range(-ell, ell + 1)]
+        dense = mp.exp(-mp.mpf(t) ** 2) * mp.det(
+            mp.matrix([[moments[ell + j - k] for k in range(ell)] for j in range(ell)])
+        )
+    assert float(dense) == pytest.approx(0.90303677043884523, abs=1e-16)
+    via_product, bound = prob_square_product(t, ell, square_opuc(t))
+    assert abs(via_product - float(dense)) <= bound
 
 
 @settings(deadline=None, max_examples=20)

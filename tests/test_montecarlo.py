@@ -1,6 +1,7 @@
 """Samplers, combinatorial oracles, and the reproducible counting loop."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,17 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lppdet import montecarlo
 from lppdet.errors import ValidationError
-from lppdet.exact_dist import weyl_ogroup_expectation
+from lppdet.exact_dist import certified, exact_law, weyl_ogroup_expectation
 from lppdet.montecarlo import (
+    SAMPLERS,
     EmpiricalCdf,
     SimConfig,
+    _chain_rows,
+    _patience_rows,
     brute_force_lis_distribution,
     g_prime_pmf_check,
     haar_orthogonal_expectation,
     lattice_chain_fast,
     lattice_chain_reference,
-    longest_chain_2d,
     lis_quadratic,
     patience_lis,
     plancherel_lis_cdf,
@@ -26,9 +30,9 @@ from lppdet.montecarlo import (
     run_simulation,
     sample_g_prime,
     sample_lattice_matrix,
-    sample_poisson_square,
 )
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
+from sampler_oracle import ORACLES, longest_chain_2d, sample_poisson_square
 
 # ---------------------------------------------------------------- sequences
 
@@ -80,6 +84,68 @@ def test_longest_chain_matches_point_dp(points, strict):
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
     assert longest_chain_2d(xs, ys, strict=strict) == _chain_dp(points, strict)
+
+
+def _pad_rows(rows):
+    """Ragged rows as a padded float array and their lengths."""
+    lens = np.array([len(r) for r in rows], dtype=np.int64)
+    vals = np.full((len(rows), int(lens.max(initial=0))), np.inf)
+    for i, r in enumerate(rows):
+        vals[i, : len(r)] = r
+    return vals, lens
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.lists(
+        st.one_of(
+            st.lists(st.integers(0, 4), max_size=25),
+            st.builds(lambda v, n: [v] * n, st.integers(0, 4), st.integers(0, 12)),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    strict=st.booleans(),
+)
+def test_patience_rows_match_patience_lis(rows, strict):
+    """Integer ties, empty rows, all-equal rows and ragged lengths."""
+    vals, lens = _pad_rows(rows)
+    got = _patience_rows(vals, lens, strict=strict)
+    assert got.tolist() == [patience_lis(r, strict=strict) for r in rows]
+
+
+def _chain_rows_of(point_sets, strict):
+    xs, lens = _pad_rows([[p[0] for p in pts] for pts in point_sets])
+    ys, _ = _pad_rows([[p[1] for p in pts] for pts in point_sets])
+    return _chain_rows(xs, ys, lens, strict=strict).tolist()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    point_sets=st.lists(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=22),
+        min_size=1,
+        max_size=6,
+    ),
+    strict=st.booleans(),
+)
+def test_chain_rows_match_point_dp(point_sets, strict):
+    assert _chain_rows_of(point_sets, strict) == [
+        _chain_dp(pts, strict) for pts in point_sets
+    ]
+
+
+def test_chain_rows_on_boundary_points():
+    """Axis points tied at 0 chain in the weak order only; diagonal points
+    chain with each other but not with bulk points sharing a coordinate."""
+    axes = [(0, 1), (0, 3), (0, 2), (2, 0), (1, 0), (0, 0), (3, 3)]
+    diagonal = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (1, 0)]
+    sets = [axes, diagonal, [], [(0, 0)]]
+    for strict in (True, False):
+        want = [_chain_dp(pts, strict) for pts in sets]
+        assert _chain_rows_of(sets, strict) == want
+    assert _chain_rows_of(sets, strict=False) == [5, 6, 0, 1]
+    assert _chain_rows_of(sets, strict=True) == [2, 3, 0, 1]
 
 
 # ------------------------------------------------- exact distribution data
@@ -225,9 +291,10 @@ def _small_model():
 
 
 def test_worker_count_does_not_change_counts():
-    base = SimConfig(model=_small_model(), trials=4100, seed=11, workers=1)
-    multi = SimConfig(model=_small_model(), trials=4100, seed=11, workers=2)
-    assert run_simulation(base).counts == run_simulation(multi).counts
+    for model in (_small_model(), ModelSpec(kind=ModelKind.POISSON_SQUARE, t=2.0)):
+        base = SimConfig(model=model, trials=4100, seed=11, workers=1)
+        multi = SimConfig(model=model, trials=4100, seed=11, workers=2)
+        assert run_simulation(base).counts == run_simulation(multi).counts
 
 
 def test_same_seed_reproduces_and_seeds_differ():
@@ -253,6 +320,119 @@ def test_sampler_validation():
     with pytest.raises(ValidationError):
         sample_poisson_square(-1.0, rng)
     assert sample_poisson_square(0.0, rng) == 0
+
+
+_POISSON_MODELS = [
+    ModelSpec(kind=ModelKind.POISSON_SQUARE, t=3.0),
+    ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=3.0, alpha=0.5),
+    ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=2.0, alpha=1.5),
+    ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=2.0, alpha_plus=0.8, alpha_minus=1.5),
+    ModelSpec(kind=ModelKind.POISSON_LINES_D, t=4.0, col_params=(0.5, 0.3, 0.0)),
+    ModelSpec(kind=ModelKind.POISSON_LINES_E, t=4.0, col_params=(0.5, 0.3, 0.7)),
+]
+
+
+@pytest.mark.parametrize("model", _POISSON_MODELS, ids=lambda m: m.kind.value)
+def test_block_samplers_match_per_draw_oracles(model):
+    """Two-sample z at every threshold of the empirical CDFs, block sampler
+    against the per-draw oracle on independent streams."""
+    n = 6000
+    block = np.asarray(SAMPLERS[model.kind](model, np.random.default_rng(31), n))
+    rng = np.random.default_rng(32)
+    single = np.array([ORACLES[model.kind](model, rng) for _ in range(n)])
+    checked = 0
+    for ell in range(int(max(block.max(), single.max())) + 1):
+        a, b = np.mean(block <= ell), np.mean(single <= ell)
+        p = 0.5 * (a + b)
+        if not 0.01 < p < 0.99:
+            continue
+        assert abs(a - b) <= 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n), ell
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ModelSpec(kind=ModelKind.POISSON_LINES_D, t=3.0, col_params=(0.5, 0.4, 0.3)),
+        ModelSpec(kind=ModelKind.POISSON_LINES_E, t=3.0, col_params=(0.5, 0.4, 0.3)),
+        ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=2.0, alpha=0.5),
+    ],
+    ids=lambda m: m.kind.value,
+)
+def test_block_samplers_match_exact_laws(model):
+    """The kinds criterion 7 leaves out, against their certified rows."""
+    trials = 20000
+    emp = run_simulation(SimConfig(model=model, trials=trials, seed=2024))
+    rows, _ = exact_law(model, max(emp.counts))
+    checked = 0
+    for ell, (p, bound) in rows.items():
+        p = certified(p, bound, f"P(L <= {ell})")
+        if not 0.01 < p < 0.99:
+            continue
+        z = abs(emp.cdf_at(ell) - p) / math.sqrt(p * (1.0 - p) / trials)
+        assert z <= 4.0, (ell, z)
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ModelSpec(kind=ModelKind.POISSON_SQUARE, t=0.0),
+        ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=0.0, alpha=0.0),
+        ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=0.0, alpha=1.0),
+        ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=0.0, alpha_plus=0.5, alpha_minus=0.5),
+        ModelSpec(kind=ModelKind.POISSON_LINES_D, t=5.0, col_params=(0.0, 0.0)),
+        ModelSpec(kind=ModelKind.POISSON_LINES_E, t=0.0, col_params=(0.5,)),
+    ],
+    ids=lambda m: m.kind.value,
+)
+def test_empty_processes_give_zero_chains(model):
+    with np.errstate(all="raise"):
+        values = SAMPLERS[model.kind](model, np.random.default_rng(0), 50)
+    assert np.array_equal(values, np.zeros(50))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.POISSON_LINES_D, ModelKind.POISSON_LINES_E])
+def test_zero_rate_lines_receive_no_points(kind):
+    """With the same stream, a zero-rate line anywhere leaves every chain
+    as it is without that line."""
+    def draw(rates):
+        model = ModelSpec(kind=kind, t=4.0, col_params=rates)
+        return SAMPLERS[kind](model, np.random.default_rng(8), 500)
+
+    plain = draw((0.5, 0.3))
+    assert np.array_equal(draw((0.5, 0.3, 0.0)), plain)
+    assert np.array_equal(draw((0.5, 0.0, 0.3)), plain)
+
+
+def test_negative_line_rate_refused():
+    model = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=1.0, col_params=(0.5, -0.1))
+    with pytest.raises(ValidationError):
+        SAMPLERS[model.kind](model, np.random.default_rng(0), 10)
+
+
+def test_row_chunks_leave_square_draws_unchanged(monkeypatch):
+    """The square's coordinates are one flat stream, so cutting a block
+    into row chunks of any size gives the same chains."""
+    model = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=4.0)
+    whole = SAMPLERS[model.kind](model, np.random.default_rng(4), 300)
+    monkeypatch.setattr(montecarlo, "_PAD_ELEMENTS", 100)
+    chunked = SAMPLERS[model.kind](model, np.random.default_rng(4), 300)
+    assert np.array_equal(chunked, whole)
+
+
+def test_large_square_stays_within_the_padding_budget():
+    """Unchunked, one padded array of this block would take about 60 MiB."""
+    model = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=60.0)
+    tracemalloc.start()
+    try:
+        run_simulation(SimConfig(model=model, trials=2048, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * montecarlo._PAD_ELEMENTS
 
 
 def test_sim_config_validation_and_parse():
