@@ -29,6 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .exact_dist import (
+    ROW_TOL,
     build_dist_table,
     certified,
     check_cdf,
@@ -328,7 +329,7 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     refused = []
     for ell, (p, bound) in rows.items():
         try:
-            law[ell] = certified(p, bound, f"P(L <= {ell})")
+            law[ell] = certified(p, bound, f"P(L <= {ell})", ROW_TOL[model.kind])
         except ConditioningError:
             if ell in emp.counts:
                 refused.append(ell)
@@ -353,7 +354,7 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     if not comparisons:
         raise ValidationError(
             "no comparable thresholds: all exact probabilities degenerate, "
-            "unavailable or refused by the conditioning guard for this model "
+            "unavailable or refused by their error bounds for this model "
             "at these parameters"
         )
     worst = max(c["z"] for c in comparisons)
@@ -368,7 +369,7 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     }
     summary = f"max |z| over {len(comparisons)} thresholds: {worst:.2f}"
     if refused:
-        summary += f"; {len(refused)} refused by the conditioning guard"
+        summary += f"; {len(refused)} refused by their error bounds"
     return report, ok, summary
 
 

@@ -56,17 +56,16 @@ __all__ = [
     "toeplitz_prob",
     "prob_square_product",
     "prob_triangle_odd",
-    "triangle_tail_bound",
     "prob_external",
     "OGROUP_ROUTE",
     "OGROUP_TOL",
     "ogroup_law",
     "certified",
+    "ROW_TOL",
     "check_cdf",
     "ogroup_expectation_spec",
     "weyl_ogroup_expectation",
     "prob_triangle_fs_via_ogroup",
-    "symmetrized_lattice_prob",
     "scaled_cdf",
     "EXACT_ROUTES",
     "exact_law",
@@ -223,7 +222,13 @@ def prob_triangle_odd(t: float, alpha: float, ell: int, opuc: OpucData) -> float
     factors (fewer where the cutoff ends first) and the dropped mass,
     bounded by ``triangle_tail_bound``, must stay within 1e-12.
     """
-    return _triangle_row(t, alpha, ell, opuc)[0]
+    p, bound = _triangle_row(t, alpha, ell, opuc)
+    if bound > _TRIANGLE_TAIL_TOL:
+        raise TruncationError(
+            f"product truncation bound {bound:.3e} exceeds {_TRIANGLE_TAIL_TOL:.1e}; "
+            "increase the recursion cutoff"
+        )
+    return p
 
 
 def _triangle_row(
@@ -243,11 +248,6 @@ def _triangle_row(
                 f"least {2 * ell + 9}"
             )
     bound = triangle_tail_bound(opuc, ell, k_tail)
-    if bound > _TRIANGLE_TAIL_TOL:
-        raise TruncationError(
-            f"product truncation bound {bound:.3e} exceeds {_TRIANGLE_TAIL_TOL:.1e}; "
-            "increase the recursion cutoff"
-        )
     log_h_plus = 0.0
     log_h_minus = 0.0
     for k in range(ell, ell + k_tail):
@@ -405,12 +405,10 @@ def ogroup_law(model: ModelSpec, lmax: int) -> list[tuple[float, float]]:
     ]
 
 
-def certified(value: float, bound: float, what: str) -> float:
-    """``value`` when its float64 error bound is within OGROUP_TOL."""
-    if not bound <= OGROUP_TOL:
-        raise ConditioningError(
-            f"{what}: float64 error bound {bound:.2e} exceeds {OGROUP_TOL:.0e}"
-        )
+def certified(value: float, bound: float, what: str, tol: float = OGROUP_TOL) -> float:
+    """``value`` when its error bound is within ``tol``."""
+    if not bound <= tol:
+        raise ConditioningError(f"{what}: error bound {bound:.2e} exceeds {tol:.0e}")
     return value
 
 
@@ -428,31 +426,16 @@ def ogroup_expectation_spec(spec: SymbolSpec, ell: int) -> float:
 
 def weyl_ogroup_expectation(t: float, alpha: float, ell: int) -> float:
     """Orthogonal-group mean of det((1 + alpha U) e^{t U})."""
-    if alpha < 0 or t < 0:
-        raise ValidationError("need alpha >= 0 and t >= 0")
     return ogroup_expectation_spec(SymbolSpec(exp_plus_t=t, zeros_plus=(alpha,)), ell)
-
-
-def _group_prob(model: ModelSpec, ell: int) -> float:
-    if ell < 0:
-        return 0.0
-    p, bound = ogroup_law(model, ell)[ell]
-    return certified(p, bound, f"P(L <= {ell})")
 
 
 def prob_triangle_fs_via_ogroup(t: float, alpha: float, ell: int) -> float:
     """Triangle law via the orthogonal-group average (validation path)."""
+    if ell < 0:
+        return 0.0
     model = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=t, alpha=alpha)
-    return _group_prob(model, ell)
-
-
-def symmetrized_lattice_prob(model: ModelSpec, ell: int) -> float:
-    """Law of the symmetric-array lattice models via the group average."""
-    if model.kind not in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-        raise ValidationError(
-            f"symmetrized path does not handle kind {model.kind.value}"
-        )
-    return _group_prob(model, ell)
+    p, bound = ogroup_law(model, ell)[ell]
+    return certified(p, bound, f"P(L <= {ell})")
 
 
 def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
@@ -541,23 +524,19 @@ def _log_or_neg_inf(p: float) -> float:
 
 # A route maps (model, lmax) to the exact law's rows {ell: (p, bound)} and
 # provenance for the table.  ``bound`` is the error bound the route
-# certifies for p, checked by ``certified``: the group averages' float64
-# bound, the triangle's relative product-truncation bound (held to 1e-12
-# inside the route), and the roundoff spread of the lattice and lines
-# rows.  The square and external-source rows carry 0: past t = 6 the
+# certifies for p, checked row by row by ``certified`` against the kind's
+# ROW_TOL: the group averages' float64 bound, the triangle's relative
+# product-truncation bound, and the roundoff spread of the lattice and
+# lines rows.  The square and external-source rows carry 0: past t = 6 the
 # strong Szego check guards their recursion, below it only the range and
 # monotone checks do.
 Law = tuple[dict[int, tuple[float, float]], dict]
 
 
-def _toeplitz_law(model: ModelSpec, lmax: int, opuc: OpucData) -> Law:
-    log_z = normalization_log_z(model)
+def _square_law(model: ModelSpec, lmax: int) -> Law:
+    opuc, log_z = square_opuc(model.t, ell=lmax), normalization_log_z(model)
     rows = {ell: (toeplitz_prob(log_z, ell, opuc), 0.0) for ell in range(lmax + 1)}
     return rows, {"cutoff": opuc.cutoff}
-
-
-def _square_law(model: ModelSpec, lmax: int) -> Law:
-    return _toeplitz_law(model, lmax, square_opuc(model.t, ell=lmax))
 
 
 def _lattice_law(model: ModelSpec, lmax: int) -> Law:
@@ -617,6 +596,12 @@ def _group_law(model: ModelSpec, lmax: int) -> Law:
     }
 
 
+# largest bound a row may carry: OGROUP_TOL, or 1e-12 on the triangle's
+# relative product-truncation bound
+ROW_TOL = {kind: OGROUP_TOL for kind in ModelKind} | {
+    ModelKind.POISSON_TRIANGLE: _TRIANGLE_TAIL_TOL
+}
+
 EXACT_ROUTES = {
     ModelKind.POISSON_SQUARE: _square_law,
     ModelKind.POISSON_TRIANGLE: _triangle_law,
@@ -648,9 +633,9 @@ def build_dist_table(model: ModelSpec, lmax: int) -> DistTable:
     Every row must be certified and the table nondecreasing in [0, 1].
     """
     rows, info = exact_law(model, lmax)
-    entries = {}
+    entries, tol = {}, ROW_TOL[model.kind]
     for ell, (p, bound) in rows.items():
-        certified(p, bound, f"P(L <= {ell})")
+        certified(p, bound, f"P(L <= {ell})", tol)
         entries[ell] = (_log_or_neg_inf(p), p)
     table = DistTable(model=model, entries=entries, truncation_info=info)
     table.check_monotone()

@@ -34,12 +34,10 @@ __all__ = [
     "SimConfig",
     "EmpiricalCdf",
     "patience_lis",
-    "lis_quadratic",
     "sample_g_prime",
-    "g_prime_pmf_check",
     "lattice_chain_fast",
-    "lattice_chain_reference",
     "sample_lattice_matrix",
+    "LATTICES",
     "brute_force_lis_distribution",
     "plancherel_lis_cdf",
     "poissonized_square_cdf",
@@ -118,45 +116,6 @@ def _chain_rows(xs, ys, lens, strict: bool = True) -> np.ndarray:
     return _patience_rows(np.take_along_axis(ys, order, axis=-1), lens, strict)
 
 
-def lis_quadratic(values, strict: bool = True) -> int:
-    """O(n^2) dynamic-programming oracle for ``patience_lis``."""
-    v = np.asarray(values, dtype=float)
-    n = len(v)
-    if n == 0:
-        return 0
-    best = np.ones(n, dtype=np.int64)
-    for i in range(1, n):
-        mask = v[:i] < v[i] if strict else v[:i] <= v[i]
-        if mask.any():
-            best[i] = 1 + best[:i][mask].max()
-    return int(best.max())
-
-
-def g_prime_pmf_check(alpha: float, q: float, tol: float = 1e-12) -> None:
-    """Verify the parity-weighted geometric law sums to one.
-
-    The law P(k) proportional to alpha^(k mod 2) q^k normalizes to
-    (1 - q^2)/(1 + alpha q); this check sums the series numerically with
-    a geometric tail bound before any sampling uses it.
-    """
-    if not (0.0 <= q < 1.0) or alpha < 0.0:
-        raise ValidationError(
-            f"need q in [0,1) and alpha >= 0, got q={q}, alpha={alpha}"
-        )
-    if q == 0.0:
-        return
-    c = (1.0 - q * q) / (1.0 + alpha * q)
-    total = 0.0
-    k_top = 400
-    for k in range(k_top + 1):
-        total += c * (alpha if k % 2 else 1.0) * q**k
-    tail = c * max(1.0, alpha) * q ** (k_top + 1) / (1.0 - q)
-    if abs(total - 1.0) > tol + tail:
-        raise ValidationError(
-            f"parity-geometric law fails to normalize: sum={total!r}"
-        )
-
-
 def sample_g_prime(
     alpha: float, q: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -178,101 +137,100 @@ def _geom(rng: np.random.Generator, p, shape) -> np.ndarray:
     return rng.geometric(1.0 - np.asarray(p), size=shape) - 1
 
 
+def _grid_geometric(model: ModelSpec, rng: np.random.Generator, size: int):
+    p = np.outer(model.row_params, model.col_params)
+    return _geom(rng, p, (size,) + p.shape)
+
+
+def _grid_bernoulli(model: ModelSpec, rng: np.random.Generator, size: int):
+    p = np.outer(model.row_params, model.col_params)
+    return (rng.random((size,) + p.shape) < p / (1.0 + p)).astype(np.int64)
+
+
+def _geometric_diagonal(alpha: float, q: float, rng: np.random.Generator, size: int):
+    return _geom(rng, alpha * q, size)
+
+
+def _symmetric(model: ModelSpec, rng: np.random.Generator, size: int, diagonal):
+    """Symmetric arrays, geometric q_i q_j off the diagonal and
+    ``diagonal(alpha, q_i, rng, size)`` on it."""
+    rows = np.asarray(model.row_params)
+    n = len(rows)
+    x = _geom(rng, np.outer(rows, rows), (size, n, n))
+    upper = np.triu_indices(n, k=1)
+    x[:, upper[1], upper[0]] = x[:, upper[0], upper[1]]
+    for i in range(n):
+        x[:, i, i] = diagonal(model.alpha, rows[i], rng, size)
+    return x
+
+
+def _weak_weak(x: np.ndarray) -> np.ndarray:
+    """Sums entries along weakly monotone chains."""
+    size, m, n = x.shape
+    best = np.zeros((size, m + 1, n + 1), dtype=x.dtype)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            best[:, i, j] = x[:, i - 1, j - 1] + np.maximum(
+                best[:, i - 1, j], best[:, i, j - 1]
+            )
+    return best[:, m, n]
+
+
+def _weak_strict(x: np.ndarray) -> np.ndarray:
+    """Sums entries along chains with a weak row and a strict column step."""
+    size, m, n = x.shape
+    # chain value ending at (i, j); predecessors have j' < j, i' <= i
+    end = np.zeros((size, m, n), dtype=x.dtype)
+    prefix = np.zeros((size, m), dtype=x.dtype)
+    for j in range(n):
+        end[:, :, j] = x[:, :, j] + prefix
+        col_best = np.maximum.accumulate(end[:, :, j], axis=1)
+        prefix = np.maximum(prefix, col_best)
+    return end.max(axis=(1, 2))
+
+
+def _strict_strict(x: np.ndarray) -> np.ndarray:
+    """Counts occupied cells along strictly monotone chains via running 2-d
+    prefix maxima."""
+    size, m, n = x.shape
+    occ = (x > 0).astype(np.int64)
+    best = np.zeros((size, m + 1, n + 1), dtype=np.int64)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            here = occ[:, i - 1, j - 1] * (1 + best[:, i - 1, j - 1])
+            best[:, i, j] = np.maximum(
+                here,
+                np.maximum(best[:, i - 1, j], best[:, i, j - 1]),
+            )
+    return best[:, m, n]
+
+
+# lattice kind -> (entry law(model, rng, size) -> arrays (size, M, N),
+#                  path rule(arrays) -> longest-path values)
+LATTICES = {
+    ModelKind.LATTICE_A: (_grid_geometric, _weak_weak),
+    ModelKind.LATTICE_B: (_grid_bernoulli, _weak_strict),
+    ModelKind.LATTICE_C: (_grid_geometric, _strict_strict),
+    ModelKind.LATTICE_A_SYM: (
+        functools.partial(_symmetric, diagonal=_geometric_diagonal), _weak_weak
+    ),
+    ModelKind.LATTICE_C_SYM: (
+        functools.partial(_symmetric, diagonal=sample_g_prime), _strict_strict
+    ),
+}
+
+
 def sample_lattice_matrix(
     model: ModelSpec, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Batch of entry arrays, shape (size, M, N), per the model's law."""
-    kind = model.kind
-    rows = np.asarray(model.row_params)
-    cols = np.asarray(model.col_params)
-    if kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_C):
-        p = np.outer(rows, cols)
-        return _geom(rng, p, (size,) + p.shape)
-    if kind == ModelKind.LATTICE_B:
-        p = np.outer(rows, cols)
-        return (rng.random((size,) + p.shape) < p / (1.0 + p)).astype(np.int64)
-    if kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-        n = len(rows)
-        p = np.outer(rows, rows)
-        x = _geom(rng, p, (size, n, n))
-        upper = np.triu_indices(n, k=1)
-        x[:, upper[1], upper[0]] = x[:, upper[0], upper[1]]
-        for i in range(n):
-            if kind == ModelKind.LATTICE_A_SYM:
-                x[:, i, i] = _geom(rng, model.alpha * rows[i], size)
-            else:
-                x[:, i, i] = sample_g_prime(model.alpha, rows[i], rng, size)
-        return x
-    raise ValidationError(f"no entry law for kind {kind.value}")
+    return LATTICES[model.kind][0](model, rng, size)
 
 
 def lattice_chain_fast(x: np.ndarray, kind: ModelKind) -> np.ndarray:
-    """Vectorized longest-path values for a batch of arrays (size, M, N).
-
-    weak/weak sums entries along weakly monotone chains; weak-up/
-    strict-right sums with a strict column step; strict/strict counts
-    occupied cells along strictly monotone chains via running 2-d prefix
-    maxima.
-    """
-    size, m, n = x.shape
-    if kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_A_SYM):
-        best = np.zeros((size, m + 1, n + 1), dtype=x.dtype)
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                best[:, i, j] = x[:, i - 1, j - 1] + np.maximum(
-                    best[:, i - 1, j], best[:, i, j - 1]
-                )
-        return best[:, m, n]
-    if kind == ModelKind.LATTICE_B:
-        # chain value ending at (i, j); predecessors have j' < j, i' <= i
-        end = np.zeros((size, m, n), dtype=x.dtype)
-        prefix = np.zeros((size, m), dtype=x.dtype)
-        for j in range(n):
-            end[:, :, j] = x[:, :, j] + prefix
-            col_best = np.maximum.accumulate(end[:, :, j], axis=1)
-            prefix = np.maximum(prefix, col_best)
-        return end.max(axis=(1, 2))
-    if kind in (ModelKind.LATTICE_C, ModelKind.LATTICE_C_SYM):
-        occ = (x > 0).astype(np.int64)
-        best = np.zeros((size, m + 1, n + 1), dtype=np.int64)
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                here = occ[:, i - 1, j - 1] * (1 + best[:, i - 1, j - 1])
-                best[:, i, j] = np.maximum(
-                    here,
-                    np.maximum(best[:, i - 1, j], best[:, i, j - 1]),
-                )
-        return best[:, m, n]
-    raise ValidationError(f"no path rule for kind {kind.value}")
-
-
-def lattice_chain_reference(x: np.ndarray, kind: ModelKind) -> int:
-    """O((MN)^2) oracle over all admissible predecessor pairs; one array."""
-    m, n = x.shape
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    if kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_A_SYM):
-        admissible = lambda a, b: a[0] <= b[0] and a[1] <= b[1]
-        value = lambda c: x[c]
-    elif kind == ModelKind.LATTICE_B:
-        admissible = lambda a, b: a[0] <= b[0] and a[1] < b[1]
-        value = lambda c: x[c]
-    elif kind in (ModelKind.LATTICE_C, ModelKind.LATTICE_C_SYM):
-        admissible = lambda a, b: a[0] < b[0] and a[1] < b[1]
-        value = lambda c: int(x[c] > 0)
-    else:
-        raise ValidationError(f"no path rule for kind {kind.value}")
-    if kind in (ModelKind.LATTICE_C, ModelKind.LATTICE_C_SYM):
-        cells = [c for c in cells if x[c] > 0]
-        if not cells:
-            return 0
-    best = {}
-    out = 0
-    for b in cells:  # row-major order dominates the partial orders
-        best[b] = value(b) + max(
-            (best[a] for a in best if admissible(a, b)), default=0
-        )
-        out = max(out, best[b])
-    return int(out)
+    """Longest-path values for a batch of arrays (size, M, N), by the
+    kind's path rule."""
+    return LATTICES[kind][1](x)
 
 
 _BRUTE_FORCE_MAX = 8
@@ -589,8 +547,6 @@ def _lines_block(model: ModelSpec, rng: np.random.Generator, count: int):
     (weak order) and at most one in model E (strict order).
     """
     rates = np.asarray(model.col_params, dtype=float)
-    if np.any(rates < 0.0):
-        raise ValidationError(f"line rates must be >= 0, got {model.col_params}")
     lines = np.flatnonzero(rates > 0.0)  # a line of rate 0 gets no point
     cum = np.cumsum(rates[lines])
     counts = rng.poisson(model.t * float(rates.sum()), size=(count, 1))
@@ -617,11 +573,7 @@ SAMPLERS = {
     ModelKind.POISSON_EXTERNAL: _external_block,
     ModelKind.POISSON_LINES_D: _lines_block,
     ModelKind.POISSON_LINES_E: _lines_block,
-    ModelKind.LATTICE_A: _lattice_block,
-    ModelKind.LATTICE_B: _lattice_block,
-    ModelKind.LATTICE_C: _lattice_block,
-    ModelKind.LATTICE_A_SYM: _lattice_block,
-    ModelKind.LATTICE_C_SYM: _lattice_block,
+    **dict.fromkeys(LATTICES, _lattice_block),
 }
 _BATCH_KINDS = tuple(SAMPLERS)  # read by the benchmark tracer
 

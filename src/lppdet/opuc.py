@@ -26,7 +26,6 @@ recurrence; mpmath only sets the precision and rounds the logarithms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,6 @@ __all__ = [
     "toeplitz_log_det",
     "toeplitz_log_det_dense",
     "eval_pi",
-    "eval_pi_dense",
     "y_corner",
     "dpii_residual",
     "recurrence_checks",
@@ -82,31 +80,6 @@ class OpucData:
                 raise ValidationError(
                     f"{name} must have length cutoff+1 = {n}, got {len(arr)}"
                 )
-
-    def to_json(self) -> str:
-        d = {
-            "reflection": [float(x) for x in self.reflection],
-            "reflection_dual": [float(x) for x in self.reflection_dual],
-            "log_norms": [float(x) for x in self.log_norms],
-            "cutoff": self.cutoff,
-        }
-        if self.source is not None:
-            d["source"] = json.loads(self.source.to_json())
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpucData":
-        d = json.loads(text)
-        source = None
-        if "source" in d:
-            source = FourierTable.from_json(json.dumps(d["source"]))
-        return cls(
-            reflection=np.asarray(d["reflection"], dtype=float),
-            reflection_dual=np.asarray(d["reflection_dual"], dtype=float),
-            log_norms=np.asarray(d["log_norms"], dtype=float),
-            cutoff=int(d["cutoff"]),
-            source=source,
-        )
 
 
 def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
@@ -387,33 +360,6 @@ def eval_pi(data: OpucData, k: int, z) -> ScaledPair:
         pi_v = pi_v.real
         pis_v = pis_v.real
     return ScaledPair(pi_mantissa=pi_v, pi_star_mantissa=pis_v, log_scale=log_scale)
-
-
-def eval_pi_dense(coeffs: FourierTable, k: int, z) -> tuple[complex, complex]:
-    """Oracle: build pi_k by solving the moment linear system, then Horner.
-
-    Solves sum_a c_a phi_{j-a} = 0 for j = 0..k-1 with c_k = 1.  Cost
-    O(k^3); desk scale only.
-    """
-    J = coeffs.half_width
-    if J < k:
-        raise ValidationError("Fourier table too narrow for requested degree")
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    if k > 0:
-        rows = np.arange(k)
-        a = np.arange(k)
-        mat = coeffs.coeffs[(rows[:, None] - a[None, :]) + J]
-        rhs = -coeffs.coeffs[(rows - k) + J]
-        c[:k] = np.linalg.solve(mat, rhs)
-    zc = complex(z)
-    pi_val = 0.0 + 0.0j
-    for a in range(k, -1, -1):
-        pi_val = pi_val * zc + c[a]
-    star_val = 0.0 + 0.0j
-    for a in range(k + 1):
-        star_val = star_val * zc + c[a]
-    return pi_val, star_val
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,27 @@
 Every model here is solved through a scalar function phi on the unit
 circle, its symbol.  Distribution values are normalized Toeplitz
 determinants in the Fourier coefficients of phi, so this module is the
-root of the exact-computation stack: it builds the symbol attached to
-each model, computes Fourier coefficients by trapezoid quadrature on the
-circle (spectrally accurate for these analytic symbols), and gives each
-model's normalization constant in closed form.
-
-The symbol family is
+root of the exact-computation stack: it holds one rule per model kind
+(``MODEL_RULES``: its symbol, its normalization and the parameters it
+needs) and computes Fourier coefficients by trapezoid quadrature on the
+circle (spectrally accurate for these analytic symbols).  The symbol
+family is
 
     phi(z) = exp(tp*z + tm/z) * prod(1 + a*z) * prod(1 + b/z)
              / prod(1 - c*z) / prod(1 - d/z)
 
 with nonnegative parameters; pole parameters c, d must stay strictly
 inside [0, 1) so phi is continuous and nonvanishing on |z| = 1.
+
+Each model's normalization constant Z, the large-order limit of its
+determinants, is a closed form in these factors.  For Toeplitz
+determinants it is the strong Szego limit (Borodin and Okounkov,
+arXiv:math/9907165), log Z = tp tm + tp (sum b + sum d) + tm (sum a +
+sum c) - sum log(1 - ab) + sum log(1 + ad) + sum log(1 + cb)
+- sum log(1 - cd); for an orthogonal-group average of psi = phi with
+tm = 0 and no b, d factors it is the O(infinity) limit (Baik and Rains,
+arXiv:math/9905083), log Z = tp^2/2 + tp (sum a + sum c)
+- sum_{i<j} log(1 - a_i a_j) - sum_{i<=j} log(1 - c_i c_j) + sum log(1 + ac).
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,15 +43,29 @@ __all__ = [
     "FourierTable",
     "ModelKind",
     "ModelSpec",
+    "ModelRule",
+    "MODEL_RULES",
     "build_symbol",
     "evaluate_symbol",
     "fourier_coeffs",
     "normalization_log_z",
+    "strong_szego_log_z",
+    "ogroup_log_z",
 ]
 
 
-def _as_float_tuple(xs) -> tuple[float, ...]:
-    return tuple(float(x) for x in xs)
+def _set_nonnegative(spec, scalars, lists) -> None:
+    """Store the named fields of a frozen dataclass as a float or a tuple
+    of floats; each value must be finite and >= 0."""
+    for name in scalars:
+        object.__setattr__(spec, name, float(getattr(spec, name)))
+    for name in lists:
+        object.__setattr__(spec, name, tuple(float(x) for x in getattr(spec, name)))
+    named = [(name, getattr(spec, name)) for name in scalars]
+    named += [(f"{name} entries", v) for name in lists for v in getattr(spec, name)]
+    for name, v in named:
+        if not math.isfinite(v) or v < 0.0:
+            raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -63,22 +87,9 @@ class SymbolSpec:
     poles_minus: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros_plus", _as_float_tuple(self.zeros_plus))
-        object.__setattr__(self, "zeros_minus", _as_float_tuple(self.zeros_minus))
-        object.__setattr__(self, "poles_plus", _as_float_tuple(self.poles_plus))
-        object.__setattr__(self, "poles_minus", _as_float_tuple(self.poles_minus))
-        for name in ("exp_plus_t", "exp_minus_t"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("zeros_plus", "zeros_minus"):
-            for q in getattr(self, name):
-                if not math.isfinite(q) or q < 0.0:
-                    raise ValidationError(
-                        f"{name} entries must be finite and >= 0, got {q!r}"
-                    )
+        _set_nonnegative(self, ("exp_plus_t", "exp_minus_t"), ("zeros_plus", "zeros_minus"))
         for name in ("poles_plus", "poles_minus"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
             for q in getattr(self, name):
                 if not (0.0 <= q < 1.0):
                     raise ValidationError(
@@ -151,27 +162,6 @@ class FourierTable:
         # of the quadrature output, which roundoff breaks
         return self.symbol.is_symmetric
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "coeffs": [float(c) for c in self.coeffs],
-                "half_width": self.half_width,
-                "quadrature_nodes": self.quadrature_nodes,
-                "symbol": json.loads(self.symbol.to_json()),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierTable":
-        d = json.loads(text)
-        return cls(
-            coeffs=np.asarray(d["coeffs"], dtype=float),
-            half_width=int(d["half_width"]),
-            quadrature_nodes=int(d["quadrature_nodes"]),
-            symbol=SymbolSpec(**d["symbol"]),
-        )
-
 
 def default_node_count(half_width: int) -> int:
     return max(64, 16 * (half_width + 1))
@@ -240,7 +230,8 @@ class ModelSpec:
     line rates live in ``col_params``.  ``alpha`` is the boundary rate of
     the symmetrized models, ``alpha_plus`` / ``alpha_minus`` the two axis
     rates of the external-source model.  ``m_rows`` and ``n_cols`` default
-    to the parameter list lengths.
+    to the parameter list lengths.  The lists each kind needs and the
+    products that must lie in [0, 1) are its entry in ``MODEL_RULES``.
     """
 
     kind: ModelKind
@@ -254,53 +245,17 @@ class ModelSpec:
     n_cols: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "row_params", _as_float_tuple(self.row_params))
-        object.__setattr__(self, "col_params", _as_float_tuple(self.col_params))
-        if self.m_rows == 0:
-            object.__setattr__(self, "m_rows", len(self.row_params))
-        if self.n_cols == 0:
-            object.__setattr__(self, "n_cols", len(self.col_params))
-        for name in ("t", "alpha", "alpha_plus", "alpha_minus"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        kind = self.kind
-        if kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_B, ModelKind.LATTICE_C):
-            if not self.row_params or not self.col_params:
-                raise ValidationError(f"{kind.value} needs row_params and col_params")
-            if self.m_rows != len(self.row_params) or self.n_cols != len(self.col_params):
-                raise ValidationError(
-                    "m_rows/n_cols must match the parameter list lengths"
-                )
-        if kind in (ModelKind.POISSON_LINES_D, ModelKind.POISSON_LINES_E):
-            if not self.col_params:
-                raise ValidationError(f"{kind.value} needs line rates in col_params")
-        if kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
-            if not self.row_params:
-                raise ValidationError(f"{kind.value} needs row_params")
-        if kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_C, ModelKind.LATTICE_A_SYM,
-                    ModelKind.LATTICE_C_SYM):
-            self._check_products()
-
-    def _check_products(self) -> None:
-        # Pairwise products index the geometric weights; each must be a
-        # valid geometric parameter.
-        if self.kind in (ModelKind.LATTICE_A, ModelKind.LATTICE_C):
-            pairs = [
-                (f"q_{i+1}*q'_{j+1}", qi * qj)
-                for i, qi in enumerate(self.row_params)
-                for j, qj in enumerate(self.col_params)
-            ]
-        else:
-            qs = self.row_params
-            pairs = [(f"alpha*q_{i+1}", self.alpha * q) for i, q in enumerate(qs)]
-            pairs += [
-                (f"q_{i+1}*q_{j+1}", qs[i] * qs[j])
-                for i in range(len(qs))
-                for j in range(i, len(qs))
-            ]
-        for label, p in pairs:
+        _set_nonnegative(
+            self, ("t", "alpha", "alpha_plus", "alpha_minus"), ("row_params", "col_params")
+        )
+        object.__setattr__(self, "m_rows", self.m_rows or len(self.row_params))
+        object.__setattr__(self, "n_cols", self.n_cols or len(self.col_params))
+        if self.m_rows != len(self.row_params) or self.n_cols != len(self.col_params):
+            raise ValidationError("m_rows/n_cols must match the parameter list lengths")
+        rule = MODEL_RULES[self.kind]
+        if not all(getattr(self, name) for name in rule.needs):
+            raise ValidationError(f"{self.kind.value} needs {' and '.join(rule.needs)}")
+        for label, p in rule.products(self):
             if not (0.0 <= p < 1.0):
                 raise ValidationError(
                     f"{self.kind.value}: product {label} = {p} must lie in [0, 1)"
@@ -318,83 +273,131 @@ class ModelSpec:
         return cls(**d)
 
 
-def build_symbol(model: ModelSpec) -> SymbolSpec:
-    """Return the circle symbol whose Toeplitz determinants solve ``model``.
+def strong_szego_log_z(spec: SymbolSpec) -> float:
+    """log lim D_n of the symbol's Toeplitz determinants (strong Szego)."""
+    a, b, c, d = spec.zeros_plus, spec.zeros_minus, spec.poles_plus, spec.poles_minus
+    tp, tm = spec.exp_plus_t, spec.exp_minus_t
+    out = tp * tm + tp * (sum(b) + sum(d)) + tm * (sum(a) + sum(c))
+    out -= sum(math.log1p(-x * y) for x in a for y in b)
+    out += sum(math.log1p(x * y) for x in a for y in d)
+    out += sum(math.log1p(x * y) for x in c for y in b)
+    return out - sum(math.log1p(-x * y) for x in c for y in d)
 
-    The triangle and external-source models reduce to the same symbol as
-    the Poisson square model; their boundary rates enter the distribution
-    formulas through polynomial evaluations rather than the symbol.  The
-    triangle-FS and the two symmetrized models carry the symbol psi of
-    their orthogonal-group average; its determinants are Toeplitz +-
-    Hankel in the coefficients of psi(z) psi(1/z), not plain Toeplitz.
-    """
-    k = model.kind
-    if k in (ModelKind.POISSON_SQUARE, ModelKind.POISSON_TRIANGLE,
-             ModelKind.POISSON_EXTERNAL):
-        if model.t == 0.0 and k is ModelKind.POISSON_SQUARE:
-            return SymbolSpec()
-        return SymbolSpec(exp_plus_t=model.t, exp_minus_t=model.t)
-    if k is ModelKind.LATTICE_A:
-        return SymbolSpec(zeros_plus=model.row_params, zeros_minus=model.col_params)
-    if k is ModelKind.LATTICE_B:
-        return SymbolSpec(zeros_plus=model.row_params, poles_minus=model.col_params)
-    if k is ModelKind.LATTICE_C:
-        return SymbolSpec(poles_plus=model.row_params, poles_minus=model.col_params)
-    if k is ModelKind.POISSON_LINES_D:
-        return SymbolSpec(exp_plus_t=model.t, zeros_minus=model.col_params)
-    if k is ModelKind.POISSON_LINES_E:
-        return SymbolSpec(exp_plus_t=model.t, poles_minus=model.col_params)
-    if k is ModelKind.TRIANGLE_POISSON_FS:
-        return SymbolSpec(exp_plus_t=model.t, zeros_plus=(model.alpha,))
-    if k is ModelKind.LATTICE_A_SYM:
-        return SymbolSpec(zeros_plus=(model.alpha,) + model.row_params)
-    if k is ModelKind.LATTICE_C_SYM:
-        return SymbolSpec(zeros_plus=(model.alpha,), poles_plus=model.row_params)
-    raise ValidationError(f"unsupported model kind {k!r}")
+
+def ogroup_log_z(spec: SymbolSpec) -> float:
+    """log lim E_{O(ell)} det psi(U), psi the plus-side factors of the symbol."""
+    a, c, t = spec.zeros_plus, spec.poles_plus, spec.exp_plus_t
+    out = 0.5 * t * t + t * (sum(a) + sum(c))
+    out -= sum(math.log1p(-x * y) for i, x in enumerate(a) for y in a[i + 1 :])
+    out -= sum(math.log1p(-x * y) for i, x in enumerate(c) for y in c[i:])
+    return out + sum(math.log1p(x * y) for x in a for y in c)
+
+
+def _grid_products(m: ModelSpec) -> list[tuple[str, float]]:
+    return [
+        (f"q_{i+1}*q'_{j+1}", qi * qj)
+        for i, qi in enumerate(m.row_params)
+        for j, qj in enumerate(m.col_params)
+    ]
+
+
+def _symmetric_products(m: ModelSpec) -> list[tuple[str, float]]:
+    qs = m.row_params
+    return [(f"alpha*q_{i+1}", m.alpha * q) for i, q in enumerate(qs)] + [
+        (f"q_{i+1}*q_{j+1}", qs[i] * qs[j])
+        for i in range(len(qs))
+        for j in range(i, len(qs))
+    ]
+
+
+class ModelRule(NamedTuple):
+    """One model kind: the symbol of its determinants, its log Z, the
+    parameter lists it needs and the products that must lie in [0, 1)."""
+
+    symbol: Callable[[ModelSpec], SymbolSpec]
+    log_z: Callable[[ModelSpec], float]
+    needs: tuple[str, ...] = ()
+    products: Callable[[ModelSpec], list[tuple[str, float]]] = lambda m: []
+
+
+def _rule(symbol, limit, *checks) -> ModelRule:
+    """The rule of a kind whose log Z is ``limit`` of its own symbol."""
+    return ModelRule(symbol, lambda m: limit(symbol(m)), *checks)
+
+
+def _square(m: ModelSpec) -> SymbolSpec:
+    return SymbolSpec(exp_plus_t=m.t, exp_minus_t=m.t)
+
+
+def _triangle_fs(m: ModelSpec) -> SymbolSpec:
+    return SymbolSpec(exp_plus_t=m.t, zeros_plus=(m.alpha,))
+
+
+_GRID = ("row_params", "col_params")
+
+# The triangle and external-source laws are built on the square's
+# recursion, their boundary rates entering through polynomial evaluations.
+# The triangle-FS and symmetrized kinds carry the psi of their group average.
+MODEL_RULES = {
+    ModelKind.POISSON_SQUARE: _rule(_square, strong_szego_log_z),
+    ModelKind.POISSON_TRIANGLE: ModelRule(_square, lambda m: ogroup_log_z(_triangle_fs(m))),
+    ModelKind.POISSON_EXTERNAL: ModelRule(
+        _square,
+        lambda m: strong_szego_log_z(_square(m)) + (m.alpha_plus + m.alpha_minus) * m.t,
+    ),
+    ModelKind.LATTICE_A: _rule(
+        lambda m: SymbolSpec(zeros_plus=m.row_params, zeros_minus=m.col_params),
+        strong_szego_log_z, _GRID, _grid_products,
+    ),
+    ModelKind.LATTICE_B: _rule(
+        lambda m: SymbolSpec(zeros_plus=m.row_params, poles_minus=m.col_params),
+        strong_szego_log_z, _GRID,
+    ),
+    ModelKind.LATTICE_C: _rule(
+        lambda m: SymbolSpec(poles_plus=m.row_params, poles_minus=m.col_params),
+        strong_szego_log_z, _GRID, _grid_products,
+    ),
+    ModelKind.POISSON_LINES_D: _rule(
+        lambda m: SymbolSpec(exp_plus_t=m.t, zeros_minus=m.col_params),
+        strong_szego_log_z, ("col_params",),
+    ),
+    ModelKind.POISSON_LINES_E: _rule(
+        lambda m: SymbolSpec(exp_plus_t=m.t, poles_minus=m.col_params),
+        strong_szego_log_z, ("col_params",),
+    ),
+    ModelKind.TRIANGLE_POISSON_FS: _rule(_triangle_fs, ogroup_log_z),
+    ModelKind.LATTICE_A_SYM: _rule(
+        lambda m: SymbolSpec(zeros_plus=(m.alpha,) + m.row_params),
+        ogroup_log_z, ("row_params",), _symmetric_products,
+    ),
+    ModelKind.LATTICE_C_SYM: _rule(
+        lambda m: SymbolSpec(zeros_plus=(m.alpha,), poles_plus=m.row_params),
+        ogroup_log_z, ("row_params",), _symmetric_products,
+    ),
+}
+
+
+def build_symbol(model: ModelSpec) -> SymbolSpec:
+    """The circle symbol whose determinants solve ``model`` (``MODEL_RULES``)."""
+    return MODEL_RULES[model.kind].symbol(model)
 
 
 def normalization_log_z(model: ModelSpec) -> float:
-    """log of the normalization constant Z of the model's law.
+    """log of the normalization constant Z of the model's law, the
+    large-order limit of its determinants, in closed form in the factors
+    of its symbol.  Toeplitz kinds take the strong Szego limit (Borodin and
+    Okounkov, arXiv:math/9907165)
 
-    Z is the large-order limit of the model's determinants.  For the
-    Poisson square at t > 6 (the extended-precision route) the log-norms
-    must sum to log Z = t^2; ``exact_dist.toeplitz_opuc`` checks that strong
-    Szego identity and refuses the data when it fails.
+        tp tm + tp (sum b + sum d) + tm (sum a + sum c) - sum log(1 - ab)
+        + sum log(1 + ad) + sum log(1 + cb) - sum log(1 - cd),
+
+    group-average kinds, psi = e^{tz} prod(1 + az) / prod(1 - cz), the
+    O(infinity) limit (Baik and Rains, arXiv:math/9905083)
+
+        t^2/2 + t (sum a + sum c) - sum_{i<j} log(1 - a_i a_j)
+        - sum_{i<=j} log(1 - c_i c_j) + sum log(1 + ac).
+
+    The triangle takes the group form of the triangle-FS psi; only the
+    external-source kind has a term of its own, (alpha+ + alpha-) t.
     """
-    k = model.kind
-    t = model.t
-    if k is ModelKind.POISSON_SQUARE:
-        return t * t
-    if k in (ModelKind.POISSON_TRIANGLE, ModelKind.TRIANGLE_POISSON_FS):
-        return model.alpha * t + 0.5 * t * t
-    if k is ModelKind.POISSON_EXTERNAL:
-        return (model.alpha_plus + model.alpha_minus) * t + t * t
-    if k in (ModelKind.LATTICE_A, ModelKind.LATTICE_C):
-        return -sum(
-            math.log1p(-qi * qj) for qi in model.row_params for qj in model.col_params
-        )
-    if k is ModelKind.LATTICE_B:
-        return sum(
-            math.log1p(qi * qj) for qi in model.row_params for qj in model.col_params
-        )
-    if k in (ModelKind.POISSON_LINES_D, ModelKind.POISSON_LINES_E):
-        return t * sum(model.col_params)
-    if k is ModelKind.LATTICE_A_SYM:
-        qs = model.row_params
-        out = -sum(math.log1p(-model.alpha * q) for q in qs)
-        out -= sum(
-            math.log1p(-qs[i] * qs[j])
-            for i in range(len(qs))
-            for j in range(i + 1, len(qs))
-        )
-        return out
-    if k is ModelKind.LATTICE_C_SYM:
-        qs = model.row_params
-        out = sum(math.log1p(model.alpha * q) - math.log1p(-q * q) for q in qs)
-        out -= sum(
-            math.log1p(-qs[i] * qs[j])
-            for i in range(len(qs))
-            for j in range(i + 1, len(qs))
-        )
-        return out
-    raise ValidationError(f"unsupported model kind {k!r}")
+    return MODEL_RULES[model.kind].log_z(model)

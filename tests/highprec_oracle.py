@@ -1,15 +1,18 @@
-"""Floating-point mpmath recursion for the Poisson-square symbol: a test oracle.
+"""Oracles for the circle recursion, used by the tests only.
 
-The Toeplitz recursion on the moments I_j(2t) from ``mpmath.besseli``,
-one scalar mpf at a time.  It costs O(cutoff^2 * dps) interpreted bignum
-operations, so the package runs the same recursion in fixed-point
-integers on Miller moments instead, and the tests compare the two.
+``square_opuc_mpf`` is the Toeplitz recursion for the Poisson-square
+symbol on the moments I_j(2t) from ``mpmath.besseli``, one scalar mpf at a
+time.  It costs O(cutoff^2 * dps) interpreted bignum operations, so the
+package runs the same recursion in fixed-point integers on Miller moments
+instead, and the tests compare the two.  ``eval_pi_dense`` builds one
+orthogonal polynomial by a dense linear solve instead of the recursion.
 """
 
 import mpmath as mp
 import numpy as np
 
-from lppdet.errors import BreakdownError
+from lppdet.errors import BreakdownError, ValidationError
+from lppdet.symbols import FourierTable
 
 
 def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -39,3 +42,30 @@ def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.nda
             b[k + 1] = float(b_next)
             log_norms[k + 1] = float(mp.log(n_cur))
     return b, log_norms
+
+
+def eval_pi_dense(coeffs: FourierTable, k: int, z) -> tuple[complex, complex]:
+    """Oracle: build pi_k by solving the moment linear system, then Horner.
+
+    Solves sum_a c_a phi_{j-a} = 0 for j = 0..k-1 with c_k = 1.  Cost
+    O(k^3); desk scale only.
+    """
+    J = coeffs.half_width
+    if J < k:
+        raise ValidationError("Fourier table too narrow for requested degree")
+    c = np.zeros(k + 1)
+    c[k] = 1.0
+    if k > 0:
+        rows = np.arange(k)
+        a = np.arange(k)
+        mat = coeffs.coeffs[(rows[:, None] - a[None, :]) + J]
+        rhs = -coeffs.coeffs[(rows - k) + J]
+        c[:k] = np.linalg.solve(mat, rhs)
+    zc = complex(z)
+    pi_val = 0.0 + 0.0j
+    for a in range(k, -1, -1):
+        pi_val = pi_val * zc + c[a]
+    star_val = 0.0 + 0.0j
+    for a in range(k + 1):
+        star_val = star_val * zc + c[a]
+    return pi_val, star_val

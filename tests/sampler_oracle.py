@@ -1,9 +1,12 @@
-"""Per-draw samplers of the Poisson models: a test oracle.
+"""Oracles for the samplers, used by the tests only.
 
-One draw at a time, every point placed by its coordinates and every chain
-found by sorting the points and patience sorting in Python.  The package
-samples a whole block of draws at once instead (``montecarlo.SAMPLERS``),
-and the tests compare the two in distribution.
+Per-draw samplers of the Poisson models: one draw at a time, every point
+placed by its coordinates and every chain found by sorting the points and
+patience sorting in Python.  The package samples a whole block of draws at
+once instead (``montecarlo.SAMPLERS``), and the tests compare the two in
+distribution.  Also quadratic dynamic programs for the longest increasing
+subsequence and the lattice path rules, and a numerical check of the
+parity-weighted geometric diagonal law.
 """
 
 import numpy as np
@@ -106,3 +109,74 @@ ORACLES = {
     ModelKind.POISSON_LINES_D: _sample_lines,
     ModelKind.POISSON_LINES_E: _sample_lines,
 }
+
+
+def lis_quadratic(values, strict: bool = True) -> int:
+    """O(n^2) dynamic-programming oracle for ``patience_lis``."""
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    if n == 0:
+        return 0
+    best = np.ones(n, dtype=np.int64)
+    for i in range(1, n):
+        mask = v[:i] < v[i] if strict else v[:i] <= v[i]
+        if mask.any():
+            best[i] = 1 + best[:i][mask].max()
+    return int(best.max())
+
+
+def g_prime_pmf_check(alpha: float, q: float, tol: float = 1e-12) -> None:
+    """Verify the parity-weighted geometric law sums to one.
+
+    The law P(k) proportional to alpha^(k mod 2) q^k normalizes to
+    (1 - q^2)/(1 + alpha q); this check sums the series numerically with
+    a geometric tail bound.
+    """
+    if not (0.0 <= q < 1.0) or alpha < 0.0:
+        raise ValidationError(
+            f"need q in [0,1) and alpha >= 0, got q={q}, alpha={alpha}"
+        )
+    if q == 0.0:
+        return
+    c = (1.0 - q * q) / (1.0 + alpha * q)
+    total = 0.0
+    k_top = 400
+    for k in range(k_top + 1):
+        total += c * (alpha if k % 2 else 1.0) * q**k
+    tail = c * max(1.0, alpha) * q ** (k_top + 1) / (1.0 - q)
+    if abs(total - 1.0) > tol + tail:
+        raise ValidationError(
+            f"parity-geometric law fails to normalize: sum={total!r}"
+        )
+
+
+# lattice kind -> (predecessor rule, cell value) of the path rules in
+# ``montecarlo.LATTICES``
+_PATH_RULES = {
+    ModelKind.LATTICE_A: (lambda a, b: a[0] <= b[0] and a[1] <= b[1], False),
+    ModelKind.LATTICE_B: (lambda a, b: a[0] <= b[0] and a[1] < b[1], False),
+    ModelKind.LATTICE_C: (lambda a, b: a[0] < b[0] and a[1] < b[1], True),
+}
+_PATH_RULES[ModelKind.LATTICE_A_SYM] = _PATH_RULES[ModelKind.LATTICE_A]
+_PATH_RULES[ModelKind.LATTICE_C_SYM] = _PATH_RULES[ModelKind.LATTICE_C]
+
+
+def lattice_chain_reference(x: np.ndarray, kind: ModelKind) -> int:
+    """O((MN)^2) oracle over all admissible predecessor pairs; one array.
+
+    Strict/strict chains count occupied cells, the others sum entries.
+    """
+    admissible, counts_cells = _PATH_RULES[kind]
+    m, n = x.shape
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    if counts_cells:
+        cells = [c for c in cells if x[c] > 0]
+    best = {}
+    out = 0
+    for b in cells:  # row-major order dominates the partial orders
+        value = 1 if counts_cells else x[b]
+        best[b] = value + max(
+            (best[a] for a in best if admissible(a, b)), default=0
+        )
+        out = max(out, best[b])
+    return int(out)

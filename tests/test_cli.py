@@ -13,7 +13,7 @@ from lppdet import cli, exact_dist
 from lppdet.cache import CACHE_ENV_VAR
 from lppdet.errors import BreakdownError, TruncationError
 from lppdet.montecarlo import SAMPLERS
-from lppdet.symbols import ModelKind
+from lppdet.symbols import MODEL_RULES, ModelKind
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -80,6 +80,22 @@ def test_validation_exits_one(run):
 def test_missing_model_params_exit_one(run):
     code, _ = run("dist", "lattice-a")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lattice-b", "--q=-0.5", "--qp", "0.5"),
+        ("lattice-b", "--q", "nan", "--qp", "0.5"),
+        ("lines-d", "--t", "1", "--q", "nan"),
+        ("lines-e", "--t", "1", "--q", "inf"),
+    ],
+)
+def test_mc_refuses_negative_or_non_finite_rates(run, capsys, argv):
+    """Such rates once gave chains of 0 or a numpy traceback."""
+    code, _ = run("mc", *argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_flag_exits_one(run):
@@ -153,6 +169,41 @@ def test_mc_cross_checks_the_range_of_its_rows(run, monkeypatch):
     monkeypatch.setattr(cli, "exact_law", above_one)
     code, _ = run("verify", "mc-cross", "--model", "square", "--trials", "400")
     assert code == 3
+
+
+def test_triangle_rows_past_the_tail_bound_are_refused_one_by_one(run, capsys):
+    """At t = 3 the product truncation bound of the triangle rows sits on the
+    float64 roundoff plateau just past 1e-12 for some lmax.  A table exits 2
+    and names the bound; mc-cross refuses those thresholds instead of
+    failing numerically (here every row shares the bound, so none is left
+    to compare)."""
+    code, _ = run("dist", "triangle", "--t", "3", "--alpha", "0.5", "--lmax", "15")
+    assert code == 2
+    assert re.search(r"error bound \d\.\d+e-\d+ exceeds 1e-12", capsys.readouterr().err)
+    code, _ = run(
+        "--seed", "0", "verify", "mc-cross", "--model", "triangle", "--t", "3",
+        "--alpha", "0.5", "--trials", "20000",
+    )
+    assert code != 2
+
+
+def test_mc_cross_lists_a_refused_triangle_row(run, monkeypatch):
+    real = exact_dist.EXACT_ROUTES[ModelKind.POISSON_TRIANGLE]
+
+    def loose_first_row(model, lmax):
+        rows, info = real(model, lmax)
+        rows[1] = (rows[1][0], 2e-12)
+        return rows, info
+
+    monkeypatch.setitem(exact_dist.EXACT_ROUTES, ModelKind.POISSON_TRIANGLE, loose_first_row)
+    code, out = run(
+        "--seed", "0", "verify", "mc-cross", "--model", "triangle", "--t", "1",
+        "--alpha", "0.5", "--trials", "2000",
+    )
+    assert code == 0
+    report = json.loads((out / "verify_mc-cross.json").read_text())
+    assert report["refused_thresholds"] == [1]
+    assert 3 in [c["ell"] for c in report["comparisons"]]
 
 
 def test_failed_suite_exits_three(run, monkeypatch):
@@ -283,3 +334,20 @@ def test_every_model_kind_has_a_cli_name_route_and_sampler():
         assert kind in named, f"{kind} has no command-line name"
         assert kind in exact_dist.EXACT_ROUTES, f"{kind} has no exact route"
         assert kind in SAMPLERS, f"{kind} has no sampler"
+        assert kind in MODEL_RULES, f"{kind} has no symbol rule"
+
+
+def test_every_exported_name_resolves():
+    """No ``__all__`` of the package or its modules lists a stale name."""
+    import importlib
+    import pkgutil
+
+    import lppdet
+
+    modules = [lppdet] + [
+        importlib.import_module(f"lppdet.{info.name}")
+        for info in pkgutil.iter_modules(lppdet.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

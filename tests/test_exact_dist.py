@@ -27,7 +27,6 @@ from lppdet.exact_dist import (
     prob_triangle_odd,
     scaled_cdf,
     square_opuc,
-    symmetrized_lattice_prob,
     toeplitz_prob,
     weyl_ogroup_expectation,
 )
@@ -306,15 +305,15 @@ def test_symmetrized_lattice_frozen_tables():
     asym = ModelSpec(kind=ModelKind.LATTICE_A_SYM, alpha=0.4, row_params=(0.3, 0.25))
     expected = [0.7326, 0.948717, 0.9915924150000001, 0.9987406679249312]
     for ell, value in enumerate(expected):
-        assert symmetrized_lattice_prob(asym, ell) == pytest.approx(value, abs=1e-11)
+        assert top_of_table(asym, ell) == pytest.approx(value, abs=1e-11)
     # the zero level is a pure no-point event with a closed form
     manual = (1 - 0.4 * 0.3) * (1 - 0.4 * 0.25) * (1 - 0.3 * 0.25)
-    assert symmetrized_lattice_prob(asym, 0) == pytest.approx(manual, abs=1e-13)
+    assert top_of_table(asym, 0) == pytest.approx(manual, abs=1e-13)
 
     csym = ModelSpec(kind=ModelKind.LATTICE_C_SYM, alpha=0.25, row_params=(0.3, 0.25))
     expected_c = [0.6909028727770178, 0.9819425444596444, 1.0]
     for ell, value in enumerate(expected_c):
-        assert symmetrized_lattice_prob(csym, ell) == pytest.approx(value, abs=1e-11)
+        assert top_of_table(csym, ell) == pytest.approx(value, abs=1e-11)
 
 
 def test_scaled_cdf_edges():

@@ -19,11 +19,8 @@ from lppdet.montecarlo import (
     _chain_rows,
     _patience_rows,
     brute_force_lis_distribution,
-    g_prime_pmf_check,
     haar_orthogonal_expectation,
     lattice_chain_fast,
-    lattice_chain_reference,
-    lis_quadratic,
     patience_lis,
     plancherel_lis_cdf,
     poissonized_square_cdf,
@@ -32,7 +29,14 @@ from lppdet.montecarlo import (
     sample_lattice_matrix,
 )
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
-from sampler_oracle import ORACLES, longest_chain_2d, sample_poisson_square
+from sampler_oracle import (
+    ORACLES,
+    g_prime_pmf_check,
+    lattice_chain_reference,
+    lis_quadratic,
+    longest_chain_2d,
+    sample_poisson_square,
+)
 
 # ---------------------------------------------------------------- sequences
 
@@ -408,8 +412,8 @@ def test_zero_rate_lines_receive_no_points(kind):
 
 
 def test_negative_line_rate_refused():
-    model = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=1.0, col_params=(0.5, -0.1))
     with pytest.raises(ValidationError):
+        model = ModelSpec(kind=ModelKind.POISSON_LINES_D, t=1.0, col_params=(0.5, -0.1))
         SAMPLERS[model.kind](model, np.random.default_rng(0), 10)
 
 

@@ -13,7 +13,6 @@ from lppdet.opuc import (
     _miller_moments,
     dpii_residual,
     eval_pi,
-    eval_pi_dense,
     levinson,
     recurrence_checks,
     square_opuc_highprec,
@@ -23,7 +22,7 @@ from lppdet.opuc import (
 )
 from lppdet.symbols import SymbolSpec, fourier_coeffs
 
-from highprec_oracle import square_opuc_mpf
+from highprec_oracle import eval_pi_dense, square_opuc_mpf
 
 
 def test_reflection_starts_from_bessel_ratio():

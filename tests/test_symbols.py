@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lppdet.errors import ValidationError
+from lppdet.exact_dist import ogroup_expectation_spec
+from lppdet.opuc import levinson
 from lppdet.symbols import (
     FourierTable,
     ModelKind,
@@ -17,6 +19,8 @@ from lppdet.symbols import (
     evaluate_symbol,
     fourier_coeffs,
     normalization_log_z,
+    ogroup_log_z,
+    strong_szego_log_z,
 )
 
 
@@ -177,3 +181,97 @@ def test_lattice_product_constraint(q, qp):
     else:
         with pytest.raises(ValidationError):
             ModelSpec(kind=ModelKind.LATTICE_A, row_params=(q,), col_params=(qp,))
+
+
+_rates = st.lists(st.floats(0.0, 0.6), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _models(draw, kinds):
+    """Small valid models of the given kinds, every parameter a kind reads set."""
+    return ModelSpec(
+        kind=draw(st.sampled_from(kinds)),
+        t=draw(st.floats(0.0, 1.5)),
+        alpha=draw(st.floats(0.0, 0.8)),
+        alpha_plus=draw(st.floats(0.0, 0.6)),
+        alpha_minus=draw(st.floats(0.0, 0.6)),
+        row_params=draw(_rates),
+        col_params=draw(_rates),
+    )
+
+
+_TOEPLITZ_KINDS = [
+    ModelKind.POISSON_SQUARE,
+    ModelKind.LATTICE_A,
+    ModelKind.LATTICE_B,
+    ModelKind.LATTICE_C,
+    ModelKind.POISSON_LINES_D,
+    ModelKind.POISSON_LINES_E,
+    ModelKind.POISSON_EXTERNAL,
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(model=_models(_TOEPLITZ_KINDS))
+def test_toeplitz_log_z_is_the_limit_of_the_log_norms(model):
+    """log Z against sum_k log N_k of a long float64 recursion, which
+    converges to log lim D_n.  The external-source law's determinants are
+    those of exp(t(z + 1/z)) (1 + a+ z)(1 + a-/z) times 1 - a+ a-."""
+    spec, extra = build_symbol(model), 0.0
+    if model.kind is ModelKind.POISSON_EXTERNAL:
+        a_plus, a_minus = model.alpha_plus, model.alpha_minus
+        spec = SymbolSpec(
+            exp_plus_t=model.t, exp_minus_t=model.t,
+            zeros_plus=(a_plus,), zeros_minus=(a_minus,),
+        )
+        extra = math.log1p(-a_plus * a_minus)
+    data = levinson(fourier_coeffs(spec, 42), 40)
+    assert math.fsum(data.log_norms) + extra == pytest.approx(
+        normalization_log_z(model), abs=1e-10
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    t=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    factors=st.tuples(*[_rates] * 4),
+)
+def test_strong_szego_log_z_on_every_factor_type(t, factors):
+    """The closed form against the log-norms of a symbol carrying every
+    factor type, including pairings no model kind uses (poles in z against
+    zeros in 1/z, exp(t-/z) against poles in z)."""
+    spec = SymbolSpec(t[0], t[1], *factors)
+    data = levinson(fourier_coeffs(spec, 62), 60)
+    assert math.fsum(data.log_norms) == pytest.approx(strong_szego_log_z(spec), abs=1e-10)
+
+
+@settings(deadline=None, max_examples=25)
+@given(t=st.floats(0.0, 1.0), zeros=_rates, poles=_rates)
+def test_ogroup_log_z_on_every_factor_type(t, zeros, poles):
+    """The closed form against E_{O(30)} det psi(U) for psi with an
+    exponential, zeros and poles at once."""
+    psi = SymbolSpec(exp_plus_t=t, zeros_plus=zeros, poles_plus=poles)
+    assert ogroup_expectation_spec(psi, 30) == pytest.approx(
+        math.exp(ogroup_log_z(psi)), rel=1e-9
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    model=_models([
+        ModelKind.TRIANGLE_POISSON_FS,
+        ModelKind.LATTICE_A_SYM,
+        ModelKind.LATTICE_C_SYM,
+        ModelKind.POISSON_TRIANGLE,
+    ])
+)
+def test_group_log_z_is_the_limit_of_the_group_mean(model):
+    """exp(log Z) against E_{O(30)} det psi(U), the group mean without
+    normalization; the triangle's psi is that of the triangle-FS model."""
+    psi = build_symbol(model)
+    if model.kind is ModelKind.POISSON_TRIANGLE:
+        psi = SymbolSpec(exp_plus_t=model.t, zeros_plus=(model.alpha,))
+    assert ogroup_expectation_spec(psi, 30) == pytest.approx(
+        math.exp(normalization_log_z(model)), rel=1e-9
+    )
+
