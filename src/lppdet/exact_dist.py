@@ -4,11 +4,14 @@ Every model's cumulative law is a ratio of Toeplitz-type determinants of
 its symbol, and ``EXACT_ROUTES`` holds one route per model kind that builds
 the law's data once for a whole table.  The square, lattice and lines laws
 are plain determinants, p(ell) = D_ell / Z, from one recursion builder that
-switches to extended precision for the exponential symbol at t > 6.  The
-triangle law at odd thresholds couples polynomial boundary values with two
-infinite products over odd-index norms; the external-sources law takes a
-rank-two correction of the square determinant with a removable
-singularity where the two boundary rates multiply to one.  The
+switches to extended precision for the exponential symbol at t > 2.5.  The
+triangle and external-source laws reuse the square's recursion, their
+boundary rates entering through one pass of polynomial values at -alpha,
+-a+ and -a-.  The triangle law at odd thresholds couples those values
+with two infinite products over odd-index norms, taken as suffix sums to
+the end of the table.  The external-source law is the Christoffel-Darboux
+kernel K_n(-a+, -a-) = sum_{k <= n} pi_k(-a+) pi_k(-a-) / N_k times the
+square's determinants, entire in both rates.  The
 triangle-FS and symmetrized lattice laws are orthogonal-group averages,
 evaluated as Toeplitz +- Hankel determinants of psi(z) psi(1/z) with a
 float64 conditioning guard; the triangle-FS one is an independent route
@@ -54,9 +57,10 @@ __all__ = [
     "toeplitz_opuc",
     "square_opuc",
     "toeplitz_prob",
-    "prob_square_product",
     "prob_triangle_odd",
+    "triangle_rows",
     "prob_external",
+    "external_rows",
     "OGROUP_ROUTE",
     "OGROUP_TOL",
     "ogroup_law",
@@ -78,7 +82,7 @@ def _default_cutoff(t: float, ell: int) -> int:
     return int(2.0 * t + 10.0 * t ** (1.0 / 3.0) + 20.0) + max(0, ell)
 
 
-_HIGHPREC_T = 6.0
+_HIGHPREC_T = 2.5
 # largest |sum_k log N_k - t^2| accepted from the extended-precision route.
 # At the default precision all 51 benchmark-catalogue squares with
 # t = 7..120 stay within 1.8e-12.  Short of digits the residual grows about
@@ -90,9 +94,13 @@ def toeplitz_opuc(spec: SymbolSpec, cutoff: int) -> OpucData:
     """Circle-recursion data of a symbol up to ``cutoff``.
 
     Runs float64 Levinson on the symbol's Fourier table, except for the
-    exponential symbol exp(t(z + 1/z)) at t > 6, where e^{2t} eats the
+    exponential symbol exp(t(z + 1/z)) at t > 2.5, where e^{2t} eats the
     double-precision headroom: there the recursion runs in fixed-point
-    integers on Miller moments (``square_opuc_highprec``).  Whenever that
+    integers on Miller moments (``square_opuc_highprec``).  The float64
+    square is 2.6e-13 off exact at t = 2.5, 1.5e-11 at t = 3, 6.1e-10 at
+    t = 4 and 1.3e-6 at t = 6, with nothing to bound that error, while the
+    fixed-point data stays within 1.3e-14 at every t; the triangle and
+    external-source laws inherit the same error.  Whenever that
     route's cutoff reaches past the point where the reflection data is
     numerically zero, the log-norms must sum to log Z = t^2 (strong Szego)
     within SZEGO_TOL, or the data is refused with a BreakdownError: too
@@ -138,24 +146,6 @@ def toeplitz_prob(log_z: float, ell: int, opuc: OpucData) -> float:
     return math.exp(-log_z + toeplitz_log_det(opuc, ell))
 
 
-def prob_square_product(
-    t: float, ell: int, opuc: OpucData
-) -> tuple[float, float]:
-    """Same law through the complementary product over norms >= ell.
-
-    Returns (probability, error bound).  The representation
-    exp(-sum_{k>=ell} log N_k) uses that the log-norms sum to t^2 (strong
-    Szego); the bound is the geometric remainder of the unsummed terms
-    plus p times the table's own residual |sum_k log N_k - t^2|, which
-    float64 roundoff in the norms leaves at about 6e-11 by t = 3.
-    """
-    logs = opuc.log_norms[ell:]
-    tail = _geometric_remainder(np.abs(logs))
-    p = math.exp(-float(np.sum(logs)))
-    szego = abs(float(np.sum(opuc.log_norms)) - t * t)
-    return p, tail + p * szego
-
-
 def _geometric_remainder(terms: np.ndarray) -> float:
     """Bound sum of the continuation of a decaying positive sequence.
 
@@ -191,38 +181,37 @@ def _geometric_remainder(terms: np.ndarray) -> float:
     return best + float(terms[-1])
 
 
-def triangle_tail_bound(opuc: OpucData, ell: int, k_tail: int) -> float:
-    """Bound on dropping product factors past index ell + k_tail.
+def triangle_tail_bound(opuc: OpucData, k: int) -> float:
+    """Bound on dropping the boundary-product factors from half-index k on.
 
     Factor k of the boundary products differs from 1 by at most
     |log N_{2k+1}| + |b(2k+1)| up to second order, so the sum of those
-    beyond the truncation, plus a geometric continuation, bounds the
-    relative truncation error.
+    from index 2k + 1 to the cutoff, plus a geometric continuation, bounds
+    the relative truncation error.
     """
-    start = ell + k_tail
-    idx = np.arange(2 * start + 1, opuc.cutoff + 1, 2)
+    idx = np.arange(2 * k + 1, opuc.cutoff + 1, 2)
     if len(idx) == 0:
         raise ValidationError(
             f"cutoff {opuc.cutoff} leaves no margin past the truncation "
-            f"point 2*(ell + k_tail) = {2 * start}; rebuild with a larger cutoff"
+            f"point {2 * k}; rebuild with a larger cutoff"
         )
     terms = np.abs(opuc.log_norms[idx]) + np.abs(opuc.reflection[idx])
     return float(np.sum(terms)) + _geometric_remainder(terms)
 
 
-_TRIANGLE_K_TAIL = 40
 _TRIANGLE_TAIL_TOL = 1e-12
 
 
 def prob_triangle_odd(t: float, alpha: float, ell: int, opuc: OpucData) -> float:
     """P(longest chain <= 2*ell + 1) for the triangle process.
 
-    Combines the degree-2*ell polynomial pair at -alpha with the two
-    half-index norm products; the products are truncated after 40
-    factors (fewer where the cutoff ends first) and the dropped mass,
-    bounded by ``triangle_tail_bound``, must stay within 1e-12.
+    Row ell of ``triangle_rows``; its product truncation bound must stay
+    within 1e-12.
     """
-    p, bound = _triangle_row(t, alpha, ell, opuc)
+    rows = triangle_rows(t, alpha, ell, opuc)
+    if ell < 0:
+        return 0.0
+    p, bound = rows[ell]
     if bound > _TRIANGLE_TAIL_TOL:
         raise TruncationError(
             f"product truncation bound {bound:.3e} exceeds {_TRIANGLE_TAIL_TOL:.1e}; "
@@ -231,42 +220,43 @@ def prob_triangle_odd(t: float, alpha: float, ell: int, opuc: OpucData) -> float
     return p
 
 
-def _triangle_row(
-    t: float, alpha: float, ell: int, opuc: OpucData
-) -> tuple[float, float]:
-    """(``prob_triangle_odd``, its relative truncation bound)."""
+def triangle_rows(
+    t: float, alpha: float, jmax: int, opuc: OpucData
+) -> list[tuple[float, float]]:
+    """[(P(L <= 2j + 1), relative truncation bound)] for j = 0..jmax.
+
+    Row j combines the degree-2j polynomial pair at -alpha with the two
+    half-index norm products
+
+        H+-(j) = prod_{k >= j} (1 +- b(2k+1)) / N_{2k+1},
+
+    taken as suffix sums of their logarithms up to the last odd index of
+    the table, which is left out and bounds the rest by
+    ``triangle_tail_bound``; every row shares that bound.  One pass of
+    ``eval_pi`` serves every row, so a table costs O(cutoff).
+    """
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
-    if ell < 0:
-        return 0.0, 0.0
-    k_tail = _TRIANGLE_K_TAIL
-    if 2 * (ell + k_tail) + 1 > opuc.cutoff:
-        k_tail = (opuc.cutoff - 1) // 2 - ell
-        if k_tail < 4:
-            raise ValidationError(
-                f"cutoff {opuc.cutoff} too small for ell = {ell}; need at "
-                f"least {2 * ell + 9}"
-            )
-    bound = triangle_tail_bound(opuc, ell, k_tail)
-    log_h_plus = 0.0
-    log_h_minus = 0.0
-    for k in range(ell, ell + k_tail):
-        b = float(opuc.reflection[2 * k + 1])
-        log_n = float(opuc.log_norms[2 * k + 1])
-        log_h_plus += -log_n + math.log1p(b)
-        log_h_minus += -log_n + math.log1p(-b)
-    pair = eval_pi(opuc, 2 * ell, -alpha)
-    a_plus = pair.pi_star_mantissa + alpha * pair.pi_mantissa
-    a_minus = pair.pi_star_mantissa - alpha * pair.pi_mantissa
-    value = 0.5 * (
-        a_plus * math.exp(pair.log_scale + log_h_plus)
-        + a_minus * math.exp(pair.log_scale + log_h_minus)
+    if jmax < 0:
+        return []
+    top = (opuc.cutoff - 1) // 2  # 2 * top + 1 is the last odd index
+    if top - jmax < 4:
+        raise ValidationError(
+            f"cutoff {opuc.cutoff} too small for ell = {jmax}; need at "
+            f"least {2 * jmax + 9}"
+        )
+    bound = triangle_tail_bound(opuc, top)
+    odd = np.arange(1, 2 * top, 2)
+    b, log_n = opuc.reflection[odd], opuc.log_norms[odd]
+    log_h_plus = np.cumsum((np.log1p(b) - log_n)[::-1])[::-1][: jmax + 1]
+    log_h_minus = np.cumsum((np.log1p(-b) - log_n)[::-1])[::-1][: jmax + 1]
+    pi, pi_star, log_scale = (v[::2] for v in eval_pi(opuc, 2 * jmax, -alpha))
+    front = log_scale - alpha * t
+    values = 0.5 * (
+        (pi_star + alpha * pi) * np.exp(front + log_h_plus)
+        + (pi_star - alpha * pi) * np.exp(front + log_h_minus)
     )
-    return float(math.exp(-alpha * t) * value), bound
-
-
-_EXTERNAL_SINGULAR_TOL = 1e-4
-_EXTERNAL_FD_STEP = 1e-3
+    return [(float(v), bound) for v in values]
 
 
 def prob_external(
@@ -274,59 +264,58 @@ def prob_external(
 ) -> float:
     """P(longest chain <= ell) with boundary sources of rates a_plus/a_minus.
 
-    Within 1e-4 of the removable singularity a_plus*a_minus = 1 the value
-    is recovered by a symmetric two-point evaluation in a_minus with
-    Richardson extrapolation instead of the cancelling direct quotient.
+    Row ell of ``external_rows``.
     """
     if a_plus < 0 or a_minus < 0:
         raise ValidationError("boundary rates must be >= 0")
-    if ell < 1:
-        raise ValidationError(f"ell must be >= 1, got {ell}")
+    if ell < 0:
+        raise ValidationError(f"ell must be >= 0, got {ell}")
     if ell > opuc.cutoff:
         raise ValidationError(f"ell = {ell} exceeds cutoff {opuc.cutoff}")
-    if abs(a_plus * a_minus - 1.0) >= _EXTERNAL_SINGULAR_TOL:
-        return _external_direct(t, a_plus, a_minus, ell, opuc)
-    h1 = _EXTERNAL_FD_STEP
-    coarse = 0.5 * (
-        _external_direct(t, a_plus, a_minus - h1, ell, opuc)
-        + _external_direct(t, a_plus, a_minus + h1, ell, opuc)
+    model = ModelSpec(
+        kind=ModelKind.POISSON_EXTERNAL, t=t, alpha_plus=a_plus, alpha_minus=a_minus
     )
-    h2 = 0.5 * h1
-    fine = 0.5 * (
-        _external_direct(t, a_plus, a_minus - h2, ell, opuc)
-        + _external_direct(t, a_plus, a_minus + h2, ell, opuc)
-    )
-    return (4.0 * fine - coarse) / 3.0
+    return external_rows(a_plus, a_minus, normalization_log_z(model), ell, opuc)[ell]
 
 
-def _external_log_dprime(
-    a_plus: float, a_minus: float, ell: int, opuc: OpucData
-) -> tuple[float, float]:
-    """(mantissa, log-scale) of the corrected determinant at index ell."""
-    pp = eval_pi(opuc, ell, -a_plus)
-    pm = eval_pi(opuc, ell, -a_minus)
-    num = (
-        pp.pi_star_mantissa * pm.pi_star_mantissa
-        - a_plus * a_minus * pp.pi_mantissa * pm.pi_mantissa
-    )
-    mant = num / (1.0 - a_plus * a_minus)
-    scale = pp.log_scale + pm.log_scale + toeplitz_log_det(opuc, ell)
-    return mant, scale
+def external_rows(
+    a_plus: float, a_minus: float, log_z: float, lmax: int, opuc: OpucData
+) -> list[float]:
+    """[P(L <= ell)] for ell = 0..lmax with boundary sources of rates a_plus
+    and a_minus, on the square's recursion.
 
+    The law is [D'_ell - a+ a- D'_{ell-1}] / Z, with D' the minors of
+    (1 + a+ z)(1 + a-/z) e^{t(z + 1/z)}.  By the Christoffel-Darboux
+    formula D'_n = D_{n+1} K_n, where
 
-def _external_direct(
-    t: float, a_plus: float, a_minus: float, ell: int, opuc: OpucData
-) -> float:
-    m1, s1 = _external_log_dprime(a_plus, a_minus, ell, opuc)
-    m0, s0 = _external_log_dprime(a_plus, a_minus, ell - 1, opuc)
-    log_z = (a_plus + a_minus) * t + t * t
-    # rebase both terms onto the larger scale before subtracting
-    s = max(s1, s0)
-    combined = m1 * math.exp(s1 - s) - a_plus * a_minus * m0 * math.exp(s0 - s)
-    if combined <= 0.0:
-        # exact zero or rounding residue at tiny probabilities
-        return 0.0
-    return math.exp(s - log_z) * combined
+        K_n = sum_{k <= n} pi_k(-a+) pi_k(-a-) / N_k,
+
+    so p(ell) = e^{log D_ell - log Z} [N_ell K_ell - a+ a- K_{ell-1}] is
+    entire in both rates and p(0) = e^{-log Z}.  K runs as a mantissa over
+    the largest log scale of its terms so far.
+    """
+    pi_p, _, scale_p = eval_pi(opuc, lmax, -a_plus)
+    pi_m, _, scale_m = eval_pi(opuc, lmax, -a_minus)
+    log_n = opuc.log_norms
+    rate = a_plus * a_minus
+    rows = []
+    log_d = 0.0  # log D_ell
+    kernel, log_k = 0.0, -math.inf  # K_{ell-1} = kernel * e^{log_k}
+    for ell in range(lmax + 1):
+        prev, log_prev = kernel, log_k
+        log_term = scale_p[ell] + scale_m[ell] - log_n[ell]
+        log_k = max(log_prev, log_term)
+        kernel = prev * math.exp(log_prev - log_k) + pi_p[ell] * pi_m[ell] * math.exp(
+            log_term - log_k
+        )
+        # N_ell D_ell K_ell - a+ a- D_ell K_{ell-1}, rebased onto the first
+        # term's scale before subtracting
+        log_new = log_d + log_n[ell] + log_k
+        combined = kernel - rate * prev * math.exp(log_d + log_prev - log_new)
+        # an exact zero, or rounding residue at tiny probabilities
+        rows.append(float(math.exp(log_new - log_z) * combined) if combined > 0.0 else 0.0)
+        log_d += log_n[ell]
+    return rows
 
 
 # largest certified float64 error allowed on a probability
@@ -527,7 +516,7 @@ def _log_or_neg_inf(p: float) -> float:
 # certifies for p, checked row by row by ``certified`` against the kind's
 # ROW_TOL: the group averages' float64 bound, the triangle's relative
 # product-truncation bound, and the roundoff spread of the lattice and
-# lines rows.  The square and external-source rows carry 0: past t = 6 the
+# lines rows.  The square and external-source rows carry 0: past t = 2.5 the
 # strong Szego check guards their recursion, below it only the range and
 # monotone checks do.
 Law = tuple[dict[int, tuple[float, float]], dict]
@@ -567,25 +556,20 @@ def _lattice_law(model: ModelSpec, lmax: int) -> Law:
 
 def _triangle_law(model: ModelSpec, lmax: int) -> Law:
     opuc = square_opuc(model.t, ell=lmax)
-    rows = {
-        2 * j + 1: _triangle_row(model.t, model.alpha, j, opuc)
-        for j in range((lmax - 1) // 2 + 1)
-    }
-    return rows, {
+    rows = triangle_rows(model.t, model.alpha, (lmax - 1) // 2, opuc)
+    return {2 * j + 1: row for j, row in enumerate(rows)}, {
         "cutoff": opuc.cutoff,
-        "tail_bound": max((b for _, b in rows.values()), default=0.0),
+        "tail_bound": max((b for _, b in rows), default=0.0),
         "note": "odd thresholds only; even ones bracket between neighbors",
     }
 
 
 def _external_law(model: ModelSpec, lmax: int) -> Law:
     opuc = square_opuc(model.t, ell=lmax)
-    a_plus, a_minus = model.alpha_plus, model.alpha_minus
-    rows = {
-        ell: (float(prob_external(model.t, a_plus, a_minus, ell, opuc)), 0.0)
-        for ell in range(1, lmax + 1)
-    }
-    return rows, {"cutoff": opuc.cutoff}
+    probs = external_rows(
+        model.alpha_plus, model.alpha_minus, normalization_log_z(model), lmax, opuc
+    )
+    return {ell: (p, 0.0) for ell, p in enumerate(probs)}, {"cutoff": opuc.cutoff}
 
 
 def _group_law(model: ModelSpec, lmax: int) -> Law:
@@ -620,8 +604,7 @@ EXACT_ROUTES = {
 def exact_law(model: ModelSpec, lmax: int) -> Law:
     """The model's exact law up to ``lmax`` from its route in EXACT_ROUTES:
     ({ell: (p, bound)}, provenance).  Each route builds its data once, at
-    lmax.  The triangle law has odd thresholds only, the external-source
-    law starts at ell = 1."""
+    lmax.  The triangle law has odd thresholds only."""
     if lmax < 0:
         raise ValidationError(f"lmax must be >= 0, got {lmax}")
     return EXACT_ROUTES[model.kind](model, lmax)

@@ -36,7 +36,6 @@ from .symbols import FourierTable
 
 __all__ = [
     "OpucData",
-    "ScaledPair",
     "YCorner",
     "RecurrenceReport",
     "levinson",
@@ -308,58 +307,38 @@ def toeplitz_log_det_dense(coeffs: FourierTable, order: int) -> float:
     return float(logdet)
 
 
-@dataclass(frozen=True)
-class ScaledPair:
-    """Values (pi_k(z), pi*_k(z)) with a shared log-magnitude scale.
-
-    The represented values are mantissa * exp(log_scale); the split keeps
-    evaluations finite for large |z| or large k.
-    """
-
-    pi_mantissa: complex
-    pi_star_mantissa: complex
-    log_scale: float
-
-
 _RESCALE_THRESHOLD = 1e120
 
 
-def eval_pi(data: OpucData, k: int, z) -> ScaledPair:
-    """Evaluate (pi_k(z), pi*_k(z)) by the constant-term recursion.
+def eval_pi(data: OpucData, k: int, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pi_j(x), pi*_j(x)) for every j <= k, in one pass of the recursion
 
-    pi*_k(z) = z^k pi_k(1/z) reverses the coefficient order.  For
-    asymmetric symbols the dual family rides along internally; only the
-    primary pair is returned.
+        pi_j(x)  = x pi_{j-1}(x) - b(j) pi*_{j-1}(x)
+        pi*_j(x) = pi*_{j-1}(x) - b(j) x pi_{j-1}(x)
+
+    of a symmetric symbol at a real point x; pi*_j(z) = z^j pi_j(1/z)
+    reverses the coefficient order.  Returns the mantissa arrays of pi_j
+    and pi*_j and a nondecreasing log scale, so that pi_j(x) is
+    pi[j] * exp(log_scale[j]); the scale keeps large degrees or large |x|
+    finite.
     """
     if k < 0 or k > data.cutoff:
         raise ValidationError(f"k must lie in [0, cutoff] = [0, {data.cutoff}], got {k}")
-    zc = complex(z)
-    real_input = zc.imag == 0.0
+    if not np.array_equal(data.reflection, data.reflection_dual):
+        raise ValidationError("eval_pi needs the recursion of a symmetric symbol")
     b = data.reflection
-    bd = data.reflection_dual
-    pi_v: complex = 1.0 + 0.0j
-    pis_v: complex = 1.0 + 0.0j
-    rho_v: complex = 1.0 + 0.0j
-    rhos_v: complex = 1.0 + 0.0j
-    log_scale = 0.0
+    pi = np.ones(k + 1)
+    pi_star = np.ones(k + 1)
+    log_scale = np.zeros(k + 1)
+    p, ps, scale = 1.0, 1.0, 0.0
     for j in range(1, k + 1):
-        pi_new = zc * pi_v + (-b[j]) * rhos_v
-        rho_new = zc * rho_v + (-bd[j]) * pis_v
-        pis_new = pis_v + (-b[j]) * zc * rho_v
-        rhos_new = rhos_v + (-bd[j]) * zc * pi_v
-        pi_v, rho_v, pis_v, rhos_v = pi_new, rho_new, pis_new, rhos_new
-        m = max(abs(pi_v), abs(rho_v), abs(pis_v), abs(rhos_v))
+        bj = float(b[j])
+        p, ps = x * p - bj * ps, ps - bj * x * p
+        m = max(abs(p), abs(ps))
         if m > _RESCALE_THRESHOLD:
-            inv = 1.0 / m
-            pi_v *= inv
-            rho_v *= inv
-            pis_v *= inv
-            rhos_v *= inv
-            log_scale += math.log(m)
-    if real_input:
-        pi_v = pi_v.real
-        pis_v = pis_v.real
-    return ScaledPair(pi_mantissa=pi_v, pi_star_mantissa=pis_v, log_scale=log_scale)
+            p, ps, scale = p / m, ps / m, scale + math.log(m)
+        pi[j], pi_star[j], log_scale[j] = p, ps, scale
+    return pi, pi_star, log_scale
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,19 @@ time.  It costs O(cutoff^2 * dps) interpreted bignum operations, so the
 package runs the same recursion in fixed-point integers on Miller moments
 instead, and the tests compare the two.  ``eval_pi_dense`` builds one
 orthogonal polynomial by a dense linear solve instead of the recursion.
+``prob_square_product`` reads the square law off the complementary product
+of norms, and ``triangle_law_mpf`` the triangle law off a dense
+orthogonal-group determinant.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
 
 from lppdet.errors import BreakdownError, ValidationError
+from lppdet.exact_dist import _geometric_remainder
+from lppdet.opuc import OpucData
 from lppdet.symbols import FourierTable
 
 
@@ -44,6 +51,23 @@ def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.nda
     return b, log_norms
 
 
+def prob_square_product(t: float, ell: int, opuc: OpucData) -> tuple[float, float]:
+    """P(L <= ell) of the square through the complementary product over
+    norms >= ell.
+
+    Returns (probability, error bound).  The representation
+    exp(-sum_{k>=ell} log N_k) uses that the log-norms sum to t^2 (strong
+    Szego); the bound is the geometric remainder of the unsummed terms
+    plus p times the table's own residual |sum_k log N_k - t^2|, which
+    float64 roundoff in the norms leaves at about 6e-11 by t = 3.
+    """
+    logs = opuc.log_norms[ell:]
+    tail = _geometric_remainder(np.abs(logs))
+    p = math.exp(-float(np.sum(logs)))
+    szego = abs(float(np.sum(opuc.log_norms)) - t * t)
+    return p, tail + p * szego
+
+
 def eval_pi_dense(coeffs: FourierTable, k: int, z) -> tuple[complex, complex]:
     """Oracle: build pi_k by solving the moment linear system, then Horner.
 
@@ -69,3 +93,33 @@ def eval_pi_dense(coeffs: FourierTable, k: int, z) -> tuple[complex, complex]:
     for a in range(k + 1):
         star_val = star_val * zc + c[a]
     return pi_val, star_val
+
+
+def triangle_law_mpf(t: float, alpha: float, ell: int, dps: int = 120) -> float:
+    """P(L <= ell) of the triangle at an odd ell = 2m + 1, as the
+    orthogonal-group average of psi(z) = e^{tz} (1 + alpha z) in dense
+    mpmath: with g_n = (1 + alpha^2) I_n(2t) + alpha (I_{n-1} + I_{n+1})
+    the coefficients of psi(z) psi(1/z),
+
+        (1/2) [psi(1) det(g_{j-k} - g_{j+k+1}) + psi(-1) det(g_{j-k} + g_{j+k+1})]
+
+    over m x m matrices, times e^{-t^2/2 - alpha t}.  No recursion and no
+    float64 data enter.
+    """
+    m = (ell - 1) // 2
+    with mp.workdps(dps):
+        t_, a = mp.mpf(t), mp.mpf(alpha)
+        bessel = [mp.besseli(n, 2 * t_) for n in range(2 * m + 3)]
+
+        def g(n):
+            n = abs(n)
+            return (1 + a * a) * bessel[n] + a * (bessel[abs(n - 1)] + bessel[n + 1])
+
+        def det(sign):
+            return mp.det(mp.matrix(
+                [[g(j - k) + sign * g(j + k + 1) for k in range(m)] for j in range(m)]
+            )) if m else mp.mpf(1)
+
+        psi_plus, psi_minus = mp.exp(t_) * (1 + a), mp.exp(-t_) * (1 - a)
+        mean = (psi_plus * det(-1) + psi_minus * det(1)) / 2
+        return float(mean * mp.exp(-t_ * t_ / 2 - a * t_))

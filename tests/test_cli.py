@@ -171,20 +171,28 @@ def test_mc_cross_checks_the_range_of_its_rows(run, monkeypatch):
     assert code == 3
 
 
-def test_triangle_rows_past_the_tail_bound_are_refused_one_by_one(run, capsys):
-    """At t = 3 the product truncation bound of the triangle rows sits on the
-    float64 roundoff plateau just past 1e-12 for some lmax.  A table exits 2
-    and names the bound; mc-cross refuses those thresholds instead of
-    failing numerically (here every row shares the bound, so none is left
-    to compare)."""
+def test_triangle_rows_past_the_tail_bound_are_refused_one_by_one(run, capsys, monkeypatch):
+    """Triangle rows whose product truncation bound passes 1e-12 (forced
+    here from row 5 on) are refused: a table exits 2 and names the bound,
+    and mc-cross lists each refused threshold and compares only the rest."""
+    real = exact_dist.EXACT_ROUTES[ModelKind.POISSON_TRIANGLE]
+
+    def loose_upper_rows(model, lmax):
+        rows, info = real(model, lmax)
+        return {ell: (p, 3.3e-12 if ell >= 5 else b) for ell, (p, b) in rows.items()}, info
+
+    monkeypatch.setitem(exact_dist.EXACT_ROUTES, ModelKind.POISSON_TRIANGLE, loose_upper_rows)
     code, _ = run("dist", "triangle", "--t", "3", "--alpha", "0.5", "--lmax", "15")
     assert code == 2
-    assert re.search(r"error bound \d\.\d+e-\d+ exceeds 1e-12", capsys.readouterr().err)
-    code, _ = run(
+    assert re.search(r"error bound 3\.30e-12 exceeds 1e-12", capsys.readouterr().err)
+    code, out = run(
         "--seed", "0", "verify", "mc-cross", "--model", "triangle", "--t", "3",
-        "--alpha", "0.5", "--trials", "20000",
+        "--alpha", "0.5", "--trials", "4000",
     )
-    assert code != 2
+    assert code == 0
+    report = json.loads((out / "verify_mc-cross.json").read_text())
+    assert report["refused_thresholds"][:3] == [5, 7, 9]
+    assert [c["ell"] for c in report["comparisons"]] == [1, 3]
 
 
 def test_mc_cross_lists_a_refused_triangle_row(run, monkeypatch):

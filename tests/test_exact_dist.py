@@ -4,7 +4,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lppdet.errors import (
     BreakdownError,
@@ -14,6 +14,7 @@ from lppdet.errors import (
     VerificationError,
 )
 from lppdet.exact_dist import (
+    _default_cutoff,
     OGROUP_ROUTE,
     OGROUP_TOL,
     DistTable,
@@ -22,7 +23,6 @@ from lppdet.exact_dist import (
     exact_law,
     ogroup_expectation_spec,
     prob_external,
-    prob_square_product,
     prob_triangle_fs_via_ogroup,
     prob_triangle_odd,
     scaled_cdf,
@@ -31,8 +31,16 @@ from lppdet.exact_dist import (
     weyl_ogroup_expectation,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
-from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
+from lppdet.opuc import levinson
+from lppdet.symbols import (
+    ModelKind,
+    ModelSpec,
+    SymbolSpec,
+    fourier_coeffs,
+    normalization_log_z,
+)
 
+from highprec_oracle import prob_square_product, triangle_law_mpf
 from ogroup_quadrature import MAX_ELL, quadrature_expectation
 
 
@@ -81,9 +89,9 @@ def test_square_product_route_agrees(t):
 
 
 def test_square_product_bound_covers_the_szego_residual():
-    """At this t the table's log-norms sum to t^2 + 6.6e-11, which moves the
-    product route 5.9e-11 off a 40-digit dense determinant; a bound of
-    truncation only (4.9e-11) missed it."""
+    """At this t the float64 table's log-norms sum to t^2 + 6.6e-11, which
+    moves the product route 5.9e-11 off a 40-digit dense determinant; a
+    bound of truncation only (4.9e-11) missed it."""
     t, ell = 2.965466227443639, 5
     with mp.workdps(40):
         moments = [mp.besseli(abs(j), 2 * mp.mpf(t)) for j in range(-ell, ell + 1)]
@@ -91,7 +99,10 @@ def test_square_product_bound_covers_the_szego_residual():
             mp.matrix([[moments[ell + j - k] for k in range(ell)] for j in range(ell)])
         )
     assert float(dense) == pytest.approx(0.90303677043884523, abs=1e-16)
-    via_product, bound = prob_square_product(t, ell, square_opuc(t))
+    cutoff = _default_cutoff(t, 0)
+    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
+    float64 = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
+    via_product, bound = prob_square_product(t, ell, float64)
     assert abs(via_product - float(dense)) <= bound
 
 
@@ -184,12 +195,117 @@ def test_external_symmetric_in_the_two_rates(opuc_t1):
 
 
 def test_external_singular_direction(opuc_t1):
-    """alpha_plus * alpha_minus = 1 hits a removable singularity; the
-    symmetric-step limit must stay close to nearby regular evaluations."""
+    """At alpha_plus * alpha_minus = 1 the law is as smooth in the rates as
+    anywhere else, so its value stays close to nearby evaluations."""
     at = float(prob_external(1.0, 2.0, 0.5, 2, opuc_t1))
     assert at == pytest.approx(0.5510366937860481, abs=1e-8)
     near = float(prob_external(1.0, 2.0, 0.5 - 2e-4, 2, opuc_t1))
     assert at == pytest.approx(near, abs=1e-4)
+
+
+def _external_dense(t, a_plus, a_minus, lmax):
+    """[D_ell - a+ a- D_{ell-1}] e^{-log Z} for ell = 0..lmax, from dense
+    30-digit minors D of (1 + a+ z)(1 + a-/z) e^{t(z + 1/z)}."""
+    with mp.workdps(30):
+        t_, ap, am = mp.mpf(t), mp.mpf(a_plus), mp.mpf(a_minus)
+        bessel = [mp.besseli(n, 2 * t_) for n in range(lmax + 2)]
+
+        def phi(m):
+            return (1 + ap * am) * bessel[abs(m)] + ap * bessel[abs(m - 1)] + am * bessel[abs(m + 1)]
+
+        minors = [mp.mpf(0), mp.mpf(1)] + [
+            mp.det(mp.matrix([[phi(j - k) for k in range(n)] for j in range(n)]))
+            for n in range(1, lmax + 1)
+        ]
+        z = mp.exp(t_ * t_ + (ap + am) * t_)
+        return [float((minors[n + 1] - ap * am * minors[n]) / z) for n in range(lmax + 1)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    t=st.floats(0.05, 2.0),
+    a_plus=st.floats(0.0, 2.0),
+    a_minus=st.floats(0.0, 2.0),
+)
+@example(t=1.0, a_plus=2.0, a_minus=0.5)
+@example(t=2.0, a_plus=1.5, a_minus=1.2)
+def test_external_law_matches_dense_minors(t, a_plus, a_minus):
+    """The Christoffel-Darboux rows against dense minors of the external
+    symbol, on both sides of a+ a- = 1, from p(0) = e^{-log Z} on.  Row
+    ell subtracts a+ a- D'_{ell-1} from D'_ell, and both grow like
+    (a+ a-)^ell once a+ a- > 1, so float64 roundoff grows alike."""
+    model = ModelSpec(
+        kind=ModelKind.POISSON_EXTERNAL, t=t, alpha_plus=a_plus, alpha_minus=a_minus
+    )
+    rows, _ = exact_law(model, 6)
+    assert sorted(rows) == list(range(7))
+    assert rows[0][0] == pytest.approx(math.exp(-normalization_log_z(model)), rel=1e-14)
+    growth = max(1.0, a_plus * a_minus)
+    for ell, want in enumerate(_external_dense(t, a_plus, a_minus, 6)):
+        assert rows[ell][0] == pytest.approx(want, abs=2e-13 * growth**ell)
+
+
+# Rows copied from perfbench/data/references.json, which computes them
+# without the program's routes: fixed-point Toeplitz minors for the square
+# and external laws, a Weyl-Heine trapezoid rule for the triangle.  The
+# float64 square recursion left every one of these tables off or refused.
+REFERENCE_ROWS = {
+    "square-t4.75": (
+        ModelSpec(kind=ModelKind.POISSON_SQUARE, t=4.75), 20,
+        {1: 2.7869669215884773e-07, 4: 0.024854894609536066, 8: 0.8457843772320075,
+         12: 0.999551135578051, 16: 0.9999999293279372, 20: 0.9999999999986261},
+    ),
+    "square-t6": (
+        ModelSpec(kind=ModelKind.POISSON_SQUARE, t=6.0), 22,
+        {1: 4.395246495627389e-12, 5: 0.002670971933887227, 9: 0.5654779103023614,
+         13: 0.9930268285773185, 17: 0.9999939988361561, 22: 0.9999999999512225},
+    ),
+    "triangle-t3": (
+        ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=3.0, alpha=0.5), 15,
+        {1: 0.037371153726919626, 3: 0.4453711428251505, 5: 0.8870996566965158,
+         7: 0.9911697601004509},
+    ),
+    "external-t4-above-one": (
+        ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=4.0, alpha_plus=2.0, alpha_minus=0.50002),
+        20,
+        {1: 9.470656166320922e-09, 5: 0.013691556947321333, 10: 0.6149254573642029,
+         15: 0.9758919436759472, 20: 0.9996626759853054},
+    ),
+    "external-t4-below-one": (
+        ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=4.0, alpha_plus=0.5, alpha_minus=1.99996),
+        20,
+        {1: 9.47267601554989e-09, 5: 0.013693099001495342, 10: 0.6149450915953681,
+         15: 0.9758952393667006, 20: 0.9996627539553584},
+    ),
+    "external-t4-small-rates": (
+        ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=4.0, alpha_plus=0.3, alpha_minus=0.6),
+        20,
+        {1: 2.6574079880997037e-06, 5: 0.2145306349499036, 10: 0.9913191983795067,
+         15: 0.9999981215162285, 20: 0.9999999999275322},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ROWS))
+def test_tables_match_the_references(name):
+    model, lmax, expected = REFERENCE_ROWS[name]
+    table = build_dist_table(model, lmax)
+    for ell, want in expected.items():
+        assert table.probability(ell) == pytest.approx(want, rel=1e-12)
+
+
+def test_triangle_table_far_past_the_product_window():
+    """At t = 40 the boundary products run to the end of the table; a
+    40-factor window left a bound of 0.18 on P(L <= 1).  Rows against a
+    120-digit orthogonal-group determinant that shares nothing with the
+    recursion."""
+    model = ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=40.0, alpha=0.5)
+    table = build_dist_table(model, 101)
+    assert table.truncation_info["tail_bound"] <= 1e-12
+    for ell in (61, 71, 83, 95):
+        assert table.probability(ell) == pytest.approx(
+            triangle_law_mpf(40.0, 0.5, ell), rel=1e-14, abs=5e-15
+        )
 
 
 @settings(deadline=None, max_examples=40)

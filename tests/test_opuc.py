@@ -77,33 +77,57 @@ def test_log_det_order_zero_is_zero():
 def test_eval_pi_matches_dense_solve(t, k, x):
     data = square_opuc(t, ell=k + 2)
     coeffs = fourier_coeffs(SymbolSpec(exp_plus_t=t, exp_minus_t=t), data.cutoff + 1)
-    pair = eval_pi(data, k, x)
-    scale = math.exp(pair.log_scale)
-    dense_pi, dense_star = eval_pi_dense(coeffs, k, x)
-    assert float(pair.pi_mantissa) * scale == pytest.approx(
-        complex(dense_pi).real, abs=1e-10
-    )
-    assert float(pair.pi_star_mantissa) * scale == pytest.approx(
-        complex(dense_star).real, abs=1e-10
-    )
+    pi, pi_star, log_scale = eval_pi(data, k, x)
+    for j in range(k + 1):
+        scale = math.exp(log_scale[j])
+        dense_pi, dense_star = eval_pi_dense(coeffs, j, x)
+        assert pi[j] * scale == pytest.approx(complex(dense_pi).real, abs=1e-10)
+        assert pi_star[j] * scale == pytest.approx(complex(dense_star).real, abs=1e-10)
 
 
 def test_eval_pi_frozen_point():
     data = square_opuc(1.0, ell=8)
-    pair = eval_pi(data, 2, -0.3)
-    assert pair.log_scale == 0.0
-    assert float(pair.pi_mantissa) == pytest.approx(0.7345608812097725, abs=1e-11)
-    assert float(pair.pi_star_mantissa) == pytest.approx(1.3170595911329015, abs=1e-11)
+    pi, pi_star, log_scale = eval_pi(data, 2, -0.3)
+    assert list(log_scale) == [0.0, 0.0, 0.0]
+    assert (pi[0], pi_star[0]) == (1.0, 1.0)
+    assert pi[2] == pytest.approx(0.7345608812097725, abs=1e-11)
+    assert pi_star[2] == pytest.approx(1.3170595911329015, abs=1e-11)
 
 
 def test_eval_pi_star_reverses_pi_at_plus_one():
     # at z = 1 the reversed polynomial takes the same value
     data = square_opuc(0.8, ell=6)
+    pi, pi_star, _ = eval_pi(data, 5, 1.0)
     for k in (1, 3, 5):
-        pair = eval_pi(data, k, 1.0)
-        assert float(pair.pi_mantissa) == pytest.approx(
-            float(pair.pi_star_mantissa), rel=1e-12
-        )
+        assert pi[k] == pytest.approx(pi_star[k], rel=1e-12)
+
+
+def test_eval_pi_rescales_large_values():
+    """At x = -50 the values pass the 1e120 rescale threshold by degree 71;
+    mantissa times scale matches the same recursion run unscaled in mpmath."""
+    import mpmath as mp
+
+    data = square_opuc(1.0, ell=90)
+    pi, pi_star, log_scale = eval_pi(data, 90, -50.0)
+    assert log_scale[0] == 0.0 < log_scale[-1]
+    assert np.all(np.diff(log_scale) >= 0.0)
+    with mp.workdps(30):
+        p, ps = mp.mpf(1), mp.mpf(1)
+        for j in range(1, 91):
+            b = mp.mpf(float(data.reflection[j]))
+            p, ps = -50 * p - b * ps, ps + 50 * b * p
+            for value, mantissa in ((p, pi[j]), (ps, pi_star[j])):
+                assert np.sign(mantissa) == mp.sign(value)
+                assert math.log(abs(mantissa)) + log_scale[j] == pytest.approx(
+                    float(mp.log(abs(value))), abs=1e-12
+                )
+
+
+def test_eval_pi_refuses_an_asymmetric_recursion():
+    spec = SymbolSpec(zeros_plus=(0.5,), zeros_minus=(0.2,))
+    data = levinson(fourier_coeffs(spec, half_width=8), 6)
+    with pytest.raises(ValidationError, match="symmetric"):
+        eval_pi(data, 3, -0.5)
 
 
 def test_discrete_painleve_residuals_small():
