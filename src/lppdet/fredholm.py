@@ -61,9 +61,10 @@ class IntegrableKernelSpec:
                 f"nodes must be even and >= 16, got {self.nodes}"
             )
         z = self.node_points
+        plus, minus = self._halves
         resid = np.max(
             np.abs(
-                self._phi_plus(z) * self._phi_minus(z)
+                evaluate_symbol(plus, z) * evaluate_symbol(minus, z)
                 - evaluate_symbol(self.symbol, z)
             )
         )
@@ -83,26 +84,22 @@ class IntegrableKernelSpec:
     def node_weights(self) -> np.ndarray:
         return 2j * np.pi * self.node_points / self.nodes
 
-    def _phi_plus(self, z):
+    @cached_property
+    def _halves(self) -> tuple[SymbolSpec, SymbolSpec]:
         s = self.symbol
-        out = np.exp(s.exp_plus_t * z)
-        for a in s.zeros_plus:
-            out = out * (1.0 + a * z)
-        for c in s.poles_plus:
-            out = out / (1.0 - c * z)
-        return out
-
-    def _phi_minus(self, z):
-        s = self.symbol
-        out = np.exp(s.exp_minus_t / z)
-        for b in s.zeros_minus:
-            out = out * (1.0 + b / z)
-        for d in s.poles_minus:
-            out = out / (1.0 - d / z)
-        return out
+        plus = SymbolSpec(
+            exp_plus_t=s.exp_plus_t, zeros_plus=s.zeros_plus, poles_plus=s.poles_plus
+        )
+        minus = SymbolSpec(
+            exp_minus_t=s.exp_minus_t,
+            zeros_minus=s.zeros_minus,
+            poles_minus=s.poles_minus,
+        )
+        return plus, minus
 
     def psi(self, z):
-        return self._phi_plus(z) / self._phi_minus(z)
+        plus, minus = self._halves
+        return evaluate_symbol(plus, z) / evaluate_symbol(minus, z)
 
     def dlog_psi(self, z):
         """Logarithmic derivative of psi, assembled factor by factor."""

@@ -21,11 +21,13 @@ runs in float64 by default.  For the Poisson-square symbol at large t,
 where the moment scale e^{2t} makes the float64 inner products cancel
 below roundoff, an extended-precision path runs the same recursion in
 fixed-point Python integers on Bessel moments from Miller's backward
-recurrence; mpmath only sets the precision and rounds the logarithms.
+recurrence, with the standard library's correctly rounded ``decimal`` exp
+for the one transcendental scalar it needs.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -193,11 +195,11 @@ def _miller_moments(t: float, count: int, bits: int) -> tuple[list[int], int]:
     is stable for I_j; it starts at an index M where I_M(2t)/I_0(2t) <
     2^-(bits + 32), from the bound I_n(2t) <= t^n/n! e^{t^2/(n+1)} and
     I_0 >= 1, and the trial solution is normalized through the positive
-    series e^{2t} = I_0 + 2 sum_{k>=1} I_k.  t enters as the exact ratio of
-    its float value; the start carries 32 guard bits past ``bits``.
+    series e^{2t} = I_0 + 2 sum_{k>=1} I_k, with e^{2t} 2^bits from the
+    correctly rounded ``decimal`` exp at 20 digits more than ``bits``
+    holds.  t enters as the exact ratio of its float value; the start
+    carries 32 guard bits past ``bits``.
     """
-    import mpmath as mp
-
     target = -(bits + 32) * math.log(2.0)
     m = count
     while m * math.log(t) - math.lgamma(m + 1) + t * t / (m + 1) > target:
@@ -211,7 +213,9 @@ def _miller_moments(t: float, count: int, bits: int) -> tuple[list[int], int]:
     ys.reverse()  # ys[j] is proportional to I_j(2t), j = 0..m
     y0 = ys[0]
     series = 2 * sum(ys) - y0
-    exp_2t = int(mp.ldexp(mp.exp(2 * mp.mpf(t)), bits))
+    with decimal.localcontext() as ctx:
+        ctx.prec = math.ceil(bits * math.log10(2.0)) + 20
+        exp_2t = int((2 * decimal.Decimal(t)).exp() * (1 << bits))
     return [(y << bits) // y0 for y in ys[:count]], exp_2t * y0 // series
 
 
@@ -220,30 +224,35 @@ def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucD
 
     The float64 path loses the reflection coefficients to cancellation
     once e^{2t} eats the 16-digit budget.  Here every quantity is a Python
-    integer in fixed point at scale 2^P, with P the binary precision of
-    ``dps`` decimal digits (default: ``_highprec_dps``).  The moments are
-    the ratios I_j(2t)/I_0(2t) from Miller's backward recurrence, and each
-    recursion step is two dot products and one vector update on numpy
-    object arrays of those integers.  Reflection coefficients are rounded
-    to float64, and log N_k = log(I_0(2t) N_k / I_0) is correctly rounded
-    from the exact product of the two fixed-point integers.
+    integer in fixed point at scale 2^P, with P = round((dps + 1) log2 10)
+    the binary precision of ``dps`` decimal digits (default:
+    ``_highprec_dps``).  The moments are the ratios I_j(2t)/I_0(2t) from
+    Miller's backward recurrence, and each recursion step is two dot
+    products and one vector update on numpy object arrays of those
+    integers.  Reflection coefficients are rounded to float64, and
+    log N_k = log1p(N_k - 1) takes its argument from the exact integer
+    numerator I_0(2t) N_k - 2^(2P) of the two fixed-point integers by
+    correctly rounded int/int division, so nothing cancels where N_k ~ 1.
     """
-    import mpmath as mp
-    from mpmath.libmp import from_man_exp, mpf_log, to_float
-
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
     if dps is None:
         dps = _highprec_dps(t)
-    with mp.workdps(dps):
-        bits = mp.mp.prec
-        ratios, i0 = _miller_moments(t, cutoff + 2, bits)
+    # mpmath's rule for the bits of dps digits, so the tests' mpmath
+    # oracles run at the same precision
+    bits = round((dps + 1) * math.log2(10.0))
+    ratios, i0 = _miller_moments(t, cutoff + 2, bits)
     one = 1 << bits
     phi = np.array(ratios, dtype=object)
 
     def log_norm(n: int) -> float:
-        # N_k = i0 * n / 2^(2 bits); correctly rounded even where N_k ~ 1
-        return to_float(mpf_log(from_man_exp(i0 * n, -2 * bits), 53, "n"))
+        # N_k = i0 * n / 2^(2 bits) = 2^e (1 + x), with x from one correctly
+        # rounded division of exact integers; e stays 0 unless N_k passes
+        # 2^1000 (t above about 350), where x would overflow a float64
+        scaled = i0 * n
+        e = max(0, scaled.bit_length() - 2 * bits - 1000)
+        scale = 1 << (2 * bits + e)
+        return e * math.log(2.0) + math.log1p((scaled - scale) / scale)
 
     b = np.zeros(cutoff + 1)
     log_norms = np.zeros(cutoff + 1)

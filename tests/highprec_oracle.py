@@ -16,8 +16,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from lppdet.errors import BreakdownError, ValidationError
-from lppdet.exact_dist import _geometric_remainder
+from lppdet.errors import BreakdownError, TruncationError, ValidationError
 from lppdet.opuc import OpucData
 from lppdet.symbols import FourierTable
 
@@ -49,6 +48,41 @@ def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.nda
             b[k + 1] = float(b_next)
             log_norms[k + 1] = float(mp.log(n_cur))
     return b, log_norms
+
+
+def _geometric_remainder(terms: np.ndarray) -> float:
+    """Bound sum of the continuation of a decaying positive sequence.
+
+    Computed terms decay until they sit on the roundoff plateau of the
+    recursion's dot products, where monotonicity is lost.  Every adjacent
+    decreasing pair yields a candidate bound: later terms at face value
+    plus a geometric continuation at that pair's ratio.  The smallest
+    candidate wins; one extra step at the final term covers the
+    continuation past arrays that end on the plateau.
+    """
+    terms = np.asarray(terms, dtype=float)
+    if terms.size == 0 or float(terms.max()) == 0.0:
+        return 0.0
+    if terms.size == 1:
+        return float(terms[0])
+    suffix = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
+    best = math.inf
+    for i in range(1, terms.size):
+        prev, cur = float(terms[i - 1]), float(terms[i])
+        if prev <= 0.0 or cur >= prev:
+            continue
+        r = cur / prev
+        best = min(best, float(suffix[i + 1]) + cur * r / (1.0 - r))
+    if not math.isfinite(best):
+        # no decreasing pair: either the whole window sits on the flat
+        # roundoff plateau (bounded wobble, charge at face value) or the
+        # recursion is genuinely diverging
+        if float(terms[-1]) <= 8.0 * float(terms[0]):
+            return float(terms.sum()) + float(terms[-1])
+        raise TruncationError(
+            "trailing terms are not decaying; increase the recursion cutoff"
+        )
+    return best + float(terms[-1])
 
 
 def prob_square_product(t: float, ell: int, opuc: OpucData) -> tuple[float, float]:

@@ -195,6 +195,19 @@ def test_triangle_rows_past_the_tail_bound_are_refused_one_by_one(run, capsys, m
     assert [c["ell"] for c in report["comparisons"]] == [1, 3]
 
 
+def test_external_rows_past_the_roundoff_estimate_are_refused(run, capsys):
+    """At a+ a- = 9 the two terms of each external-source row cancel like
+    9^ell; rows 9 and 10 carry estimates past 1e-9, so the table exits 2
+    and names the bound."""
+    code, _ = run(
+        "dist", "external", "--t", "2", "--alpha-plus", "3", "--alpha-minus", "3",
+        "--lmax", "10",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"P\(L <= 9\): error bound 1\.44e-09 exceeds 1e-09", err)
+
+
 def test_mc_cross_lists_a_refused_triangle_row(run, monkeypatch):
     real = exact_dist.EXACT_ROUTES[ModelKind.POISSON_TRIANGLE]
 
@@ -326,9 +339,15 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    """mpmath is imported only by the extended-precision route, so every
-    command that does not need it skips its import cost."""
-    code = "import lppdet.cli, sys; assert 'mpmath' not in sys.modules"
+    """mpmath is a test-only oracle: neither the CLI import nor a square
+    table on the fixed-point route loads it."""
+    code = (
+        "import lppdet.cli, sys\n"
+        "from lppdet.exact_dist import build_dist_table\n"
+        "from lppdet.symbols import ModelKind, ModelSpec\n"
+        "build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=10.0), 30)\n"
+        "assert 'mpmath' not in sys.modules"
+    )
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -21,6 +21,7 @@ from lppdet.exact_dist import (
     build_dist_table,
     check_cdf,
     exact_law,
+    external_rows,
     ogroup_expectation_spec,
     prob_external,
     prob_triangle_fs_via_ogroup,
@@ -31,7 +32,7 @@ from lppdet.exact_dist import (
     weyl_ogroup_expectation,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
-from lppdet.opuc import levinson
+from lppdet.opuc import levinson, square_opuc_highprec
 from lppdet.symbols import (
     ModelKind,
     ModelSpec,
@@ -229,11 +230,18 @@ def _external_dense(t, a_plus, a_minus, lmax):
 )
 @example(t=1.0, a_plus=2.0, a_minus=0.5)
 @example(t=2.0, a_plus=1.5, a_minus=1.2)
+@example(t=0.18, a_plus=2.0, a_minus=2.0)
+@example(t=2.0, a_plus=3.0, a_minus=3.0)
+@example(t=0.5, a_plus=4.0, a_minus=2.5)
 def test_external_law_matches_dense_minors(t, a_plus, a_minus):
     """The Christoffel-Darboux rows against dense minors of the external
     symbol, on both sides of a+ a- = 1, from p(0) = e^{-log Z} on.  Row
     ell subtracts a+ a- D'_{ell-1} from D'_ell, and both grow like
-    (a+ a-)^ell once a+ a- > 1, so float64 roundoff grows alike."""
+    (a+ a-)^ell once a+ a- > 1, so float64 roundoff grows alike.  Each
+    row's roundoff estimate must cover the error of the same row on
+    fixed-point recursion data: it estimates the rounding of the kernel
+    and its cancellation, not the error of the float64 recursion that
+    the route reads below t = 2.5."""
     model = ModelSpec(
         kind=ModelKind.POISSON_EXTERNAL, t=t, alpha_plus=a_plus, alpha_minus=a_minus
     )
@@ -241,8 +249,12 @@ def test_external_law_matches_dense_minors(t, a_plus, a_minus):
     assert sorted(rows) == list(range(7))
     assert rows[0][0] == pytest.approx(math.exp(-normalization_log_z(model)), rel=1e-14)
     growth = max(1.0, a_plus * a_minus)
+    fixed_point = square_opuc_highprec(t, _default_cutoff(t, 6))
+    fixed = external_rows(a_plus, a_minus, normalization_log_z(model), 6, fixed_point)
     for ell, want in enumerate(_external_dense(t, a_plus, a_minus, 6)):
         assert rows[ell][0] == pytest.approx(want, abs=2e-13 * growth**ell)
+        p, bound = fixed[ell]
+        assert abs(p - want) <= bound
 
 
 # Rows copied from perfbench/data/references.json, which computes them

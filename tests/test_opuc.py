@@ -187,7 +187,16 @@ def test_highprec_matches_mpf_oracle(t):
     assert np.max(np.abs(data.log_norms - log_norms)) <= 1e-12
 
 
-@pytest.mark.parametrize("t", [0.5, 7.0, 67.5])
+def test_highprec_log_norms_past_float64_range():
+    """At t = 360 the norms N_0 = I_0(720) to N_3 pass 2^1000, where the
+    log-norm's quotient would overflow a float64; they still match the
+    scalar mpmath recursion."""
+    data = square_opuc_highprec(360.0, 4)
+    _, log_norms = square_opuc_mpf(360.0, 4, _highprec_dps(360.0))
+    assert np.max(np.abs(data.log_norms / log_norms - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [0.5, 7.0, 67.5, 120.0])
 def test_miller_moments_match_besseli(t):
     """Every fixed-point moment ratio I_j(2t)/I_0(2t), j <= cutoff + 1, and
     I_0(2t) itself are within 2^-(P - 16) of mpmath's Bessel values."""
