@@ -21,7 +21,6 @@ import bisect
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -608,6 +607,10 @@ def run_simulation(config: SimConfig) -> EmpiricalCdf:
     if config.workers == 1 or config.blocks == 1:
         results = map(_run_block, jobs)
     else:
+        # concurrent.futures and multiprocessing cost about 24 ms to import,
+        # so a single-worker run does not load them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_block, jobs, chunksize=4))
     for block in results:

@@ -26,17 +26,35 @@ recursion data at the scaling edge to (u, v).
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp, quad
-from scipy.interpolate import CubicSpline
-from scipy.special import airy
 
 from .errors import ValidationError, BreakdownError
 from .opuc import OpucData, square_opuc_highprec
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for ``module.name`` that imports it on its first call and
+    rebinds this module's global ``name`` to it, so later calls reach the
+    scipy function directly.  The exact laws never solve Painleve II, and
+    importing scipy here would cost most of the package's import time."""
+
+    def first_call(*args, **kwargs):
+        fn = getattr(importlib.import_module(module), name)
+        globals()[name] = fn
+        return fn(*args, **kwargs)
+
+    return first_call
+
+
+solve_ivp = _deferred("scipy.integrate", "solve_ivp")
+quad = _deferred("scipy.integrate", "quad")
+CubicSpline = _deferred("scipy.interpolate", "CubicSpline")
+airy = _deferred("scipy.special", "airy")
 
 __all__ = [
     "PiiSolution",

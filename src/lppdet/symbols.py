@@ -231,7 +231,8 @@ class ModelSpec:
     the symmetrized models, ``alpha_plus`` / ``alpha_minus`` the two axis
     rates of the external-source model.  ``m_rows`` and ``n_cols`` default
     to the parameter list lengths.  The lists each kind needs and the
-    products that must lie in [0, 1) are its entry in ``MODEL_RULES``.
+    parameters and products that must lie in [0, 1) are its entry in
+    ``MODEL_RULES``.
     """
 
     kind: ModelKind
@@ -255,11 +256,9 @@ class ModelSpec:
         rule = MODEL_RULES[self.kind]
         if not all(getattr(self, name) for name in rule.needs):
             raise ValidationError(f"{self.kind.value} needs {' and '.join(rule.needs)}")
-        for label, p in rule.products(self):
+        for label, p in rule.bounded(self):
             if not (0.0 <= p < 1.0):
-                raise ValidationError(
-                    f"{self.kind.value}: product {label} = {p} must lie in [0, 1)"
-                )
+                raise ValidationError(f"{self.kind.value}: {label} = {p} must lie in [0, 1)")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -301,6 +300,16 @@ def _grid_products(m: ModelSpec) -> list[tuple[str, float]]:
     ]
 
 
+def _poles(**labels: str) -> Callable[[ModelSpec], list[tuple[str, float]]]:
+    """Every entry of the named parameter lists, which enter the symbol
+    as poles 1 / (1 - q z) or 1 / (1 - q / z) and so must lie in [0, 1)."""
+    return lambda m: [
+        (f"{label}_{i+1}", q)
+        for name, label in labels.items()
+        for i, q in enumerate(getattr(m, name))
+    ]
+
+
 def _symmetric_products(m: ModelSpec) -> list[tuple[str, float]]:
     qs = m.row_params
     return [(f"alpha*q_{i+1}", m.alpha * q) for i, q in enumerate(qs)] + [
@@ -312,12 +321,13 @@ def _symmetric_products(m: ModelSpec) -> list[tuple[str, float]]:
 
 class ModelRule(NamedTuple):
     """One model kind: the symbol of its determinants, its log Z, the
-    parameter lists it needs and the products that must lie in [0, 1)."""
+    parameter lists it needs and the parameters and products that must
+    lie in [0, 1)."""
 
     symbol: Callable[[ModelSpec], SymbolSpec]
     log_z: Callable[[ModelSpec], float]
     needs: tuple[str, ...] = ()
-    products: Callable[[ModelSpec], list[tuple[str, float]]] = lambda m: []
+    bounded: Callable[[ModelSpec], list[tuple[str, float]]] = lambda m: []
 
 
 def _rule(symbol, limit, *checks) -> ModelRule:
@@ -351,11 +361,11 @@ MODEL_RULES = {
     ),
     ModelKind.LATTICE_B: _rule(
         lambda m: SymbolSpec(zeros_plus=m.row_params, poles_minus=m.col_params),
-        strong_szego_log_z, _GRID,
+        strong_szego_log_z, _GRID, _poles(col_params="q'"),
     ),
     ModelKind.LATTICE_C: _rule(
         lambda m: SymbolSpec(poles_plus=m.row_params, poles_minus=m.col_params),
-        strong_szego_log_z, _GRID, _grid_products,
+        strong_szego_log_z, _GRID, _poles(row_params="q", col_params="q'"),
     ),
     ModelKind.POISSON_LINES_D: _rule(
         lambda m: SymbolSpec(exp_plus_t=m.t, zeros_minus=m.col_params),
@@ -363,7 +373,7 @@ MODEL_RULES = {
     ),
     ModelKind.POISSON_LINES_E: _rule(
         lambda m: SymbolSpec(exp_plus_t=m.t, poles_minus=m.col_params),
-        strong_szego_log_z, ("col_params",),
+        strong_szego_log_z, ("col_params",), _poles(col_params="q"),
     ),
     ModelKind.TRIANGLE_POISSON_FS: _rule(_triangle_fs, ogroup_log_z),
     ModelKind.LATTICE_A_SYM: _rule(

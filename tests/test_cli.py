@@ -98,6 +98,23 @@ def test_mc_refuses_negative_or_non_finite_rates(run, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lattice-c", "--q", "1.5", "--qp", "0.1"),
+        ("lattice-b", "--q", "0.1", "--qp", "1.5"),
+        ("lines-e", "--t", "1", "--q", "1.0"),
+    ],
+)
+@pytest.mark.parametrize("command", [("mc", "--trials", "100"), ("dist", "--lmax", "5")])
+def test_pole_parameter_past_one_exits_one_on_both_routes(run, capsys, command, argv):
+    """A pole parameter >= 1 is no model: the sampler once drew counts for
+    it while the exact route refused its symbol."""
+    code, _ = run(command[0], *argv, *command[1:])
+    assert code == 1
+    assert "must lie in [0, 1)" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one(run):
     code, _ = run("dist", "square", "--definitely-not-a-flag")
     assert code == 1
@@ -338,17 +355,33 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
     assert _manifest(out)["diagnostics"] == {"block_size": 2048, "blocks": 1}
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    """mpmath is a test-only oracle: neither the CLI import nor a square
-    table on the fixed-point route loads it."""
+def test_cli_import_leaves_mpmath_unloaded(tmp_path):
+    """mpmath is a test-only oracle and scipy serves only the Painleve
+    layer: neither the package or CLI import, nor a square table on the
+    fixed-point route, nor the commands that never solve Painleve II
+    (``dist``, ``mc``, ``verify dpii|fredholm|mc-cross``) load them."""
+    out = str(tmp_path / "out")
     code = (
-        "import lppdet.cli, sys\n"
+        "import sys\n"
+        "def unloaded(step):\n"
+        "    for name in ('mpmath', 'scipy'):\n"
+        "        assert name not in sys.modules, f'{name} loaded by {step}'\n"
+        "import lppdet\n"
+        "unloaded('import lppdet')\n"
+        "from lppdet import cli\n"
+        "unloaded('import lppdet.cli')\n"
         "from lppdet.exact_dist import build_dist_table\n"
         "from lppdet.symbols import ModelKind, ModelSpec\n"
         "build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=10.0), 30)\n"
-        "assert 'mpmath' not in sys.modules"
+        "unloaded('a t = 10 square table')\n"
+        "for argv in (['dist', 'square', '--t', '3', '--lmax', '12'],\n"
+        "             ['mc', 'square', '--t', '3', '--trials', '500'],\n"
+        "             ['verify', 'dpii'], ['verify', 'fredholm'],\n"
+        "             ['verify', 'mc-cross']):\n"
+        f"    assert cli.main(['--seed', '0', '--out-dir', {out!r}, *argv]) == 0, argv\n"
+        "    unloaded(' '.join(argv))\n"
     )
-    env = dict(os.environ)
+    env = dict(os.environ, **{CACHE_ENV_VAR: str(tmp_path / "cache")})
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

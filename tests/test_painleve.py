@@ -1,10 +1,12 @@
 """Hastings-McLeod solve, the three edge laws and their oracles."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from lppdet import painleve
 from lppdet.cache import CACHE_ENV_VAR, cached_pii_solution
 from lppdet.errors import ValidationError
 from lppdet.painleve import (
@@ -76,6 +78,36 @@ def test_rank_one_oracle_covers_all_three_laws(sol):
     assert f2 == pytest.approx(f_gue(sol, 0.5), abs=1e-8)
     assert f1 == pytest.approx(f_goe(sol, 0.5), abs=1e-8)
     assert f4 == pytest.approx(f_gse(sol, 0.5), abs=1e-8)
+
+
+def test_deferred_scipy_names_bind_once(sol, monkeypatch):
+    """Each scipy function of the Painleve layer is imported on its first
+    call and then bound into the module, and a call through the stand-in
+    gives the same float as one through the bound function."""
+    names = (
+        ("scipy.special", "airy"),
+        ("scipy.integrate", "quad"),
+        ("scipy.integrate", "solve_ivp"),
+        ("scipy.interpolate", "CubicSpline"),
+    )
+    x = sol.x_right + 1.0
+    calls = {
+        "u_at": lambda: sol.u_at(x),
+        "v_at": lambda: sol.v_at(x),
+        "i_at": lambda: sol.i_at(x),
+        "w_at": lambda: sol.w_at(x),
+        "gue_tail_exponent": lambda: painleve._gue_tail_exponent(x),
+        "airy_kernel_fgue": lambda: airy_kernel_fgue(0.5),
+        "solve": lambda: solve_hastings_mcleod(-2.0, 6.0, 1e-9, 0.05).u_at(-1.0),
+    }
+    for label, call in calls.items():
+        for module, name in names:
+            monkeypatch.setattr(painleve, name, painleve._deferred(module, name))
+        first = call()
+        second = call()
+        assert first == second, label
+    for module, name in names:
+        assert getattr(painleve, name) is getattr(importlib.import_module(module), name)
 
 
 def test_corner_scaling_round_trip():
