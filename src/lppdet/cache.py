@@ -18,7 +18,7 @@ import zipfile
 from pathlib import Path
 
 from .errors import LppdetError
-from .painleve import PiiSolution, solve_hastings_mcleod
+from .painleve import X_MIN, X_RIGHT, PiiSolution, solve_hastings_mcleod
 
 __all__ = ["CACHE_ENV_VAR", "cache_root", "cached_pii_solution"]
 
@@ -32,33 +32,26 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "lppdet"
 
 
-def _pii_cache_path(
-    x_min: float, x_right: float, tol: float, grid_step: float
-) -> Path:
-    key = repr((PiiSolution.FORMAT_VERSION, x_min, x_right, tol, grid_step))
+def _pii_cache_path(tol: float, grid_step: float) -> Path:
+    key = repr((PiiSolution.FORMAT_VERSION, X_MIN, X_RIGHT, tol, grid_step))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_root() / f"pii-{digest}.npz"
 
 
 def cached_pii_solution(
-    x_min: float = -9.0,
-    x_right: float = 8.0,
-    tol: float = 1e-13,
-    grid_step: float = 0.005,
+    tol: float = 1e-13, grid_step: float = 0.005
 ) -> tuple[PiiSolution, bool]:
     """Load the distinguished ODE solution from disk, or solve and store.
 
     Returns (solution, cache_hit).
     """
-    path = _pii_cache_path(x_min, x_right, tol, grid_step)
+    path = _pii_cache_path(tol, grid_step)
     if path.exists():
         try:
             return PiiSolution.load_npz(path), True
         except (LppdetError, OSError, ValueError, KeyError, zipfile.BadZipFile):
             pass
-    sol = solve_hastings_mcleod(
-        x_min=x_min, x_right=x_right, tol=tol, grid_step=grid_step
-    )
+    sol = solve_hastings_mcleod(tol=tol, grid_step=grid_step)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".pii-", suffix=".npz")
     try:

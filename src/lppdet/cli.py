@@ -57,7 +57,7 @@ from .painleve import (
     f_gue,
     fit_power_law,
 )
-from .symbols import ModelKind, ModelSpec, SymbolSpec, fourier_coeffs
+from .symbols import ModelKind, ModelSpec, SymbolSpec, fourier_coeffs, strong_szego_log_z
 
 # resolution settings for the Painleve II solve backing the tw and
 # converge commands: (integration tolerance, output grid step)
@@ -124,7 +124,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("model", choices=sorted(MODELS))
         p.add_argument("--t", type=float, default=1.0, help="Poisson intensity scale")
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--alpha-plus", type=float, default=0.0)
@@ -133,6 +132,7 @@ def build_parser() -> _Parser:
         p.add_argument("--qp", type=_float_list, default=None, help="column parameters, comma separated")
 
     p_dist = sub.add_parser("dist", help="exact distribution table for one model")
+    p_dist.add_argument("model", choices=sorted(MODELS))
     add_model_flags(p_dist)
     p_dist.add_argument("--lmax", type=int, default=10, help="largest threshold tabulated")
 
@@ -147,14 +147,9 @@ def build_parser() -> _Parser:
         "suite",
         choices=["dpii", "fredholm", "corner-asymptotics", "mc-cross", "oracles"],
     )
-    p_verify.add_argument("--t", type=float, default=1.0)
     p_verify.add_argument("--kmax", type=int, default=8)
     p_verify.add_argument("--model", choices=sorted(MODELS), default="square")
-    p_verify.add_argument("--alpha", type=float, default=0.0)
-    p_verify.add_argument("--alpha-plus", type=float, default=0.0)
-    p_verify.add_argument("--alpha-minus", type=float, default=0.0)
-    p_verify.add_argument("--q", type=_float_list, default=None)
-    p_verify.add_argument("--qp", type=_float_list, default=None)
+    add_model_flags(p_verify)
     p_verify.add_argument("--trials", type=int, default=20000)
 
     p_conv = sub.add_parser("converge", help="finite-size CDF against the GUE limit")
@@ -164,6 +159,7 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--x-step", type=float, default=0.25)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo empirical CDF for one model")
+    p_mc.add_argument("model", choices=sorted(MODELS))
     add_model_flags(p_mc)
     p_mc.add_argument("--trials", type=int, default=20000)
 
@@ -223,15 +219,9 @@ def _write_manifest(out_dir: Path, args, parameters: dict, outputs, extra: dict 
     return path
 
 
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def _model_parameters(args) -> dict:
     keys = ("model", "t", "alpha", "alpha_plus", "alpha_minus", "q", "qp")
-    return {k: _json_safe(getattr(args, k)) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 def cmd_dist(args, out_dir: Path) -> None:
@@ -248,16 +238,24 @@ def cmd_dist(args, out_dir: Path) -> None:
     _write_manifest(out_dir, args, params, [csv_path, json_path])
 
 
-def cmd_tw(args, out_dir: Path) -> None:
+def _x_grid(args) -> list[float]:
+    """x_min + i * x_step for every i that stays at or below x_max; the
+    1e-9 lets a whole number of steps reach x_max despite rounding."""
+    if not all(math.isfinite(v) for v in (args.x_min, args.x_max, args.x_step)):
+        raise ValidationError("--x-min, --x-max and --x-step must be finite")
     if args.x_step <= 0:
         raise ValidationError("--x-step must be positive")
     if args.x_max < args.x_min:
         raise ValidationError("--x-max must be at least --x-min")
+    count = math.floor((args.x_max - args.x_min) / args.x_step + 1e-9) + 1
+    return [args.x_min + i * args.x_step for i in range(count)]
+
+
+def cmd_tw(args, out_dir: Path) -> None:
+    xs = _x_grid(args)
     tol, grid_step = PRECISION_PROFILES[args.precision_profile]
     sol, cache_hit = cached_pii_solution(tol=tol, grid_step=grid_step)
     law = {"gue": f_gue, "goe": f_goe, "gse": f_gse}[args.which]
-    count = int(round((args.x_max - args.x_min) / args.x_step)) + 1
-    xs = [args.x_min + i * args.x_step for i in range(count)]
     rows = [(float(x), float(law(sol, float(x)))) for x in xs]
     csv_path = out_dir / f"tw_{args.which}.csv"
     _write_csv(csv_path, ("x", "F"), rows)
@@ -376,19 +374,21 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
 def _suite_oracles(args) -> tuple[dict, bool, str]:
     checks = {}
 
+    square = SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0)
+    log_z = strong_szego_log_z(square)
     data = square_opuc(1.0, cutoff=12)
     from scipy.special import iv
 
     checks["square_closed_form_l1"] = abs(
-        toeplitz_prob(1.0, 1, data) - math.exp(-1.0) * float(iv(0, 2.0))
+        toeplitz_prob(log_z, 1, data) - math.exp(-1.0) * float(iv(0, 2.0))
     )
-    coeffs = fourier_coeffs(SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0), 12)
+    coeffs = fourier_coeffs(square, 12)
     checks["toeplitz_vs_dense_lu"] = max(
         abs(toeplitz_log_det(data, n) - toeplitz_log_det_dense(coeffs, n))
         for n in range(1, 7)
     )
     checks["poissonized_plancherel"] = max(
-        abs(poissonized_square_cdf(1.0, ell, 40)[0] - toeplitz_prob(1.0, ell, data))
+        abs(poissonized_square_cdf(1.0, ell)[0] - toeplitz_prob(log_z, ell, data))
         for ell in range(0, 6)
     )
     # the half-index norm products need the full default cutoff to
@@ -398,10 +398,9 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
         prob_triangle_odd(1.0, 0.5, 1, wide)
         - prob_triangle_fs_via_ogroup(1.0, 0.5, 3)
     )
-    spec = IntegrableKernelSpec(
-        symbol=SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0), k=0, nodes=64
-    )
-    checks["fredholm_det_t1_k0"] = abs(fredholm_log_det(spec) - (-1.0))
+    # log det(1 - K_0) = log D_0 - log Z = -log Z
+    spec = IntegrableKernelSpec(symbol=square, k=0, nodes=64)
+    checks["fredholm_det_t1_k0"] = abs(fredholm_log_det(spec) + log_z)
     dist = brute_force_lis_distribution(6)
     total = sum(dist.values())
     from .montecarlo import plancherel_lis_cdf
@@ -411,7 +410,8 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
             - float(plancherel_lis_cdf(6, ell)))
         for ell in range(0, 7)
     )
-    sol, _ = cached_pii_solution(tol=1e-11, grid_step=0.02)
+    tol, grid_step = PRECISION_PROFILES["fast"]
+    sol, _ = cached_pii_solution(tol=tol, grid_step=grid_step)
     checks["airy_kernel_vs_painleve"] = abs(airy_kernel_fgue(0.0) - f_gue(sol, 0.0))
 
     worst = max(checks.values())
@@ -447,15 +447,12 @@ def cmd_verify(args, out_dir: Path) -> None:
 
 
 def cmd_converge(args, out_dir: Path) -> None:
-    if args.x_step <= 0:
-        raise ValidationError("--x-step must be positive")
+    xs = _x_grid(args)
     t_values = sorted(set(args.t_list))
     if len(t_values) < 2:
         raise ValidationError("--t-list needs at least two distinct intensities")
     tol, grid_step = PRECISION_PROFILES[args.precision_profile]
     sol, _ = cached_pii_solution(tol=tol, grid_step=grid_step)
-    count = int(round((args.x_max - args.x_min) / args.x_step)) + 1
-    xs = [args.x_min + i * args.x_step for i in range(count)]
     rows = []
     sups = {}
     for t in t_values:

@@ -44,6 +44,7 @@ from .symbols import (
     evaluate_symbol,
     fourier_coeffs,
     normalization_log_z,
+    strong_szego_log_z,
 )
 from .opuc import (
     OpucData,
@@ -112,7 +113,7 @@ def toeplitz_opuc(spec: SymbolSpec, cutoff: int) -> OpucData:
     if t > _HIGHPREC_T and spec == SymbolSpec(exp_plus_t=t, exp_minus_t=t):
         data = square_opuc_highprec(t, cutoff)
         if cutoff >= _default_cutoff(t, 0):
-            residual = abs(math.fsum(data.log_norms) - t * t)
+            residual = abs(math.fsum(data.log_norms) - strong_szego_log_z(spec))
             if not residual <= SZEGO_TOL:
                 raise BreakdownError(
                     f"strong Szego check failed at t = {t}: the log-norms sum "
@@ -401,7 +402,12 @@ def prob_triangle_fs_via_ogroup(t: float, alpha: float, ell: int) -> float:
 
 
 def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
-    """P(L <= floor(2t + x t^{1/3})), the edge-scaled staircase CDF."""
+    """P(L <= floor(2t + x t^{1/3})), the edge-scaled staircase CDF.
+
+    Past the end of ``opuc`` the law has converged and its last row is
+    returned, provided the table reaches the converged cutoff
+    ``_default_cutoff(t, 0)``; a shorter table is refused.
+    """
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
     ell = math.floor(2.0 * t + x * t ** (1.0 / 3.0))
@@ -409,23 +415,32 @@ def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
         return 0.0
     if opuc is None:
         opuc = square_opuc(t, ell=ell)
-    if ell >= opuc.cutoff:
-        # far right of the edge window: the distribution has converged
-        return toeplitz_prob(t * t, opuc.cutoff, opuc)
-    return toeplitz_prob(t * t, ell, opuc)
+    if ell > opuc.cutoff:
+        if opuc.cutoff < _default_cutoff(t, 0):
+            raise ValidationError(
+                f"ell = {ell} exceeds cutoff {opuc.cutoff}, which stops short "
+                f"of the converged cutoff {_default_cutoff(t, 0)} at t = {t}"
+            )
+        ell = opuc.cutoff
+    log_z = strong_szego_log_z(SymbolSpec(exp_plus_t=t, exp_minus_t=t))
+    return toeplitz_prob(log_z, ell, opuc)
 
 
-def check_cdf(probs: dict[int, float], slack: float = 1e-10) -> None:
+# a probability may leave [0, 1], or fall below an earlier entry, by this much
+_CDF_SLACK = 1e-10
+
+
+def check_cdf(probs: dict[int, float]) -> None:
     """Every p must lie in [0, 1] and no p below the largest entry before
-    it, each up to ``slack``.  Comparing with the running maximum rather
+    it, each up to _CDF_SLACK.  Comparing with the running maximum rather
     than the predecessor keeps drops that each fit the slack from adding
     up to a larger one."""
     peak = -math.inf
     for ell in sorted(probs):
         p = probs[ell]
-        if not (-slack <= p <= 1.0 + slack):
+        if not (-_CDF_SLACK <= p <= 1.0 + _CDF_SLACK):
             raise VerificationError(f"probability {p} outside [0,1]")
-        if p < peak - slack:
+        if p < peak - _CDF_SLACK:
             raise VerificationError(
                 f"table is not nondecreasing: P(L <= {ell}) = {p!r} lies "
                 f"{peak - p:.2e} below an earlier entry"
@@ -444,8 +459,8 @@ class DistTable:
     def probability(self, ell: int) -> float:
         return self.entries[ell][1]
 
-    def check_monotone(self, slack: float = 1e-10) -> None:
-        check_cdf({ell: p for ell, (_, p) in self.entries.items()}, slack)
+    def check_monotone(self) -> None:
+        check_cdf({ell: p for ell, (_, p) in self.entries.items()})
 
     def csv_rows(self) -> list[tuple[int, float, float]]:
         return [
@@ -465,18 +480,6 @@ class DistTable:
             },
             indent=2,
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistTable":
-        raw = json.loads(text)
-        return cls(
-            model=ModelSpec.from_json(json.dumps(raw["model"])),
-            entries={
-                int(k): (v["log_p"], v["p"])
-                for k, v in raw["entries"].items()
-            },
-            truncation_info=raw.get("truncation_info", {}),
         )
 
 

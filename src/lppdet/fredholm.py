@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BreakdownError, ValidationError
 from .opuc import OpucData
-from .symbols import SymbolSpec, evaluate_symbol
+from .symbols import SymbolSpec, evaluate_symbol, strong_szego_log_z
 
 __all__ = [
     "IntegrableKernelSpec",
@@ -200,6 +200,7 @@ def identity_checks(
             f"k_max must lie in [0, cutoff] = [0, {opuc.cutoff}], got {k_max}"
         )
     symbol = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
+    log_z = strong_szego_log_z(symbol)  # t^2
     log_dets = [
         fredholm_log_det(IntegrableKernelSpec(symbol=symbol, k=k, nodes=nodes))
         for k in range(k_max + 1)
@@ -213,7 +214,7 @@ def identity_checks(
     product = []
     normalized = []
     for n in range(k_max + 1):
-        lhs = log_d - t * t
+        lhs = log_d - log_z
         rhs = -n * math.log(2.0) + log_dets[n]
         product.append(abs(lhs - rhs))
         normalized.append(math.exp(log_dets[n] - n * math.log(2.0)))

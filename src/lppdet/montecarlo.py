@@ -302,18 +302,19 @@ def plancherel_lis_cdf(n: int, ell: int) -> Fraction:
     return Fraction(total, math.factorial(n))
 
 
-def poissonized_square_cdf(t: float, ell: int, n_max: int = _PLANCHEREL_MAX):
+def poissonized_square_cdf(t: float, ell: int):
     """Poisson(t^2)-size mixture of the permutation laws, with tail bound.
 
     Returns (value, truncation bound); the bound is the unassigned
-    Poisson mass beyond n_max, since each conditional law is at most 1.
+    Poisson mass beyond _PLANCHEREL_MAX, since each conditional law is at
+    most 1.
     """
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     lam = t * t
     value = 0.0
     mass = 0.0
-    for n in range(n_max + 1):
+    for n in range(_PLANCHEREL_MAX + 1):
         if lam == 0.0:
             weight = 1.0 if n == 0 else 0.0
         else:
@@ -384,23 +385,6 @@ class SimConfig:
     def blocks(self) -> int:
         return (self.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE
 
-    @classmethod
-    def from_kv_text(cls, text: str, model: ModelSpec) -> "SimConfig":
-        """Parse ``key=value`` lines (trials, seed, workers)."""
-        fields = {"trials": 10000, "seed": 0, "workers": 1}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ValidationError(f"unknown config key {key!r}")
-            fields[key] = int(val.strip())
-        return cls(model=model, **fields)
-
 
 @dataclass
 class EmpiricalCdf:
@@ -420,12 +404,6 @@ class EmpiricalCdf:
     def stderr_at(self, ell: int) -> float:
         p = self.cdf_at(ell)
         return math.sqrt(p * (1.0 - p) / self.trials)
-
-    def merge(self, other: "EmpiricalCdf") -> "EmpiricalCdf":
-        merged = dict(self.counts)
-        for v, c in other.counts.items():
-            merged[v] = merged.get(v, 0) + c
-        return EmpiricalCdf(counts=merged, trials=self.trials + other.trials)
 
     def csv_rows(self) -> list[tuple[int, int, float, float]]:
         return [

@@ -105,7 +105,9 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
     J = coeffs.half_width
     phi = np.asarray(coeffs.coeffs, dtype=float)  # phi[j + J] = phi_j
 
-    symmetric = coeffs.is_symmetric
+    # structural symmetry of the generating symbol, not bit equality of
+    # the quadrature output, which roundoff breaks
+    symmetric = coeffs.symbol.is_symmetric
     K = cutoff
     b = np.zeros(K + 1)
     b_dual = np.zeros(K + 1)

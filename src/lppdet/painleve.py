@@ -71,6 +71,17 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 50.0
+# The solve window.  Left of about -7 accuracy degrades: perturbations
+# around the branch grow like exp((2 sqrt 2 / 3)|x|^{3/2}), which costs
+# about two digits per unit of x near -9, so the window stops where the
+# solution still carries ~3 digits.  At 8 the Airy matching error sits
+# below the integration tolerance.
+X_MIN = -9.0
+X_RIGHT = 8.0
+# Gauss-Legendre nodes and right end of the truncated domain of the
+# Airy-kernel oracles; the tails past the cut contribute below 1e-20.
+_AIRY_NODES, _AIRY_CUT = 80, 14.0
+_RANK_ONE_NODES, _RANK_ONE_CUT = 120, 18.0
 # Central scaling window for the corner check; outside it the edge
 # expansion is replaced by the exponential decay regimes.
 CORNER_WINDOW = 3.0
@@ -93,16 +104,15 @@ def _int_airy_to_inf(x: float) -> float:
 
 @dataclass(frozen=True)
 class PiiSolution:
-    """Dense table of the Hastings-McLeod solution on [x_min, x_right].
+    """Dense table of the Hastings-McLeod solution on [X_MIN, X_RIGHT].
 
-    Columns: u, du = u', v(x) = int_inf^x u^2 (nonpositive), and
+    Columns: u, v(x) = int_inf^x u^2 (nonpositive), and
     I(x) = int_x^inf u (nonpositive).  ``tol`` is the local error control
     used by the integrator.
     """
 
     grid: np.ndarray
     u: np.ndarray
-    du: np.ndarray
     v: np.ndarray
     I: np.ndarray
     x_right: float
@@ -167,8 +177,7 @@ class PiiSolution:
             raise ValidationError(f"x must be finite, got {x!r}")
         if x < self.grid[0]:
             raise ValidationError(
-                f"x = {x} below tabulated range (grid starts at {self.grid[0]}); "
-                "re-solve with a smaller x_min"
+                f"x = {x} below tabulated range (grid starts at {self.grid[0]})"
             )
 
     def save_npz(self, path) -> None:
@@ -177,7 +186,6 @@ class PiiSolution:
             format_version=np.array([self.FORMAT_VERSION]),
             grid=self.grid,
             u=self.u,
-            du=self.du,
             v=self.v,
             I=self.I,
             x_right=np.array([self.x_right]),
@@ -195,7 +203,6 @@ class PiiSolution:
             return cls(
                 grid=d["grid"],
                 u=d["u"],
-                du=d["du"],
                 v=d["v"],
                 I=d["I"],
                 x_right=float(d["x_right"][0]),
@@ -203,41 +210,18 @@ class PiiSolution:
             )
 
 
-def solve_hastings_mcleod(
-    x_min: float = -9.0,
-    x_right: float = 8.0,
-    tol: float = 1e-13,
-    grid_step: float = 0.005,
-) -> PiiSolution:
-    """Integrate the Hastings-McLeod solution from x_right down to x_min.
+def solve_hastings_mcleod(tol: float = 1e-13, grid_step: float = 0.005) -> PiiSolution:
+    """Integrate the Hastings-McLeod solution from X_RIGHT down to X_MIN.
 
     Uses an adaptive high-order embedded Runge-Kutta pair (DOP853) with
     dense output evaluated on a uniform grid.  The backward direction is
     the stable one: the unwanted growing mode at +inf decays as x drops.
-
-    Left of roughly -7 accuracy degrades anyway: perturbations around the
-    branch grow like exp((2 sqrt 2 / 3)|x|^{3/2}), which costs about two
-    digits per unit of x near -9.  The default range stops where the
-    solution still carries ~3 digits; x_min down to -12 is accepted but
-    the far end of such a grid is qualitative only.
     """
-    if x_min < -12.0:
-        raise ValidationError(
-            f"x_min = {x_min} too far left; the blow-up guard and double "
-            "precision support x_min >= -12"
-        )
-    if not (x_min < 0.0 < x_right):
-        raise ValidationError("need x_min < 0 < x_right")
-    if x_right < 6.0:
-        raise ValidationError(
-            f"x_right = {x_right} too small for the Airy matching error "
-            "to sit below the integration tolerance"
-        )
-    ai, aip, _, _ = airy(x_right)
+    ai, aip, _, _ = airy(X_RIGHT)
     u0 = -float(ai)
     du0 = -float(aip)
-    v0 = -float(aip * aip - x_right * ai * ai)
-    i0 = -_int_airy_to_inf(x_right)
+    v0 = -float(aip * aip - X_RIGHT * ai * ai)
+    i0 = -_int_airy_to_inf(X_RIGHT)
 
     def rhs(x, y):
         u, du, _, _ = y
@@ -248,15 +232,15 @@ def solve_hastings_mcleod(
 
     blow_up.terminal = True
 
-    n_pts = int(round((x_right - x_min) / grid_step)) + 1
-    grid = np.linspace(x_right, x_min, n_pts)
+    n_pts = int(round((X_RIGHT - X_MIN) / grid_step)) + 1
+    grid = np.linspace(X_RIGHT, X_MIN, n_pts)
     sol = solve_ivp(
         rhs,
-        (x_right, x_min),
+        (X_RIGHT, X_MIN),
         (u0, du0, v0, i0),
         method="DOP853",
         rtol=max(tol, 1e-13),
-        # near x_right the state is exponentially small and errors in the
+        # near X_RIGHT the state is exponentially small and errors in the
         # decaying direction are amplified by 1/Ai going left, so error
         # control must be essentially relative there
         atol=max(tol, 1e-13) * 1e-7,
@@ -273,10 +257,8 @@ def solve_hastings_mcleod(
         raise BreakdownError(f"integrator failed: {sol.message}")
     vals = sol.sol(grid)
     grid = grid[::-1]
-    u, du, v, integral = (np.ascontiguousarray(col[::-1]) for col in vals)
-    return PiiSolution(
-        grid=grid, u=u, du=du, v=v, I=integral, x_right=x_right, tol=tol
-    )
+    u, _, v, integral = (np.ascontiguousarray(col[::-1]) for col in vals)
+    return PiiSolution(grid=grid, u=u, v=v, I=integral, x_right=X_RIGHT, tol=tol)
 
 
 def f_gue(sol: PiiSolution, x: float) -> float:
@@ -294,19 +276,16 @@ def f_gse(sol: PiiSolution, x: float) -> float:
     return math.cosh(0.5 * sol.i_at(x)) * math.exp(0.5 * sol.w_at(x))
 
 
-def airy_kernel_fgue(
-    x: float, n_nodes: int = 80, domain_cut: float = 14.0
-) -> float:
+def airy_kernel_fgue(x: float) -> float:
     """Independent oracle: Fredholm determinant of the Airy kernel on (x, inf).
 
-    Nystrom discretization with Gauss-Legendre nodes on [x, domain_cut];
-    the truncated tail contributes below 1e-20 for domain_cut >= 12.
+    Nystrom discretization with Gauss-Legendre nodes on [x, _AIRY_CUT].
     Entirely separate from the ODE path.
     """
-    if domain_cut <= x + 1.0:
-        raise ValidationError("domain_cut must sit well above x")
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    a, b = x, domain_cut
+    if x >= _AIRY_CUT - 1.0:
+        raise ValidationError(f"x = {x} must sit well below the domain cut {_AIRY_CUT}")
+    nodes, weights = np.polynomial.legendre.leggauss(_AIRY_NODES)
+    a, b = x, _AIRY_CUT
     xs = 0.5 * (b - a) * nodes + 0.5 * (b + a)
     ws = 0.5 * (b - a) * weights
     ai, aip, _, _ = airy(xs)
@@ -315,16 +294,14 @@ def airy_kernel_fgue(
         kern = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
     np.fill_diagonal(kern, aip * aip - xs * ai * ai)
     sw = np.sqrt(ws)
-    mat = np.eye(n_nodes) - sw[:, None] * kern * sw[None, :]
+    mat = np.eye(_AIRY_NODES) - sw[:, None] * kern * sw[None, :]
     sign, logdet = np.linalg.slogdet(mat)
     if sign <= 0:
         raise BreakdownError("discretized Airy resolvent lost positivity")
     return float(math.exp(logdet))
 
 
-def airy_rank_one_laws(
-    s: float, n_nodes: int = 120, domain_cut: float = 18.0
-) -> tuple[float, float, float]:
+def airy_rank_one_laws(s: float) -> tuple[float, float, float]:
     """Oracle for all three edge laws via the kernel Ai(x + y + s) on (0, inf).
 
     With B the integral operator with that kernel, det(1 - B^2) is the
@@ -336,12 +313,12 @@ def airy_rank_one_laws(
 
     Returns (f1, f2, f4).  Completely independent of the ODE path.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    xs = 0.5 * domain_cut * (nodes + 1.0)
-    ws = 0.5 * domain_cut * weights
+    nodes, weights = np.polynomial.legendre.leggauss(_RANK_ONE_NODES)
+    xs = 0.5 * _RANK_ONE_CUT * (nodes + 1.0)
+    ws = 0.5 * _RANK_ONE_CUT * weights
     sw = np.sqrt(ws)
     bmat = airy(xs[:, None] + xs[None, :] + s)[0] * sw[:, None] * sw[None, :]
-    eye = np.eye(n_nodes)
+    eye = np.eye(_RANK_ONE_NODES)
     sign_m, log_m = np.linalg.slogdet(eye - bmat)
     sign_p, log_p = np.linalg.slogdet(eye + bmat)
     if sign_m <= 0 or sign_p <= 0:

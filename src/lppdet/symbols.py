@@ -106,18 +106,6 @@ class SymbolSpec:
             and sorted(self.poles_plus) == sorted(self.poles_minus)
         )
 
-    @property
-    def winding_free(self) -> bool:
-        """True when no zero of phi falls inside or on the unit circle."""
-        return all(q < 1.0 for q in self.zeros_plus + self.zeros_minus)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymbolSpec":
-        return cls(**json.loads(text))
-
 
 def evaluate_symbol(spec: SymbolSpec, z):
     """Evaluate phi(z); ``z`` may be a scalar or array, real or complex."""
@@ -147,20 +135,6 @@ class FourierTable:
     half_width: int
     quadrature_nodes: int
     symbol: SymbolSpec
-
-    def __getitem__(self, j: int) -> float:
-        if abs(j) > self.half_width:
-            raise ValidationError(
-                f"coefficient index {j} outside tabulated range "
-                f"[-{self.half_width}, {self.half_width}]"
-            )
-        return float(self.coeffs[j + self.half_width])
-
-    @property
-    def is_symmetric(self) -> bool:
-        # structural symmetry of the generating symbol, not bit equality
-        # of the quadrature output, which roundoff breaks
-        return self.symbol.is_symmetric
 
 
 def default_node_count(half_width: int) -> int:
@@ -264,12 +238,6 @@ class ModelSpec:
         d = asdict(self)
         d["kind"] = self.kind.value
         return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        d = json.loads(text)
-        d["kind"] = ModelKind(d["kind"])
-        return cls(**d)
 
 
 def strong_szego_log_z(spec: SymbolSpec) -> float:

