@@ -19,11 +19,8 @@ from .exact_dist import (
     DistTable,
     build_dist_table,
     exact_law,
-    prob_external,
-    prob_triangle_odd,
     scaled_cdf,
     square_opuc,
-    toeplitz_opuc,
     toeplitz_prob,
 )
 from .painleve import PiiSolution, f_goe, f_gse, f_gue, solve_hastings_mcleod
@@ -58,14 +55,11 @@ __all__ = [
     "fredholm_log_det",
     "identity_checks",
     "levinson",
-    "prob_external",
-    "prob_triangle_odd",
     "run_simulation",
     "scaled_cdf",
     "solve_hastings_mcleod",
     "square_opuc",
     "square_opuc_highprec",
     "toeplitz_log_det",
-    "toeplitz_opuc",
     "toeplitz_prob",
 ]

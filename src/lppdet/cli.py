@@ -23,7 +23,6 @@ from . import __version__
 from .cache import cached_pii_solution
 from .errors import (
     BreakdownError,
-    ConditioningError,
     TruncationError,
     ValidationError,
     VerificationError,
@@ -32,13 +31,13 @@ from .exact_dist import (
     ROW_TOL,
     build_dist_table,
     certified,
-    check_cdf,
+    certified_law,
     exact_law,
-    prob_triangle_fs_via_ogroup,
-    prob_triangle_odd,
+    ogroup_law,
     scaled_cdf,
     square_opuc,
     toeplitz_prob,
+    triangle_rows,
 )
 from .fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
 from .montecarlo import (
@@ -57,14 +56,21 @@ from .painleve import (
     f_gue,
     fit_power_law,
 )
-from .symbols import ModelKind, ModelSpec, SymbolSpec, fourier_coeffs, strong_szego_log_z
+from .symbols import (
+    ModelKind,
+    ModelSpec,
+    SymbolSpec,
+    build_symbol,
+    fourier_coeffs,
+    normalization_log_z,
+    strong_szego_log_z,
+)
 
 # resolution settings for the Painleve II solve backing the tw and
 # converge commands: (integration tolerance, output grid step)
 PRECISION_PROFILES = {
     "fast": (1e-11, 0.02),
     "standard": (1e-13, 0.005),
-    "high": (1e-13, 0.002),
 }
 
 _TRIANGLE = {"t": "t", "alpha": "alpha"}
@@ -323,17 +329,10 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
     config = SimConfig(model=model, trials=args.trials, seed=args.seed, workers=args.workers)
     emp = run_simulation(config)
     rows, _ = exact_law(model, max(emp.counts))
-    law = {}
-    refused = []
-    for ell, (p, bound) in rows.items():
-        try:
-            law[ell] = certified(p, bound, f"P(L <= {ell})", ROW_TOL[model.kind])
-        except ConditioningError:
-            if ell in emp.counts:
-                refused.append(ell)
     # the rows build_dist_table would check, so that none out of [0, 1]
     # passes below as a degenerate threshold
-    check_cdf(law)
+    law, refused = certified_law(model.kind, rows, skip_refused=True)
+    refused = [ell for ell in refused if ell in emp.counts]
     comparisons = []
     ok = True
     # thresholds without a row (even triangle ones) have no exact value
@@ -393,10 +392,12 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
     )
     # the half-index norm products need the full default cutoff to
     # reach the 1e-12 truncation target
-    wide = square_opuc(1.0)
+    group = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=1.0, alpha=0.5)
+    p_rec, b_rec = triangle_rows(1.0, 0.5, 1, square_opuc(1.0))[1]
+    p_grp, b_grp = ogroup_law(build_symbol(group), normalization_log_z(group), 3)[3]
     checks["triangle_vs_orthogonal_group"] = abs(
-        prob_triangle_odd(1.0, 0.5, 1, wide)
-        - prob_triangle_fs_via_ogroup(1.0, 0.5, 3)
+        certified(p_rec, b_rec, "P(L <= 3)", ROW_TOL[ModelKind.POISSON_TRIANGLE])
+        - certified(p_grp, b_grp, "P(L <= 3)", ROW_TOL[group.kind])
     )
     # log det(1 - K_0) = log D_0 - log Z = -log Z
     spec = IntegrableKernelSpec(symbol=square, k=0, nodes=64)

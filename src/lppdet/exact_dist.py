@@ -1,24 +1,29 @@
 """Exact distribution laws assembled from circle-recursion data.
 
 Every model's cumulative law is a ratio of Toeplitz-type determinants of
-its symbol, and ``EXACT_ROUTES`` holds one route per model kind that builds
-the law's data once for a whole table.  The square, lattice and lines laws
-are plain determinants, p(ell) = D_ell / Z, from one recursion builder that
-switches to extended precision for the exponential symbol at t > 2.5.  The
-triangle and external-source laws reuse the square's recursion, their
-boundary rates entering through one pass of polynomial values at -alpha,
--a+ and -a-.  The triangle law at odd thresholds couples those values
-with two infinite products over odd-index norms, taken as suffix sums to
-the end of the table.  The external-source law is the Christoffel-Darboux
-kernel K_n(-a+, -a-) = sum_{k <= n} pi_k(-a+) pi_k(-a-) / N_k times the
-square's determinants, entire in both rates; its rows carry a float64
-roundoff estimate from the size of the terms that cancel.  The
-triangle-FS and symmetrized lattice laws are orthogonal-group averages,
-evaluated as Toeplitz +- Hankel determinants of psi(z) psi(1/z) with a
-float64 conditioning guard; the triangle-FS one is an independent route
-to the triangle law.  Lattice and lines rows carry a measured float64
-error too: the spread against a twin recursion on a second quadrature
-grid.
+its symbol.  ``EXACT_ROUTES`` holds one route per model kind, which
+builds the law's data once for a whole table and returns every row with
+its error bound; ``certified_law`` checks each bound against the kind's
+``ROW_TOL`` and the rows against [0, 1] and monotonicity.  There are no
+per-kind point queries: ``build_dist_table`` and ``verify mc-cross`` take
+every probability through these two.
+
+The square, lattice and lines laws are plain determinants,
+p(ell) = D_ell / Z.  The square's recursion (``square_opuc``) switches to
+extended precision at t > 2.5.  The triangle and external-source laws
+reuse it, their boundary rates entering through one pass of polynomial
+values at -alpha, -a+ and -a-.  The triangle law at odd thresholds
+couples those values with two infinite products over odd-index norms,
+taken as suffix sums to the end of the table.  The external-source law is
+the Christoffel-Darboux kernel K_n(-a+, -a-) = sum_{k <= n} pi_k(-a+)
+pi_k(-a-) / N_k times the square's determinants, entire in both rates;
+its rows carry a float64 roundoff estimate from the size of the terms
+that cancel.  The triangle-FS and symmetrized lattice laws are
+orthogonal-group averages (``ogroup_law``), evaluated as Toeplitz +-
+Hankel determinants of psi(z) psi(1/z) with a float64 conditioning
+bound; the triangle-FS one is an independent route to the triangle law.
+Lattice and lines rows carry a measured float64 error too: the spread
+against a twin recursion on a second quadrature grid.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import numpy as np
 from .errors import (
     BreakdownError,
     ConditioningError,
-    TruncationError,
     ValidationError,
     VerificationError,
 )
@@ -56,12 +60,9 @@ from .opuc import (
 
 __all__ = [
     "DistTable",
-    "toeplitz_opuc",
     "square_opuc",
     "toeplitz_prob",
-    "prob_triangle_odd",
     "triangle_rows",
-    "prob_external",
     "external_rows",
     "OGROUP_ROUTE",
     "OGROUP_TOL",
@@ -69,9 +70,7 @@ __all__ = [
     "certified",
     "ROW_TOL",
     "check_cdf",
-    "ogroup_expectation_spec",
-    "weyl_ogroup_expectation",
-    "prob_triangle_fs_via_ogroup",
+    "certified_law",
     "scaled_cdf",
     "EXACT_ROUTES",
     "exact_law",
@@ -92,48 +91,39 @@ _HIGHPREC_T = 2.5
 SZEGO_TOL = 1e-10
 
 
-def toeplitz_opuc(spec: SymbolSpec, cutoff: int) -> OpucData:
-    """Circle-recursion data of a symbol up to ``cutoff``.
-
-    Runs float64 Levinson on the symbol's Fourier table, except for the
-    exponential symbol exp(t(z + 1/z)) at t > 2.5, where e^{2t} eats the
-    double-precision headroom: there the recursion runs in fixed-point
-    integers on Miller moments (``square_opuc_highprec``).  The float64
-    square is 2.6e-13 off exact at t = 2.5, 1.5e-11 at t = 3, 6.1e-10 at
-    t = 4 and 1.3e-6 at t = 6, with nothing to bound that error, while the
-    fixed-point data stays within 1.3e-14 at every t; the triangle and
-    external-source laws inherit the same error.  Whenever that
-    route's cutoff reaches past the point where the reflection data is
-    numerically zero, the log-norms must sum to log Z = t^2 (strong Szego)
-    within SZEGO_TOL, or the data is refused with a BreakdownError: too
-    little working precision shows up as wrong digits before it breaks the
-    recursion.
-    """
-    t = spec.exp_plus_t
-    if t > _HIGHPREC_T and spec == SymbolSpec(exp_plus_t=t, exp_minus_t=t):
-        data = square_opuc_highprec(t, cutoff)
-        if cutoff >= _default_cutoff(t, 0):
-            residual = abs(math.fsum(data.log_norms) - strong_szego_log_z(spec))
-            if not residual <= SZEGO_TOL:
-                raise BreakdownError(
-                    f"strong Szego check failed at t = {t}: the log-norms sum "
-                    f"to t^2 only within {residual:.2e} > {SZEGO_TOL:.0e}; "
-                    "working precision too low"
-                )
-        return data
-    return levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
-
-
 def square_opuc(t: float, cutoff: int | None = None, ell: int = 0) -> OpucData:
-    """``toeplitz_opuc`` of the exponential symbol at rate t.
+    """Circle-recursion data of the exponential symbol exp(t(z + 1/z)).
 
     The default cutoff covers thresholds up to ``ell`` together with every
     product tail the square, triangle and external-source formulas need.
+    Runs float64 Levinson on the symbol's Fourier table up to t = 2.5.
+    Past it e^{2t} eats the double-precision headroom, and the recursion
+    runs in fixed-point integers on Miller moments
+    (``square_opuc_highprec``).  The float64 square is 2.6e-13 off exact
+    at t = 2.5, 1.5e-11 at t = 3, 6.1e-10 at t = 4 and 1.3e-6 at t = 6,
+    with nothing to bound that error, while the fixed-point data stays
+    within 1.3e-14 at every t; the triangle and external-source laws
+    inherit the same error.  Whenever that route's cutoff reaches past the
+    point where the reflection data is numerically zero, the log-norms
+    must sum to log Z = t^2 (strong Szego) within SZEGO_TOL, or the data
+    is refused with a BreakdownError: too little working precision shows
+    up as wrong digits before it breaks the recursion.
     """
     spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
     if cutoff is None:
         cutoff = _default_cutoff(t, ell)
-    return toeplitz_opuc(spec, cutoff)
+    if t <= _HIGHPREC_T:
+        return levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
+    data = square_opuc_highprec(t, cutoff)
+    if cutoff >= _default_cutoff(t, 0):
+        residual = abs(math.fsum(data.log_norms) - strong_szego_log_z(spec))
+        if not residual <= SZEGO_TOL:
+            raise BreakdownError(
+                f"strong Szego check failed at t = {t}: the log-norms sum "
+                f"to t^2 only within {residual:.2e} > {SZEGO_TOL:.0e}; "
+                "working precision too low"
+            )
+    return data
 
 
 def toeplitz_prob(log_z: float, ell: int, opuc: OpucData) -> float:
@@ -146,27 +136,6 @@ def toeplitz_prob(log_z: float, ell: int, opuc: OpucData) -> float:
             f"ell = {ell} exceeds recursion cutoff {opuc.cutoff}"
         )
     return math.exp(-log_z + toeplitz_log_det(opuc, ell))
-
-
-_TRIANGLE_TAIL_TOL = 1e-12
-
-
-def prob_triangle_odd(t: float, alpha: float, ell: int, opuc: OpucData) -> float:
-    """P(longest chain <= 2*ell + 1) for the triangle process.
-
-    Row ell of ``triangle_rows``; its product truncation bound must stay
-    within 1e-12.
-    """
-    rows = triangle_rows(t, alpha, ell, opuc)
-    if ell < 0:
-        return 0.0
-    p, bound = rows[ell]
-    if bound > _TRIANGLE_TAIL_TOL:
-        raise TruncationError(
-            f"product truncation bound {bound:.3e} exceeds {_TRIANGLE_TAIL_TOL:.1e}; "
-            "increase the recursion cutoff"
-        )
-    return p
 
 
 def triangle_rows(
@@ -209,27 +178,6 @@ def triangle_rows(
         + (pi_star - alpha * pi) * np.exp(front + log_h_minus)
     )
     return [(float(v), bound) for v in values]
-
-
-def prob_external(
-    t: float, a_plus: float, a_minus: float, ell: int, opuc: OpucData
-) -> float:
-    """P(longest chain <= ell) with boundary sources of rates a_plus/a_minus.
-
-    Row ell of ``external_rows``; its roundoff estimate must stay within
-    1e-9.
-    """
-    if a_plus < 0 or a_minus < 0:
-        raise ValidationError("boundary rates must be >= 0")
-    if ell < 0:
-        raise ValidationError(f"ell must be >= 0, got {ell}")
-    if ell > opuc.cutoff:
-        raise ValidationError(f"ell = {ell} exceeds cutoff {opuc.cutoff}")
-    model = ModelSpec(
-        kind=ModelKind.POISSON_EXTERNAL, t=t, alpha_plus=a_plus, alpha_minus=a_minus
-    )
-    p, bound = external_rows(a_plus, a_minus, normalization_log_z(model), ell, opuc)[ell]
-    return certified(p, bound, f"P(L <= {ell})")
 
 
 # Multiple of eps (ell + 1) times the magnitude of the terms that an
@@ -351,9 +299,10 @@ def _ogroup_mean(
     return float(value), float(bound)
 
 
-def ogroup_law(model: ModelSpec, lmax: int) -> list[tuple[float, float]]:
-    """[(P(L <= ell), float64 error bound)] for ell = 0..lmax of a model
-    whose law is an orthogonal-group average, E_{O(ell)} det psi(U) / Z.
+def ogroup_law(psi: SymbolSpec, log_z: float, lmax: int) -> list[tuple[float, float]]:
+    """[(E_{O(ell)} det psi(U) * e^{-log_z}, float64 error bound)] for
+    ell = 0..lmax: a model's law P(L <= ell) when ``log_z`` is its log Z,
+    the bare group means at log_z = 0.
 
     One Fourier table of psi(z) psi(1/z) serves every ell; the empty
     group's mean is 1.  Bounds are returned, not enforced: callers
@@ -361,47 +310,20 @@ def ogroup_law(model: ModelSpec, lmax: int) -> list[tuple[float, float]]:
     """
     if lmax < 0:
         raise ValidationError(f"lmax must be >= 0, got {lmax}")
-    spec, log_z = build_symbol(model), normalization_log_z(model)
-    g = _pair_coeffs(spec, lmax)
+    g = _pair_coeffs(psi, lmax)
     return [(math.exp(-log_z), 0.0)] + [
-        _ogroup_mean(spec, g, ell, log_z) for ell in range(1, lmax + 1)
+        _ogroup_mean(psi, g, ell, log_z) for ell in range(1, lmax + 1)
     ]
 
 
-def certified(value: float, bound: float, what: str, tol: float = OGROUP_TOL) -> float:
+def certified(value: float, bound: float, what: str, tol: float) -> float:
     """``value`` when its error bound is within ``tol``."""
     if not bound <= tol:
         raise ConditioningError(f"{what}: error bound {bound:.2e} exceeds {tol:.0e}")
     return value
 
 
-def ogroup_expectation_spec(spec: SymbolSpec, ell: int) -> float:
-    """Mean of det(psi(U)) over the full orthogonal group O(ell).
-
-    Certified to OGROUP_TOL relative to the mean.
-    """
-    if ell < 1:
-        raise ValidationError(f"ell must be >= 1, got {ell}")
-    value, bound = _ogroup_mean(spec, _pair_coeffs(spec, ell), ell, 0.0)
-    relative = bound / abs(value) if value != 0.0 else math.inf
-    return certified(value, relative, f"O({ell}) mean")
-
-
-def weyl_ogroup_expectation(t: float, alpha: float, ell: int) -> float:
-    """Orthogonal-group mean of det((1 + alpha U) e^{t U})."""
-    return ogroup_expectation_spec(SymbolSpec(exp_plus_t=t, zeros_plus=(alpha,)), ell)
-
-
-def prob_triangle_fs_via_ogroup(t: float, alpha: float, ell: int) -> float:
-    """Triangle law via the orthogonal-group average (validation path)."""
-    if ell < 0:
-        return 0.0
-    model = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=t, alpha=alpha)
-    p, bound = ogroup_law(model, ell)[ell]
-    return certified(p, bound, f"P(L <= {ell})")
-
-
-def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
+def scaled_cdf(t: float, x: float, opuc: OpucData) -> float:
     """P(L <= floor(2t + x t^{1/3})), the edge-scaled staircase CDF.
 
     Past the end of ``opuc`` the law has converged and its last row is
@@ -413,8 +335,6 @@ def scaled_cdf(t: float, x: float, opuc: OpucData | None = None) -> float:
     ell = math.floor(2.0 * t + x * t ** (1.0 / 3.0))
     if ell < 0:
         return 0.0
-    if opuc is None:
-        opuc = square_opuc(t, ell=ell)
     if ell > opuc.cutoff:
         if opuc.cutoff < _default_cutoff(t, 0):
             raise ValidationError(
@@ -458,9 +378,6 @@ class DistTable:
 
     def probability(self, ell: int) -> float:
         return self.entries[ell][1]
-
-    def check_monotone(self) -> None:
-        check_cdf({ell: p for ell, (_, p) in self.entries.items()})
 
     def csv_rows(self) -> list[tuple[int, float, float]]:
         return [
@@ -516,7 +433,7 @@ def _lattice_law(model: ModelSpec, lmax: int) -> Law:
     misses error the two runs share.  A twin breakdown refuses the table.
     """
     spec, cutoff = build_symbol(model), lmax + 2
-    opuc = toeplitz_opuc(spec, cutoff)
+    opuc = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
     nodes = opuc.source.quadrature_nodes * 3 // 2 + 1
     twin = levinson(fourier_coeffs(spec, cutoff + 2, nodes), cutoff)
     log_z = normalization_log_z(model)
@@ -552,7 +469,7 @@ def _external_law(model: ModelSpec, lmax: int) -> Law:
 
 
 def _group_law(model: ModelSpec, lmax: int) -> Law:
-    rows = ogroup_law(model, lmax)
+    rows = ogroup_law(build_symbol(model), normalization_log_z(model), lmax)
     return dict(enumerate(rows)), {
         "path": OGROUP_ROUTE,
         "error_bound": max(b for _, b in rows),
@@ -562,7 +479,7 @@ def _group_law(model: ModelSpec, lmax: int) -> Law:
 # largest bound a row may carry: OGROUP_TOL, or 1e-12 on the triangle's
 # relative product-truncation bound
 ROW_TOL = {kind: OGROUP_TOL for kind in ModelKind} | {
-    ModelKind.POISSON_TRIANGLE: _TRIANGLE_TAIL_TOL
+    ModelKind.POISSON_TRIANGLE: 1e-12
 }
 
 EXACT_ROUTES = {
@@ -589,16 +506,31 @@ def exact_law(model: ModelSpec, lmax: int) -> Law:
     return EXACT_ROUTES[model.kind](model, lmax)
 
 
+def certified_law(
+    kind: ModelKind, rows: dict[int, tuple[float, float]], skip_refused: bool = False
+) -> tuple[dict[int, float], list[int]]:
+    """({ell: p} of the rows certified within the kind's ROW_TOL, the
+    thresholds refused), the law checked by ``check_cdf``.  A refused row
+    raises its ConditioningError before the check, unless ``skip_refused``
+    leaves it out of the law."""
+    law, refused = {}, []
+    for ell, (p, bound) in rows.items():
+        try:
+            law[ell] = certified(p, bound, f"P(L <= {ell})", ROW_TOL[kind])
+        except ConditioningError:
+            if not skip_refused:
+                raise
+            refused.append(ell)
+    check_cdf(law)
+    return law, refused
+
+
 def build_dist_table(model: ModelSpec, lmax: int) -> DistTable:
     """Cumulative table of the model's exact law for ell <= lmax.
 
     Every row must be certified and the table nondecreasing in [0, 1].
     """
     rows, info = exact_law(model, lmax)
-    entries, tol = {}, ROW_TOL[model.kind]
-    for ell, (p, bound) in rows.items():
-        certified(p, bound, f"P(L <= {ell})", tol)
-        entries[ell] = (_log_or_neg_inf(p), p)
-    table = DistTable(model=model, entries=entries, truncation_info=info)
-    table.check_monotone()
-    return table
+    law, _ = certified_law(model.kind, rows)
+    entries = {ell: (_log_or_neg_inf(p), p) for ell, p in law.items()}
+    return DistTable(model=model, entries=entries, truncation_info=info)

@@ -34,8 +34,6 @@ __all__ = [
     "EmpiricalCdf",
     "patience_lis",
     "sample_g_prime",
-    "lattice_chain_fast",
-    "sample_lattice_matrix",
     "LATTICES",
     "brute_force_lis_distribution",
     "plancherel_lis_cdf",
@@ -217,19 +215,6 @@ LATTICES = {
         functools.partial(_symmetric, diagonal=sample_g_prime), _strict_strict
     ),
 }
-
-
-def sample_lattice_matrix(
-    model: ModelSpec, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Batch of entry arrays, shape (size, M, N), per the model's law."""
-    return LATTICES[model.kind][0](model, rng, size)
-
-
-def lattice_chain_fast(x: np.ndarray, kind: ModelKind) -> np.ndarray:
-    """Longest-path values for a batch of arrays (size, M, N), by the
-    kind's path rule."""
-    return LATTICES[kind][1](x)
 
 
 _BRUTE_FORCE_MAX = 8
@@ -538,7 +523,8 @@ def _lines_block(model: ModelSpec, rng: np.random.Generator, count: int):
 
 
 def _lattice_block(model: ModelSpec, rng: np.random.Generator, count: int):
-    return lattice_chain_fast(sample_lattice_matrix(model, rng, count), model.kind)
+    entries, path = LATTICES[model.kind]
+    return path(entries(model, rng, count))
 
 
 # kind -> sampler(model, rng, count) returning ``count`` chain values, each

@@ -8,7 +8,10 @@ instead, and the tests compare the two.  ``eval_pi_dense`` builds one
 orthogonal polynomial by a dense linear solve instead of the recursion.
 ``prob_square_product`` reads the square law off the complementary product
 of norms, and ``triangle_law_mpf`` the triangle law off a dense
-orthogonal-group determinant.
+orthogonal-group determinant.  ``toeplitz_log_norms_fixed`` runs the
+asymmetric recursion for any ``SymbolSpec`` in fixed-point integers, on a
+table convolved from the symbol's one-sided power series instead of the
+float64 quadrature table.
 """
 
 import math
@@ -18,7 +21,7 @@ import numpy as np
 
 from lppdet.errors import BreakdownError, TruncationError, ValidationError
 from lppdet.opuc import OpucData
-from lppdet.symbols import FourierTable
+from lppdet.symbols import FourierTable, SymbolSpec
 
 
 def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,3 +160,82 @@ def triangle_law_mpf(t: float, alpha: float, ell: int, dps: int = 120) -> float:
         psi_plus, psi_minus = mp.exp(t_) * (1 + a), mp.exp(-t_) * (1 - a)
         mean = (psi_plus * det(-1) + psi_minus * det(1)) / 2
         return float(mean * mp.exp(-t_ * t_ / 2 - a * t_))
+
+
+_GUARD_BITS = 64
+
+
+def _one_sided_series(
+    t: float, zeros: tuple[float, ...], poles: tuple[float, ...], bits: int
+) -> list[int]:
+    """Power-series coefficients u_n of e^{tw} prod(1 + a w) / prod(1 - c w)
+    at scale 2^bits, up to the first n where the tail is below 2^-bits.
+
+    Every parameter enters as the exact ratio of its float value, and each
+    step rounds once.  The cutoff comes from Cauchy's bound on the circle
+    |w| = R inside the radius of convergence: |u_n| <= M(R) R^-n.
+    """
+    top = max(poles, default=0.0)
+    radius = 2.0 if top <= 1.0 / 3.0 else 0.5 * (1.0 + 1.0 / top)
+    log_m = t * radius + sum(math.log1p(a * radius) for a in zeros)
+    log_m -= sum(math.log1p(-c * radius) for c in poles)
+    tail = log_m + bits * math.log(2.0) - math.log1p(-1.0 / radius)
+    count = max(1, math.ceil(tail / math.log(radius)))
+    num, den = float(t).as_integer_ratio()
+    u = [1 << bits]
+    for n in range(1, count):
+        u.append(u[-1] * num // (den * n))
+    for a in zeros:
+        num, den = float(a).as_integer_ratio()
+        u = [u[0]] + [x + y * num // den for x, y in zip(u[1:], u)]
+    for c in poles:
+        num, den = float(c).as_integer_ratio()
+        for n in range(1, count):
+            u[n] += u[n - 1] * num // den
+    return u
+
+
+def toeplitz_log_norms_fixed(spec: SymbolSpec, cutoff: int, bits: int = 192) -> np.ndarray:
+    """log N_k, k = 0..cutoff, of the symbol's Toeplitz recursion with no
+    float64 step before the logarithms.
+
+    The symbol is phi_+(z) phi_-(1/z), each side a power series from
+    ``_one_sided_series`` at ``bits`` plus 64 guard bits, so its Laurent
+    coefficients are the convolutions phi_k = sum_n u_{n+k} v_n and
+    phi_{-k} = sum_n u_n v_{n+k}.  The recursion is ``levinson``'s pair
+    (pi_k, rho_k) in integers at scale 2^bits, each product rounded once.
+    """
+    scale = bits + _GUARD_BITS
+    u = _one_sided_series(spec.exp_plus_t, spec.zeros_plus, spec.poles_plus, scale)
+    v = _one_sided_series(spec.exp_minus_t, spec.zeros_minus, spec.poles_minus, scale)
+    size = max(len(u), len(v)) + cutoff + 2
+    u = np.array(u + [0] * (size - len(u)), dtype=object)
+    v = np.array(v + [0] * (size - len(v)), dtype=object)
+    shift = 2 * scale - bits  # from scale 2^(2 scale) down to 2^bits
+
+    def coeff(k: int) -> int:
+        a, b = (u, v) if k >= 0 else (v, u)
+        k = abs(k)
+        return int(np.dot(a[k:], b[: size - k])) >> shift
+
+    up = np.array([coeff(k) for k in range(cutoff + 2)], dtype=object)
+    down = np.array([coeff(-k) for k in range(cutoff + 2)], dtype=object)
+    one = 1 << bits
+    pi = rho = np.array([one], dtype=object)
+    n_cur = up[0]
+    # log1p of one correctly rounded int/int division, as in
+    # ``square_opuc_highprec``, so nothing cancels where N_k ~ 1
+    log_norms = [math.log1p((n_cur - one) / one)]
+    for k in range(cutoff):
+        b = np.dot(pi, down[1 : k + 2]) // n_cur
+        b_dual = np.dot(rho, up[1 : k + 2]) // n_cur
+        pi_next = np.concatenate([[0], pi]).astype(object)
+        rho_next = np.concatenate([[0], rho]).astype(object)
+        pi_next[:-1] -= (rho[::-1] * b) >> bits
+        rho_next[:-1] -= (pi[::-1] * b_dual) >> bits
+        pi, rho = pi_next, rho_next
+        n_cur = np.dot(pi, up[k + 1 :: -1]) >> bits
+        if n_cur <= 0:
+            raise BreakdownError(f"norm N_{k + 1} not positive in fixed point")
+        log_norms.append(math.log1p((n_cur - one) / one))
+    return np.array(log_norms)

@@ -20,13 +20,9 @@ import pytest
 from lppdet import cli
 from lppdet.exact_dist import (
     build_dist_table,
-    prob_external,
-    prob_triangle_fs_via_ogroup,
-    prob_triangle_odd,
     scaled_cdf,
     square_opuc,
     toeplitz_prob,
-    weyl_ogroup_expectation,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
 from lppdet.montecarlo import (
@@ -46,6 +42,8 @@ from lppdet.painleve import (
     solve_hastings_mcleod,
 )
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
+
+from route_points import external_point, group_mean, triangle_odd
 
 SLOPE_WINDOW = (-2.0 / 3.0 - 0.2, -2.0 / 3.0 + 0.2)
 
@@ -284,14 +282,14 @@ def test_criterion_7_monte_carlo_cross_validation(opuc_t1, criterion_log):
         def f(ell):
             if ell % 2 == 0:
                 return None  # even thresholds carry no new mass
-            return prob_triangle_odd(1.0, alpha, (ell - 1) // 2, opuc_t1)
+            return triangle_odd(1.0, alpha, (ell - 1) // 2, opuc_t1)
 
         return f
 
     def exact_external(ell):
         if ell == 0:
             return math.exp(-(1.0 + 0.3 + 0.6))  # void probability
-        return prob_external(1.0, 0.3, 0.6, ell, opuc_t1)
+        return external_point(1.0, 0.3, 0.6, ell, opuc_t1)
 
     lattice_a = ModelSpec(
         kind=ModelKind.LATTICE_A, row_params=(0.3, 0.2), col_params=(0.25, 0.2)
@@ -353,13 +351,14 @@ def test_criterion_8_orthogonal_group_consistency(opuc_t1, criterion_log):
     dev = 0.0
     for alpha in (0.0, 0.5, 1.5):
         for pair in range(0, 4):
-            via_recursion = prob_triangle_odd(1.0, alpha, pair, opuc_t1)
-            via_group = prob_triangle_fs_via_ogroup(1.0, alpha, 2 * pair + 1)
+            via_recursion = triangle_odd(1.0, alpha, pair, opuc_t1)
+            fs = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=1.0, alpha=alpha)
+            via_group = build_dist_table(fs, 2 * pair + 1).probability(2 * pair + 1)
             dev = max(dev, abs(via_recursion - via_group))
     psi = SymbolSpec(exp_plus_t=1.0, zeros_plus=(0.5,))
     rng = np.random.default_rng(1234)
     est, err = haar_orthogonal_expectation(psi, 5, 1_000_000, rng)
-    exact = weyl_ogroup_expectation(1.0, 0.5, 5)
+    exact = group_mean(psi, 5)
     z = abs(est - exact) / err
     ok = dev < 1e-6 and z <= 3.0
     criterion_log(

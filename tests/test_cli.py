@@ -367,13 +367,13 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
     """Every threshold of the external-sources law reads one recursion
     table, built to the largest sampled threshold."""
     calls = []
-    real = exact_dist.toeplitz_opuc
+    real = exact_dist.square_opuc
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(exact_dist, "toeplitz_opuc", counting)
+    monkeypatch.setattr(exact_dist, "square_opuc", counting)
     code, out = run(
         "--seed", "0", "verify", "mc-cross", "--model", "external", "--t", "8",
         "--alpha-plus", "0.3", "--alpha-minus", "0.6", "--trials", "400",

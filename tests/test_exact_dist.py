@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from lppdet.errors import (
     BreakdownError,
     ConditioningError,
-    TruncationError,
     ValidationError,
     VerificationError,
 )
@@ -18,19 +17,13 @@ from lppdet.exact_dist import (
     _default_cutoff,
     OGROUP_ROUTE,
     OGROUP_TOL,
-    DistTable,
     build_dist_table,
     check_cdf,
     exact_law,
     external_rows,
-    ogroup_expectation_spec,
-    prob_external,
-    prob_triangle_fs_via_ogroup,
-    prob_triangle_odd,
     scaled_cdf,
     square_opuc,
     toeplitz_prob,
-    weyl_ogroup_expectation,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
 from lppdet.opuc import levinson, square_opuc_highprec
@@ -44,6 +37,7 @@ from lppdet.symbols import (
 
 from highprec_oracle import prob_square_product, triangle_law_mpf
 from ogroup_quadrature import MAX_ELL, quadrature_expectation
+from route_points import external_point, group_mean, triangle_odd
 
 
 def top_of_table(model, ell):
@@ -143,16 +137,16 @@ def test_square_refused_when_strong_szego_fails(monkeypatch):
 
 
 def test_triangle_frozen_values(opuc_t1):
-    assert float(prob_triangle_odd(1.0, 0.0, 0, opuc_t1)) == pytest.approx(
+    assert float(triangle_odd(1.0, 0.0, 0, opuc_t1)) == pytest.approx(
         0.9359257154242638, abs=1e-10
     )
-    assert float(prob_triangle_odd(1.0, 0.5, 0, opuc_t1)) == pytest.approx(
+    assert float(triangle_odd(1.0, 0.5, 0, opuc_t1)) == pytest.approx(
         0.7838338208091404, abs=1e-10
     )
-    assert float(prob_triangle_odd(1.0, 0.5, 1, opuc_t1)) == pytest.approx(
+    assert float(triangle_odd(1.0, 0.5, 1, opuc_t1)) == pytest.approx(
         0.9933828999153463, abs=1e-10
     )
-    assert float(prob_triangle_odd(1.0, 1.5, 0, opuc_t1)) == pytest.approx(
+    assert float(triangle_odd(1.0, 1.5, 0, opuc_t1)) == pytest.approx(
         0.44740253437232946, abs=1e-10
     )
 
@@ -160,48 +154,48 @@ def test_triangle_frozen_values(opuc_t1):
 def test_triangle_needs_room_for_the_tail():
     small = square_opuc(1.0, cutoff=8)
     with pytest.raises(ValidationError):
-        prob_triangle_odd(1.0, 0.5, 0, small)
+        triangle_odd(1.0, 0.5, 0, small)
     # enough factors to run, not enough to certify 1e-12
     mid = square_opuc(1.0, cutoff=12)
-    with pytest.raises(TruncationError):
-        prob_triangle_odd(1.0, 0.5, 0, mid)
+    with pytest.raises(ConditioningError):
+        triangle_odd(1.0, 0.5, 0, mid)
 
 
 def test_triangle_alpha_zero_matches_symmetrized_square(opuc_t1):
     """Without a boundary rate the odd law must match the plain
     orthogonal-group average of e^{tU}."""
-    lhs = float(prob_triangle_odd(1.0, 0.0, 1, opuc_t1))
-    rhs = prob_triangle_fs_via_ogroup(1.0, 0.0, 3)
+    lhs = float(triangle_odd(1.0, 0.0, 1, opuc_t1))
+    rhs = top_of_table(ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=1.0, alpha=0.0), 3)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_external_frozen_values(opuc_t1):
     expected = {1: 0.5895222935327221, 2: 0.8943693866451398, 3: 0.9829853441225228}
     for ell, value in expected.items():
-        assert float(prob_external(1.0, 0.3, 0.6, ell, opuc_t1)) == pytest.approx(
+        assert float(external_point(1.0, 0.3, 0.6, ell, opuc_t1)) == pytest.approx(
             value, abs=1e-10
         )
 
 
 def test_external_reduces_to_square_at_zero_rates(opuc_t1):
     for ell in (1, 2, 3):
-        assert float(prob_external(1.0, 0.0, 0.0, ell, opuc_t1)) == pytest.approx(
+        assert float(external_point(1.0, 0.0, 0.0, ell, opuc_t1)) == pytest.approx(
             toeplitz_prob(1.0, ell, opuc_t1), abs=1e-11
         )
 
 
 def test_external_symmetric_in_the_two_rates(opuc_t1):
-    a = float(prob_external(1.0, 0.3, 0.6, 2, opuc_t1))
-    b = float(prob_external(1.0, 0.6, 0.3, 2, opuc_t1))
+    a = float(external_point(1.0, 0.3, 0.6, 2, opuc_t1))
+    b = float(external_point(1.0, 0.6, 0.3, 2, opuc_t1))
     assert a == pytest.approx(b, abs=1e-11)
 
 
 def test_external_singular_direction(opuc_t1):
     """At alpha_plus * alpha_minus = 1 the law is as smooth in the rates as
     anywhere else, so its value stays close to nearby evaluations."""
-    at = float(prob_external(1.0, 2.0, 0.5, 2, opuc_t1))
+    at = float(external_point(1.0, 2.0, 0.5, 2, opuc_t1))
     assert at == pytest.approx(0.5510366937860481, abs=1e-8)
-    near = float(prob_external(1.0, 2.0, 0.5 - 2e-4, 2, opuc_t1))
+    near = float(external_point(1.0, 2.0, 0.5 - 2e-4, 2, opuc_t1))
     assert at == pytest.approx(near, abs=1e-4)
 
 
@@ -392,7 +386,7 @@ def test_lines_d_level_one_closed_form():
 
 def test_ogroup_dimension_one_closed_form():
     """O(1) = {+1, -1}, so the average is evaluated by hand."""
-    expectation = weyl_ogroup_expectation(1.0, 0.5, 1)
+    expectation = group_mean(SymbolSpec(exp_plus_t=1.0, zeros_plus=(0.5,)), 1)
     closed = 0.5 * (1.5 * math.e + 0.5 / math.e)
     assert expectation == pytest.approx(closed, rel=1e-13)
 
@@ -414,7 +408,7 @@ def test_ogroup_determinant_matches_quadrature(spec):
     """Toeplitz +- Hankel determinants against the eigenvalue-angle
     quadrature of the Weyl integration formula."""
     for ell in range(1, MAX_ELL + 1):
-        assert ogroup_expectation_spec(spec, ell) == pytest.approx(
+        assert group_mean(spec, ell) == pytest.approx(
             quadrature_expectation(spec, ell), rel=1e-11
         )
 
@@ -477,23 +471,12 @@ def test_dist_table_round_trip_and_rows():
 
 
 def test_dist_table_monotone_guard():
-    model = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0)
-    bad = DistTable(
-        model=model,
-        entries={0: (math.log(0.5), 0.5), 1: (math.log(0.4), 0.4)},
-        truncation_info={},
-    )
     with pytest.raises(VerificationError):
-        bad.check_monotone()
+        check_cdf({0: 0.5, 1: 0.4})
     # every step drops 6e-11, inside the slack; together they drop 1.2e-10
     drift = [0.5, 1.0, 1.0 - 6e-11, 1.0 - 1.2e-10]
-    bad = DistTable(
-        model=model,
-        entries={ell: (math.log(p), p) for ell, p in enumerate(drift)},
-        truncation_info={},
-    )
     with pytest.raises(VerificationError, match="below an earlier entry"):
-        bad.check_monotone()
+        check_cdf(dict(enumerate(drift)))
 
 
 def test_lines_d_drift_refused():
@@ -539,10 +522,11 @@ def test_triangle_table_at_the_default_cutoff():
     """At t = 2 the extra cutoff the triangle table once carried put the
     product truncation bound on the roundoff plateau past 1e-12."""
     model = ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=2.0, alpha=0.5)
+    fs = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=2.0, alpha=0.5)
     table = build_dist_table(model, 11)
     for ell in (1, 3, 5, 7, 9, 11):
         assert table.probability(ell) == pytest.approx(
-            prob_triangle_fs_via_ogroup(2.0, 0.5, ell), abs=1e-10
+            top_of_table(fs, ell), abs=1e-10
         )
     assert table.truncation_info["tail_bound"] <= 1e-12
 
@@ -558,5 +542,5 @@ def test_triangle_and_fs_routes_agree_on_shared_thresholds():
     table = build_dist_table(fs, 11)
     data = square_opuc(1.0)
     for thr in (1, 3, 5, 7, 9, 11):
-        det_route = float(prob_triangle_odd(1.0, 0.5, (thr - 1) // 2, data))
+        det_route = float(triangle_odd(1.0, 0.5, (thr - 1) // 2, data))
         assert table.entries[thr][1] == pytest.approx(det_route, abs=1e-10)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from lppdet import montecarlo
 from lppdet.errors import ValidationError
-from lppdet.exact_dist import certified, exact_law, weyl_ogroup_expectation
+from lppdet.exact_dist import certified_law, exact_law
 from lppdet.montecarlo import (
+    LATTICES,
     SAMPLERS,
     EmpiricalCdf,
     SimConfig,
@@ -20,13 +21,11 @@ from lppdet.montecarlo import (
     _patience_rows,
     brute_force_lis_distribution,
     haar_orthogonal_expectation,
-    lattice_chain_fast,
     patience_lis,
     plancherel_lis_cdf,
     poissonized_square_cdf,
     run_simulation,
     sample_g_prime,
-    sample_lattice_matrix,
 )
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
 from sampler_oracle import (
@@ -37,6 +36,7 @@ from sampler_oracle import (
     longest_chain_2d,
     sample_poisson_square,
 )
+from route_points import group_mean
 
 # ---------------------------------------------------------------- sequences
 
@@ -228,13 +228,13 @@ def test_lattice_entry_marginals():
     model = ModelSpec(
         kind=ModelKind.LATTICE_A, row_params=(0.3,), col_params=(0.5,)
     )
-    x = sample_lattice_matrix(model, rng, 200000)
+    x = LATTICES[model.kind][0](model, rng, 200000)
     p = 0.15
     assert abs(x.mean() - p / (1.0 - p)) < 0.004
     bern = ModelSpec(
         kind=ModelKind.LATTICE_B, row_params=(0.6,), col_params=(0.7,)
     )
-    y = sample_lattice_matrix(bern, rng, 200000)
+    y = LATTICES[bern.kind][0](bern, rng, 200000)
     assert set(np.unique(y)) <= {0, 1}
     assert abs(y.mean() - 0.42 / 1.42) < 0.004
 
@@ -245,7 +245,7 @@ def test_symmetric_kinds_draw_symmetric_arrays():
         model = ModelSpec(
             kind=kind, alpha=0.4, row_params=(0.4, 0.3, 0.2)
         )
-        x = sample_lattice_matrix(model, rng, 50)
+        x = LATTICES[kind][0](model, rng, 50)
         assert np.array_equal(x, x.transpose(0, 2, 1))
 
 
@@ -269,20 +269,20 @@ _KIND_ENTRIES = {
 def test_fast_path_matches_reference(seed, m, n, kind):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, _KIND_ENTRIES[kind], size=(1, m, n)).astype(np.int64)
-    fast = int(lattice_chain_fast(x, kind)[0])
+    fast = int(LATTICES[kind][1](x)[0])
     assert fast == lattice_chain_reference(x[0], kind)
 
 
 def test_path_rules_on_pinned_arrays():
     # weak/weak reads the best corner-to-corner sum
     a = np.array([[[1, 0], [2, 3]]], dtype=np.int64)
-    assert lattice_chain_fast(a, ModelKind.LATTICE_A)[0] == 6
+    assert LATTICES[ModelKind.LATTICE_A][1](a)[0] == 6
     # strict column step forbids stacking within one column, so the best
     # chain is the bottom row 2 + 3
-    assert lattice_chain_fast(a, ModelKind.LATTICE_B)[0] == 5
+    assert LATTICES[ModelKind.LATTICE_B][1](a)[0] == 5
     # strict/strict counts occupied cells on a strict staircase
     c = np.array([[[1, 1], [0, 1]]], dtype=np.int64)
-    assert lattice_chain_fast(c, ModelKind.LATTICE_C)[0] == 2
+    assert LATTICES[ModelKind.LATTICE_C][1](c)[0] == 2
 
 
 # ------------------------------------------------------- counting harness
@@ -369,9 +369,9 @@ def test_block_samplers_match_exact_laws(model):
     trials = 20000
     emp = run_simulation(SimConfig(model=model, trials=trials, seed=2024))
     rows, _ = exact_law(model, max(emp.counts))
+    law, _ = certified_law(model.kind, rows)
     checked = 0
-    for ell, (p, bound) in rows.items():
-        p = certified(p, bound, f"P(L <= {ell})")
+    for ell, p in law.items():
         if not 0.01 < p < 0.99:
             continue
         z = abs(emp.cdf_at(ell) - p) / math.sqrt(p * (1.0 - p) / trials)
@@ -472,7 +472,7 @@ def test_haar_expectation_against_quadrature():
     rng = np.random.default_rng(77)
     for ell, trials in ((3, 50000), (12, 20000)):
         est, err = haar_orthogonal_expectation(psi, ell, trials, rng)
-        exact = weyl_ogroup_expectation(t, alpha, ell)
+        exact = group_mean(psi, ell)
         assert err > 0.0
         assert abs(est - exact) < 4.0 * err
 
