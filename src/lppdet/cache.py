@@ -33,7 +33,9 @@ def cache_root() -> Path:
 
 
 def _pii_cache_path(tol: float, grid_step: float) -> Path:
-    key = repr((PiiSolution.FORMAT_VERSION, X_MIN, X_RIGHT, tol, grid_step))
+    # no format version in the key: an entry of another version is read,
+    # refused and overwritten in place rather than left behind
+    key = repr((X_MIN, X_RIGHT, tol, grid_step))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_root() / f"pii-{digest}.npz"
 

@@ -11,13 +11,17 @@ exp(-(4/3) x^{3/2}); seeding from the bare leading-order formula instead
 would cost about seven digits at x = 0 because errors grow like 1/Ai
 going left.
 
-Alongside u the integration carries v(x) = int_inf^x u^2, the running
-integral I(x) = int_x^inf u, and the limit-law integrals, from which the
-three classical edge laws are assembled:
+Alongside u the integration carries u', v(x) = int_inf^x u^2, the running
+integral I(x) = int_x^inf u and W(x) = int_x^inf v, from which the three
+classical edge laws are assembled:
 
     F_beta2(x) = exp(-int_x^inf (y - x) u(y)^2 dy)
     F_beta1(x) = exp((1/2) I(x)) * sqrt(F_beta2(x))
     F_beta4(x) = cosh(I(x) / 2) * sqrt(F_beta2(x))
+
+The table (``PiiSolution``, cache format version 2) is read back by cubic
+Hermite interpolation with the ODE's own derivatives at the nodes, so only
+the solve and the Airy tails past the matching point need scipy.
 
 An independent Airy-kernel Fredholm determinant oracle is included for
 cross-validation, plus the corner-asymptotics check tying the circle
@@ -29,7 +33,6 @@ from __future__ import annotations
 import importlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +56,6 @@ def _deferred(module: str, name: str):
 
 solve_ivp = _deferred("scipy.integrate", "solve_ivp")
 quad = _deferred("scipy.integrate", "quad")
-CubicSpline = _deferred("scipy.interpolate", "CubicSpline")
 airy = _deferred("scipy.special", "airy")
 
 __all__ = [
@@ -106,71 +108,67 @@ def _int_airy_to_inf(x: float) -> float:
 class PiiSolution:
     """Dense table of the Hastings-McLeod solution on [X_MIN, X_RIGHT].
 
-    Columns: u, v(x) = int_inf^x u^2 (nonpositive), and
-    I(x) = int_x^inf u (nonpositive).  ``tol`` is the local error control
-    used by the integrator.
+    Columns on a uniform grid (cache format version 2): u, du = u',
+    v(x) = int_inf^x u^2, I(x) = int_x^inf u and W(x) = int_x^inf v; the
+    last three are nonpositive.  Between nodes each column is read by cubic
+    Hermite interpolation with the ODE's derivatives at the cell's two
+    nodes (du, u^2, -u and -v), and past ``x_right`` by the Airy tails.
+    ``tol`` is the local error control used by the integrator.
     """
 
     grid: np.ndarray
     u: np.ndarray
+    du: np.ndarray
     v: np.ndarray
     I: np.ndarray
+    W: np.ndarray
     x_right: float
     tol: float
 
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
+    # the arrays, in the integrator's state order after the grid
+    COLUMNS = ("grid", "u", "du", "v", "I", "W")
 
-    @cached_property
-    def _u_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.u)
-
-    @cached_property
-    def _v_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.v)
-
-    @cached_property
-    def _i_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid, self.I)
-
-    @cached_property
-    def _v_antideriv(self) -> CubicSpline:
-        return self._v_spline.antiderivative()
-
-    @cached_property
-    def _w_right(self) -> float:
-        # W(x_right) = int_{x_right}^inf v dy = -int (y - x_right) u^2,
-        # evaluated in the Airy tail.
-        return -_gue_tail_exponent(self.x_right)
+    def _hermite(self, x: float, y: np.ndarray, dy) -> float:
+        """Cubic Hermite interpolant of column ``y`` at x, with slope
+        ``dy(j)`` at the two nodes j of x's grid cell."""
+        grid = self.grid
+        i = min(int(np.searchsorted(grid, x, side="right")) - 1, len(grid) - 2)
+        h = grid[i + 1] - grid[i]
+        s = (x - grid[i]) / h
+        r = 1.0 - s
+        return float(
+            (1.0 + 2.0 * s) * r * r * y[i]
+            + s * s * (3.0 - 2.0 * s) * y[i + 1]
+            + h * s * r * (r * dy(i) - s * dy(i + 1))
+        )
 
     def u_at(self, x: float) -> float:
         self._check_range(x)
         if x > self.x_right:
             ai = airy(x)[0]
             return -float(ai)
-        return float(self._u_spline(x))
+        return self._hermite(x, self.u, lambda j: self.du[j])
 
     def v_at(self, x: float) -> float:
         self._check_range(x)
         if x > self.x_right:
             ai, aip, _, _ = airy(x)
             return -float(aip * aip - x * ai * ai)
-        return float(self._v_spline(x))
+        return self._hermite(x, self.v, lambda j: self.u[j] * self.u[j])
 
     def i_at(self, x: float) -> float:
         self._check_range(x)
         if x > self.x_right:
             return -_int_airy_to_inf(x)
-        return float(self._i_spline(x))
+        return self._hermite(x, self.I, lambda j: -self.u[j])
 
     def w_at(self, x: float) -> float:
         """W(x) = int_x^inf v dy = -int_x^inf (y - x) u(y)^2 dy."""
         self._check_range(x)
         if x > self.x_right:
             return -_gue_tail_exponent(x)
-        return float(
-            self._w_right
-            + (self._v_antideriv(self.x_right) - self._v_antideriv(x))
-        )
+        return self._hermite(x, self.W, lambda j: -self.v[j])
 
     def _check_range(self, x: float) -> None:
         if not math.isfinite(x):
@@ -184,12 +182,9 @@ class PiiSolution:
         np.savez(
             path,
             format_version=np.array([self.FORMAT_VERSION]),
-            grid=self.grid,
-            u=self.u,
-            v=self.v,
-            I=self.I,
             x_right=np.array([self.x_right]),
             tol=np.array([self.tol]),
+            **{name: getattr(self, name) for name in self.COLUMNS},
         )
 
     @classmethod
@@ -201,12 +196,9 @@ class PiiSolution:
                     f"does not match {cls.FORMAT_VERSION}"
                 )
             return cls(
-                grid=d["grid"],
-                u=d["u"],
-                v=d["v"],
-                I=d["I"],
                 x_right=float(d["x_right"][0]),
                 tol=float(d["tol"][0]),
+                **{name: d[name] for name in cls.COLUMNS},
             )
 
 
@@ -222,10 +214,11 @@ def solve_hastings_mcleod(tol: float = 1e-13, grid_step: float = 0.005) -> PiiSo
     du0 = -float(aip)
     v0 = -float(aip * aip - X_RIGHT * ai * ai)
     i0 = -_int_airy_to_inf(X_RIGHT)
+    w0 = -_gue_tail_exponent(X_RIGHT)
 
     def rhs(x, y):
-        u, du, _, _ = y
-        return (du, 2.0 * u ** 3 + x * u, u * u, -u)
+        u, du, v, _, _ = y
+        return (du, 2.0 * u ** 3 + x * u, u * u, -u, -v)
 
     def blow_up(x, y):
         return abs(y[0]) - _BLOWUP_LIMIT
@@ -237,7 +230,7 @@ def solve_hastings_mcleod(tol: float = 1e-13, grid_step: float = 0.005) -> PiiSo
     sol = solve_ivp(
         rhs,
         (X_RIGHT, X_MIN),
-        (u0, du0, v0, i0),
+        (u0, du0, v0, i0, w0),
         method="DOP853",
         rtol=max(tol, 1e-13),
         # near X_RIGHT the state is exponentially small and errors in the
@@ -255,10 +248,9 @@ def solve_hastings_mcleod(tol: float = 1e-13, grid_step: float = 0.005) -> PiiSo
         )
     if not sol.success:
         raise BreakdownError(f"integrator failed: {sol.message}")
-    vals = sol.sol(grid)
-    grid = grid[::-1]
-    u, _, v, integral = (np.ascontiguousarray(col[::-1]) for col in vals)
-    return PiiSolution(grid=grid, u=u, v=v, I=integral, x_right=X_RIGHT, tol=tol)
+    # ascending in x, one contiguous row per column
+    table = np.ascontiguousarray(np.vstack([grid, sol.sol(grid)])[:, ::-1])
+    return PiiSolution(**dict(zip(PiiSolution.COLUMNS, table)), x_right=X_RIGHT, tol=tol)
 
 
 def f_gue(sol: PiiSolution, x: float) -> float:

@@ -411,10 +411,40 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
         f"    assert cli.main(['--seed', '0', '--out-dir', {out!r}, *argv]) == 0, argv\n"
         "    unloaded(' '.join(argv))\n"
     )
+    subprocess.run([sys.executable, "-c", code], env=_fresh_env(tmp_path), check=True)
+
+
+def test_warm_cache_painleve_commands_leave_scipy_unloaded(tmp_path):
+    """scipy serves the Painleve solve only: once the table is cached,
+    ``tw``, ``converge`` and ``verify corner-asymptotics`` read it with
+    numpy alone.  The cold call must load scipy, so that the warm checks
+    cannot pass for a reason that has nothing to do with the cache."""
+    code = (
+        "import sys\n"
+        "from lppdet import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = _fresh_env(tmp_path)
+
+    def scipy_loaded(*argv):
+        argv = [sys.executable, "-c", code, "--out-dir", str(tmp_path / "out"), *argv]
+        done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+        return done.stdout.split()[-1] == "True"
+
+    assert scipy_loaded("tw", "gue")
+    for argv in (["tw", "goe"], ["converge", "--t-list", "4,7"],
+                 ["verify", "corner-asymptotics"]):
+        assert not scipy_loaded(*argv), argv
+
+
+def _fresh_env(tmp_path) -> dict:
+    """Environment of a fresh interpreter that imports this checkout's
+    package and keeps its Painleve cache under ``tmp_path``."""
     env = dict(os.environ, **{CACHE_ENV_VAR: str(tmp_path / "cache")})
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return env
 
 
 def test_every_model_kind_has_a_cli_name_route_and_sampler():

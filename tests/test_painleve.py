@@ -8,6 +8,7 @@ import pytest
 
 from lppdet import painleve
 from lppdet.cache import CACHE_ENV_VAR, cached_pii_solution
+from lppdet.cli import PRECISION_PROFILES
 from lppdet.errors import ValidationError
 from lppdet.painleve import (
     PiiSolution,
@@ -34,6 +35,14 @@ def test_airy_matching_on_the_right(sol):
 
     for x in (6.0, 7.0, 7.5):
         assert sol.u_at(x) == pytest.approx(-float(airy(x)[0]), rel=1e-8, abs=1e-13)
+
+
+def test_right_tail_keeps_relative_digits(sol):
+    """Past x = 5, u is -Ai to about Ai^2 relative, so W = log F_beta2
+    must match the Airy closed form in relative terms, not just absolutely."""
+    for x in (5.5, 6.5, 7.5):
+        airy_w = -painleve._gue_tail_exponent(x)
+        assert sol.w_at(x) == pytest.approx(airy_w, rel=1e-9, abs=0.0), x
 
 
 def test_law_values_at_origin(sol):
@@ -68,9 +77,28 @@ def test_law_means(sol):
     assert means["gse"] == pytest.approx(-3.2624279027, abs=5e-6)
 
 
+# between grid nodes of both precision profiles, where the table is read
+# by interpolation rather than at a node
+OFF_NODE_XS = (-6.789, -1.2345, 0.0137, 1.5003)
+
+
 def test_airy_kernel_oracle_cross_check(sol):
-    for x in (-1.0, 0.0, 1.5):
+    for x in (-1.0, 0.0, 1.5, *OFF_NODE_XS):
         assert airy_kernel_fgue(x) == pytest.approx(f_gue(sol, x), abs=1e-10)
+
+
+@pytest.mark.parametrize("profile, tol", [("fast", 1e-9), ("standard", 1e-12)])
+def test_interpolation_matches_a_four_times_finer_grid(profile, tol):
+    """The integrator's steps do not depend on the output grid, so the
+    finer table differs from the coarse one only by interpolation."""
+    ode_tol, grid_step = PRECISION_PROFILES[profile]
+    coarse = solve_hastings_mcleod(ode_tol, grid_step)
+    fine = solve_hastings_mcleod(ode_tol, grid_step / 4)
+    for x in OFF_NODE_XS:
+        for read in ("u_at", "v_at", "i_at", "w_at"):
+            assert getattr(coarse, read)(x) == pytest.approx(
+                getattr(fine, read)(x), abs=tol
+            ), (read, x)
 
 
 def test_rank_one_oracle_covers_all_three_laws(sol):
@@ -88,7 +116,6 @@ def test_deferred_scipy_names_bind_once(sol, monkeypatch):
         ("scipy.special", "airy"),
         ("scipy.integrate", "quad"),
         ("scipy.integrate", "solve_ivp"),
-        ("scipy.interpolate", "CubicSpline"),
     )
     x = sol.x_right + 1.0
     calls = {
@@ -175,3 +202,21 @@ def test_cache_recovers_from_corruption(tmp_path, monkeypatch):
     sol2, hit = cached_pii_solution(tol=1e-9, grid_step=0.05)
     assert not hit
     assert sol2.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
+
+
+def test_cache_replaces_an_entry_of_the_previous_format(tmp_path, monkeypatch):
+    """A format 1 entry (u, v and I only) under the same key is refused,
+    solved again and overwritten in place."""
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    cached_pii_solution(tol=1e-9, grid_step=0.05)
+    victim = next(tmp_path.glob("pii-*.npz"))
+    with np.load(victim) as entry:
+        data = {name: entry[name] for name in ("grid", "u", "v", "I", "x_right", "tol")}
+    np.savez(victim, format_version=np.array([1]), **data)
+    sol, hit = cached_pii_solution(tol=1e-9, grid_step=0.05)
+    assert not hit
+    assert sol.w_at(0.0) == pytest.approx(math.log(0.9693728283551878), abs=1e-7)
+    assert [p.name for p in tmp_path.iterdir()] == [victim.name]
+    with np.load(victim) as entry:
+        assert int(entry["format_version"][0]) == PiiSolution.FORMAT_VERSION
+    assert cached_pii_solution(tol=1e-9, grid_step=0.05)[1]
