@@ -27,12 +27,10 @@ RUNS = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="reference_tables")
-    ap.add_argument("--precision-profile", default="standard")
     args = ap.parse_args()
 
     for run in RUNS:
-        argv = ["--out-dir", args.out_dir,
-                "--precision-profile", args.precision_profile, *run]
+        argv = ["--out-dir", args.out_dir, *run]
         print("lppdet " + " ".join(argv), flush=True)
         code = lppdet_main(argv)
         if code != 0:

@@ -19,11 +19,9 @@ def main() -> int:
     ap.add_argument("--out-dir", default="convergence")
     ap.add_argument("--t-list", default="4,7,10")
     ap.add_argument("--x-step", type=float, default=0.25)
-    ap.add_argument("--precision-profile", default="standard")
     args = ap.parse_args()
 
     argv = ["--out-dir", args.out_dir,
-            "--precision-profile", args.precision_profile,
             "converge", "--t-list", args.t_list,
             "--x-min", "-5", "--x-max", "2", "--x-step", str(args.x_step)]
     print("lppdet " + " ".join(argv), flush=True)

@@ -9,7 +9,6 @@ tabulates the Tracy-Widom limit laws from the Painleve II equation.
 from .errors import (
     BreakdownError,
     LppdetError,
-    TruncationError,
     ValidationError,
     VerificationError,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "PiiSolution",
     "SimConfig",
     "SymbolSpec",
-    "TruncationError",
     "ValidationError",
     "VerificationError",
     "__version__",

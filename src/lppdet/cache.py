@@ -18,7 +18,7 @@ import zipfile
 from pathlib import Path
 
 from .errors import LppdetError
-from .painleve import X_MIN, X_RIGHT, PiiSolution, solve_hastings_mcleod
+from .painleve import TABLE_STEP, TABLE_TOL, X_MIN, X_RIGHT, PiiSolution, solve_hastings_mcleod
 
 __all__ = ["CACHE_ENV_VAR", "cache_root", "cached_pii_solution"]
 
@@ -32,28 +32,26 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "lppdet"
 
 
-def _pii_cache_path(tol: float, grid_step: float) -> Path:
+def _pii_cache_path() -> Path:
     # no format version in the key: an entry of another version is read,
     # refused and overwritten in place rather than left behind
-    key = repr((X_MIN, X_RIGHT, tol, grid_step))
+    key = repr((X_MIN, X_RIGHT, TABLE_TOL, TABLE_STEP))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_root() / f"pii-{digest}.npz"
 
 
-def cached_pii_solution(
-    tol: float = 1e-13, grid_step: float = 0.005
-) -> tuple[PiiSolution, bool]:
+def cached_pii_solution() -> tuple[PiiSolution, bool]:
     """Load the distinguished ODE solution from disk, or solve and store.
 
     Returns (solution, cache_hit).
     """
-    path = _pii_cache_path(tol, grid_step)
+    path = _pii_cache_path()
     if path.exists():
         try:
             return PiiSolution.load_npz(path), True
         except (LppdetError, OSError, ValueError, KeyError, zipfile.BadZipFile):
             pass
-    sol = solve_hastings_mcleod(tol=tol, grid_step=grid_step)
+    sol = solve_hastings_mcleod()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".pii-", suffix=".npz")
     try:

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: validation errors exit 1, numerical
-breakdown or truncation failures exit 2, verification failures exit 3.
+breakdowns exit 2, verification failures exit 3.
 """
 
 
@@ -29,8 +29,9 @@ class ConditioningError(BreakdownError):
     """A float64 result's certified error bound exceeds its target."""
 
 
-class TruncationError(LppdetError):
-    """A truncated infinite sum or product missed its error target."""
+# nothing in the package raises this name; perfbench/checks.py still
+# imports it, so it stays as an alias until that import goes
+TruncationError = BreakdownError
 
 
 class VerificationError(LppdetError):

@@ -183,10 +183,9 @@ class IdentityReport:
         )
 
 
-def identity_checks(
-    t: float, k_max: int, opuc: OpucData, nodes: int = 128
-) -> IdentityReport:
-    """Residuals linking Fredholm determinants to the recursion data.
+def identity_checks(t: float, k_max: int, opuc: OpucData) -> IdentityReport:
+    """Residuals linking Fredholm determinants to the recursion data,
+    with each determinant on the kernel's default node count.
 
     Two families: the norm-ratio identity
     1/N_{k-1} = 2 det(1-K_{k-1})/det(1-K_k) for k = 1..k_max, and the
@@ -202,7 +201,7 @@ def identity_checks(
     symbol = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
     log_z = strong_szego_log_z(symbol)  # t^2
     log_dets = [
-        fredholm_log_det(IntegrableKernelSpec(symbol=symbol, k=k, nodes=nodes))
+        fredholm_log_det(IntegrableKernelSpec(symbol=symbol, k=k))
         for k in range(k_max + 1)
     ]
     ratio = []
@@ -222,7 +221,7 @@ def identity_checks(
             log_d += float(opuc.log_norms[n])
     return IdentityReport(
         t=t,
-        nodes=nodes,
+        nodes=IntegrableKernelSpec.nodes,
         ratio_residuals=tuple(ratio),
         product_residuals=tuple(product),
         normalized_dets=tuple(normalized),

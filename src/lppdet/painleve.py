@@ -80,6 +80,10 @@ _BLOWUP_LIMIT = 50.0
 # below the integration tolerance.
 X_MIN = -9.0
 X_RIGHT = 8.0
+# The one table behind every limit law: the integrator's error control
+# and the output grid step.
+TABLE_TOL = 1e-13
+TABLE_STEP = 0.005
 # Gauss-Legendre nodes and right end of the truncated domain of the
 # Airy-kernel oracles; the tails past the cut contribute below 1e-20.
 _AIRY_NODES, _AIRY_CUT = 80, 14.0
@@ -202,7 +206,7 @@ class PiiSolution:
             )
 
 
-def solve_hastings_mcleod(tol: float = 1e-13, grid_step: float = 0.005) -> PiiSolution:
+def solve_hastings_mcleod(tol: float = TABLE_TOL, grid_step: float = TABLE_STEP) -> PiiSolution:
     """Integrate the Hastings-McLeod solution from X_RIGHT down to X_MIN.
 
     Uses an adaptive high-order embedded Runge-Kutta pair (DOP853) with

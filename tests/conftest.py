@@ -6,8 +6,12 @@ is built once.  Acceptance tests record a verdict per criterion through
 terminal summary so the pass/fail list survives pytest's output capture.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
+from lppdet.cache import CACHE_ENV_VAR
 from lppdet.exact_dist import square_opuc
 from lppdet.painleve import solve_hastings_mcleod
 
@@ -22,6 +26,16 @@ def sol():
 @pytest.fixture(scope="session")
 def opuc_t1():
     return square_opuc(1.0, ell=8)
+
+
+@pytest.fixture
+def fresh_env(tmp_path) -> dict:
+    """Environment of a fresh interpreter that imports this checkout's
+    package and keeps its Painleve cache under ``tmp_path``."""
+    env = dict(os.environ, **{CACHE_ENV_VAR: str(tmp_path / "cache")})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from lppdet.errors import BreakdownError, TruncationError, ValidationError
+from lppdet.errors import BreakdownError, ValidationError
 from lppdet.opuc import OpucData
 from lppdet.symbols import FourierTable, SymbolSpec
 
@@ -82,7 +82,7 @@ def _geometric_remainder(terms: np.ndarray) -> float:
         # recursion is genuinely diverging
         if float(terms[-1]) <= 8.0 * float(terms[0]):
             return float(terms.sum()) + float(terms[-1])
-        raise TruncationError(
+        raise BreakdownError(
             "trailing terms are not decaying; increase the recursion cutoff"
         )
     return best + float(terms[-1])

@@ -108,7 +108,7 @@ def test_criterion_3_fredholm_identities(criterion_log):
     worst_sat = 0.0
     for t in (1.0, 2.0):
         data = square_opuc(t)
-        report = identity_checks(t, 8, data, nodes=128)
+        report = identity_checks(t, 8, data)
         worst = max(worst, report.max_residual)
         # far above the transition the renormalized determinant saturates
         k = math.ceil(2.0 * t + 15.0)

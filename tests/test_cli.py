@@ -7,11 +7,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lppdet import cli, exact_dist
 from lppdet.cache import CACHE_ENV_VAR
-from lppdet.errors import BreakdownError, TruncationError
+from lppdet.errors import BreakdownError
 from lppdet.montecarlo import SAMPLERS
 from lppdet.symbols import MODEL_RULES, ModelKind
 
@@ -125,12 +126,7 @@ def test_no_subcommand_exits_one(run):
     assert code == 1
 
 
-def test_bad_precision_profile_exits_one(run):
-    code, _ = run("--precision-profile", "turbo", "dist", "square")
-    assert code == 1
-
-
-@pytest.mark.parametrize("exc", [BreakdownError, TruncationError])
+@pytest.mark.parametrize("exc", [BreakdownError])
 def test_numerical_failure_exits_two(run, monkeypatch, exc):
     def boom(args, out_dir):
         raise exc("forced")
@@ -267,7 +263,6 @@ def test_verify_dpii_passes(run, capsys):
 
 def test_tw_caches_and_reproduces(run):
     args = (
-        "--precision-profile", "fast",
         "tw", "gue", "--x-min", "-1.0", "--x-max", "1.0", "--x-step", "0.5",
     )
     code, out = run(*args)
@@ -304,7 +299,6 @@ def test_tw_grid_stops_at_x_max(run):
     """0.6 does not divide the window [0, 1]: the grid stops at 0.6, not
     at 1.2; a step that divides it still ends exactly on x_max."""
     code, out = run(
-        "--precision-profile", "fast",
         "tw", "gue", "--x-min", "0", "--x-max", "1", "--x-step", "0.6",
     )
     assert code == 0
@@ -317,7 +311,6 @@ def test_tw_grid_stops_at_x_max(run):
 
 def test_converge_shrinking_window_passes(run, capsys):
     code, out = run(
-        "--precision-profile", "fast",
         "converge", "--t-list", "4,7,10",
         "--x-min", "-5.0", "--x-max", "2.0", "--x-step", "0.25",
     )
@@ -332,7 +325,6 @@ def test_converge_non_shrinking_window_exits_three(run):
     """Narrow windows can rank the staircase approximants out of order;
     that must surface as a verification failure, not a pass."""
     code, out = run(
-        "--precision-profile", "fast",
         "converge", "--t-list", "2,4",
         "--x-min", "-2.0", "--x-max", "1.0", "--x-step", "0.5",
     )
@@ -363,6 +355,66 @@ def test_mc_counts_and_determinism(run):
     assert (out / "mc_lattice-a.csv").read_bytes() != first
 
 
+def test_mc_cross_tests_only_thresholds_where_the_normal_law_holds(run):
+    """At t = 8, seed 0, l = 21 drew 2 exceedances against 0.4 expected
+    (|z| = 3.00).  Thresholds with trials * p (1 - p) < 5 go untested, and
+    the largest |z| of the rest meets the Bonferroni critical value."""
+    code, out = run("--seed", "0", "verify", "mc-cross", "--model", "square", "--t", "8")
+    assert code == 0
+    report = json.loads((out / "verify_mc-cross.json").read_text())
+    assert report["untested_thresholds"] == [7, 20, 21, 22]
+    assert [c["ell"] for c in report["comparisons"]] == list(range(8, 20))
+    assert report["false_alarm_rate"] == 0.0027
+    assert report["critical_z"] == pytest.approx(3.6892, abs=1e-4)
+    assert report["max_z"] == pytest.approx(0.956, abs=1e-3)
+
+
+def test_mc_cross_fails_a_sampler_biased_at_one_threshold(run, monkeypatch):
+    """Moving every eighth draw of L = 14 to 15 lowers P(L <= 14) by about
+    2%; the suite must catch that at its critical value."""
+    real = SAMPLERS[ModelKind.POISSON_SQUARE]
+
+    def biased(model, rng, count):
+        values = real(model, rng, count)
+        values[np.flatnonzero(values == 14)[::8]] += 1
+        return values
+
+    monkeypatch.setitem(SAMPLERS, ModelKind.POISSON_SQUARE, biased)
+    code, out = run("--seed", "0", "verify", "mc-cross", "--model", "square", "--t", "8")
+    assert code == 3
+    report = json.loads((out / "verify_mc-cross.json").read_text())
+    worst = max(report["comparisons"], key=lambda c: c["z"])
+    assert worst["ell"] == 14
+    assert worst["z"] > report["critical_z"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "lattice-a", "--q", "0.3,0.2", "--qp", "0.25,0.2", "--lmax", "4"),
+        ("tw", "goe", "--x-min", "-1", "--x-max", "1", "--x-step", "0.5"),
+        ("converge", "--t-list", "10,4,7"),
+        ("verify", "mc-cross", "--model", "triangle", "--t", "2", "--alpha", "0.5",
+         "--trials", "2000"),
+        ("--workers", "2", "mc", "lattice-b", "--q", "0.6", "--qp", "0.5,0.4",
+         "--trials", "3000"),
+    ],
+)
+def test_manifest_parameters_are_the_parsed_flags(tmp_path, argv):
+    """Every parsed flag but the output directory, the command and the
+    seed is a parameter, so reruns into two directories write one manifest."""
+    manifests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["--out-dir", str(out), "--seed", "3", *argv]) == 0
+        manifests.append((out / "run_manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    expected = vars(cli.build_parser().parse_args(argv))
+    for name in ("out_dir", "command", "seed"):
+        del expected[name]
+    assert json.loads(manifests[0])["parameters"] == json.loads(json.dumps(expected))
+
+
 def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
     """Every threshold of the external-sources law reads one recursion
     table, built to the largest sampled threshold."""
@@ -385,7 +437,7 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
     assert _manifest(out)["diagnostics"] == {"block_size": 2048, "blocks": 1}
 
 
-def test_cli_import_leaves_mpmath_unloaded(tmp_path):
+def test_cli_import_leaves_mpmath_unloaded(tmp_path, fresh_env):
     """mpmath is a test-only oracle and scipy serves only the Painleve
     layer: neither the package or CLI import, nor a square table on the
     fixed-point route, nor the commands that never solve Painleve II
@@ -411,40 +463,32 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
         f"    assert cli.main(['--seed', '0', '--out-dir', {out!r}, *argv]) == 0, argv\n"
         "    unloaded(' '.join(argv))\n"
     )
-    subprocess.run([sys.executable, "-c", code], env=_fresh_env(tmp_path), check=True)
+    subprocess.run([sys.executable, "-c", code], env=fresh_env, check=True)
 
 
-def test_warm_cache_painleve_commands_leave_scipy_unloaded(tmp_path):
+def test_warm_cache_painleve_commands_leave_scipy_unloaded(tmp_path, fresh_env):
     """scipy serves the Painleve solve only: once the table is cached,
     ``tw``, ``converge`` and ``verify corner-asymptotics`` read it with
-    numpy alone.  The cold call must load scipy, so that the warm checks
+    numpy alone, and ``verify oracles`` reads the same table, loading
+    scipy.special for its Bessel and Airy oracles but not the integrator.
+    The cold call must load the integrator, so that the warm checks
     cannot pass for a reason that has nothing to do with the cache."""
     code = (
         "import sys\n"
         "from lppdet import cli\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
-        "print('scipy' in sys.modules)\n"
+        "print([m for m in ('scipy', 'scipy.integrate') if m in sys.modules])\n"
     )
-    env = _fresh_env(tmp_path)
-
     def scipy_loaded(*argv):
         argv = [sys.executable, "-c", code, "--out-dir", str(tmp_path / "out"), *argv]
-        done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
-        return done.stdout.split()[-1] == "True"
+        done = subprocess.run(argv, env=fresh_env, check=True, capture_output=True, text=True)
+        return done.stdout.splitlines()[-1]
 
-    assert scipy_loaded("tw", "gue")
+    assert "'scipy.integrate'" in scipy_loaded("tw", "gue")
     for argv in (["tw", "goe"], ["converge", "--t-list", "4,7"],
                  ["verify", "corner-asymptotics"]):
-        assert not scipy_loaded(*argv), argv
-
-
-def _fresh_env(tmp_path) -> dict:
-    """Environment of a fresh interpreter that imports this checkout's
-    package and keeps its Painleve cache under ``tmp_path``."""
-    env = dict(os.environ, **{CACHE_ENV_VAR: str(tmp_path / "cache")})
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
+        assert scipy_loaded(*argv) == "[]", argv
+    assert scipy_loaded("verify", "oracles") == "['scipy']"
 
 
 def test_every_model_kind_has_a_cli_name_route_and_sampler():

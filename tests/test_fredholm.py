@@ -51,7 +51,7 @@ def test_zero_t_determinants_are_powers_of_two():
 @pytest.mark.parametrize("t", [1.0, 2.0])
 def test_identity_residuals_small(t):
     data = square_opuc(t)
-    report = identity_checks(t, 4, data, nodes=128)
+    report = identity_checks(t, 4, data)
     assert report.max_residual < 1e-12
     assert len(report.ratio_residuals) == 4
     assert len(report.product_residuals) == 5

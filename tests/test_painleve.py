@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from lppdet import painleve
-from lppdet.cache import CACHE_ENV_VAR, cached_pii_solution
-from lppdet.cli import PRECISION_PROFILES
+from lppdet.cache import CACHE_ENV_VAR, _pii_cache_path, cached_pii_solution
 from lppdet.errors import ValidationError
 from lppdet.painleve import (
     PiiSolution,
@@ -77,8 +76,8 @@ def test_law_means(sol):
     assert means["gse"] == pytest.approx(-3.2624279027, abs=5e-6)
 
 
-# between grid nodes of both precision profiles, where the table is read
-# by interpolation rather than at a node
+# between grid nodes of both tables below, where a table is read by
+# interpolation rather than at a node
 OFF_NODE_XS = (-6.789, -1.2345, 0.0137, 1.5003)
 
 
@@ -87,11 +86,17 @@ def test_airy_kernel_oracle_cross_check(sol):
         assert airy_kernel_fgue(x) == pytest.approx(f_gue(sol, x), abs=1e-10)
 
 
-@pytest.mark.parametrize("profile, tol", [("fast", 1e-9), ("standard", 1e-12)])
-def test_interpolation_matches_a_four_times_finer_grid(profile, tol):
+@pytest.mark.parametrize(
+    "ode_tol, grid_step, tol",
+    [
+        pytest.param(1e-11, 0.02, 1e-9, id="fast-1e-09"),
+        pytest.param(painleve.TABLE_TOL, painleve.TABLE_STEP, 1e-12, id="standard-1e-12"),
+    ],
+)
+def test_interpolation_matches_a_four_times_finer_grid(ode_tol, grid_step, tol):
     """The integrator's steps do not depend on the output grid, so the
-    finer table differs from the coarse one only by interpolation."""
-    ode_tol, grid_step = PRECISION_PROFILES[profile]
+    finer table differs from the coarse one only by interpolation: on a
+    coarse grid and on the cached table's."""
     coarse = solve_hastings_mcleod(ode_tol, grid_step)
     fine = solve_hastings_mcleod(ode_tol, grid_step / 4)
     for x in OFF_NODE_XS:
@@ -170,11 +175,17 @@ def test_load_rejects_other_format_version(tmp_path, sol):
         PiiSolution.load_npz(path)
 
 
+def test_cache_file_name_is_stable():
+    """The one table (1e-13, 0.005) keeps the file name it has always had,
+    so caches warmed by earlier versions keep hitting."""
+    assert _pii_cache_path().name == "pii-1e5757d6196b6442.npz"
+
+
 def test_cache_miss_then_hit(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    first, hit_first = cached_pii_solution(tol=1e-9, grid_step=0.05)
+    first, hit_first = cached_pii_solution()
     assert not hit_first
-    second, hit_second = cached_pii_solution(tol=1e-9, grid_step=0.05)
+    second, hit_second = cached_pii_solution()
     assert hit_second
     assert second.u_at(0.0) == first.u_at(0.0)
     assert list(tmp_path.glob("pii-*.npz"))
@@ -182,24 +193,24 @@ def test_cache_miss_then_hit(tmp_path, monkeypatch):
 
 def test_cache_recovers_from_a_partial_write(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    cached_pii_solution(tol=1e-9, grid_step=0.05)
+    cached_pii_solution()
     victim = next(tmp_path.glob("pii-*.npz"))
     data = victim.read_bytes()
     victim.write_bytes(data[: len(data) // 2])
-    sol, hit = cached_pii_solution(tol=1e-9, grid_step=0.05)
+    sol, hit = cached_pii_solution()
     assert not hit
     assert sol.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
     # the rewrite went through a temporary file that is gone now
     assert [p.name for p in tmp_path.iterdir()] == [victim.name]
-    assert cached_pii_solution(tol=1e-9, grid_step=0.05)[1]
+    assert cached_pii_solution()[1]
 
 
 def test_cache_recovers_from_corruption(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    cached_pii_solution(tol=1e-9, grid_step=0.05)
+    cached_pii_solution()
     victim = next(tmp_path.glob("pii-*.npz"))
     victim.write_bytes(b"not an archive")
-    sol2, hit = cached_pii_solution(tol=1e-9, grid_step=0.05)
+    sol2, hit = cached_pii_solution()
     assert not hit
     assert sol2.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
 
@@ -208,15 +219,15 @@ def test_cache_replaces_an_entry_of_the_previous_format(tmp_path, monkeypatch):
     """A format 1 entry (u, v and I only) under the same key is refused,
     solved again and overwritten in place."""
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    cached_pii_solution(tol=1e-9, grid_step=0.05)
+    cached_pii_solution()
     victim = next(tmp_path.glob("pii-*.npz"))
     with np.load(victim) as entry:
         data = {name: entry[name] for name in ("grid", "u", "v", "I", "x_right", "tol")}
     np.savez(victim, format_version=np.array([1]), **data)
-    sol, hit = cached_pii_solution(tol=1e-9, grid_step=0.05)
+    sol, hit = cached_pii_solution()
     assert not hit
     assert sol.w_at(0.0) == pytest.approx(math.log(0.9693728283551878), abs=1e-7)
     assert [p.name for p in tmp_path.iterdir()] == [victim.name]
     with np.load(victim) as entry:
         assert int(entry["format_version"][0]) == PiiSolution.FORMAT_VERSION
-    assert cached_pii_solution(tol=1e-9, grid_step=0.05)[1]
+    assert cached_pii_solution()[1]
