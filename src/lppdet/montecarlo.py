@@ -113,6 +113,24 @@ def _chain_rows(xs, ys, lens, strict: bool = True) -> np.ndarray:
     return _patience_rows(np.take_along_axis(ys, order, axis=-1), lens, strict)
 
 
+def _geom(rng: np.random.Generator, p, size: int) -> np.ndarray:
+    """Geometric counts of failures >= 0, P(X >= k) = p^k, one per cell and draw.
+
+    ``p`` is a scalar or an array of cells; the result has shape
+    ``p.shape + (size,)``, draws last.  X = floor(E / -log p) with E
+    standard exponential has exactly this law, since P(X >= k) =
+    P(E >= -k log p) = p^k; numpy's geometric sampler inverts the same
+    way at small success probabilities.  p = 0 gives scale 0 and X = 0.
+    """
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore"):
+        scale = -1.0 / np.log(p)
+    e = rng.standard_exponential(p.shape + (size,))
+    e *= scale[..., np.newaxis]
+    # the values are >= 0, so truncation toward zero is the floor
+    return e.astype(np.int64)
+
+
 def sample_g_prime(
     alpha: float, q: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -124,24 +142,25 @@ def sample_g_prime(
     """
     if q == 0.0:
         return np.zeros(size, dtype=np.int64)
-    half = rng.geometric(1.0 - q * q, size=size) - 1
+    half = _geom(rng, q * q, size)
     odd = rng.random(size) >= 1.0 / (1.0 + alpha * q)
-    return 2 * half + odd.astype(np.int64)
+    return 2 * half + odd
 
 
-def _geom(rng: np.random.Generator, p, shape) -> np.ndarray:
-    # numpy's geometric counts trials >= 1; the models count failures >= 0
-    return rng.geometric(1.0 - np.asarray(p), size=shape) - 1
+# Lattice arrays are laid out (M, N, draws): a cell of every draw of a
+# block is one contiguous vector, and the path rules advance a row at a
+# time with in-place ufuncs on those vectors.
 
 
 def _grid_geometric(model: ModelSpec, rng: np.random.Generator, size: int):
-    p = np.outer(model.row_params, model.col_params)
-    return _geom(rng, p, (size,) + p.shape)
+    return _geom(rng, np.outer(model.row_params, model.col_params), size)
 
 
 def _grid_bernoulli(model: ModelSpec, rng: np.random.Generator, size: int):
     p = np.outer(model.row_params, model.col_params)
-    return (rng.random((size,) + p.shape) < p / (1.0 + p)).astype(np.int64)
+    u = rng.random(p.shape + (size,))
+    # 0/1 entries as bytes, no int64 copy: the path rule sums into int64
+    return (u < (p / (1.0 + p))[..., np.newaxis]).view(np.uint8)
 
 
 def _geometric_diagonal(alpha: float, q: float, rng: np.random.Generator, size: int):
@@ -150,60 +169,84 @@ def _geometric_diagonal(alpha: float, q: float, rng: np.random.Generator, size: 
 
 def _symmetric(model: ModelSpec, rng: np.random.Generator, size: int, diagonal):
     """Symmetric arrays, geometric q_i q_j off the diagonal and
-    ``diagonal(alpha, q_i, rng, size)`` on it."""
+    ``diagonal(alpha, q_i, rng, size)`` on it.  Only the cells above the
+    diagonal are drawn; the ones below mirror them."""
     rows = np.asarray(model.row_params)
     n = len(rows)
-    x = _geom(rng, np.outer(rows, rows), (size, n, n))
-    upper = np.triu_indices(n, k=1)
-    x[:, upper[1], upper[0]] = x[:, upper[0], upper[1]]
-    for i in range(n):
-        x[:, i, i] = diagonal(model.alpha, rows[i], rng, size)
+    i, j = np.triu_indices(n, k=1)
+    x = np.empty((n, n, size), dtype=np.int64)
+    x[i, j] = x[j, i] = _geom(rng, rows[i] * rows[j], size)
+    for k in range(n):
+        x[k, k] = diagonal(model.alpha, rows[k], rng, size)
     return x
 
 
 def _weak_weak(x: np.ndarray) -> np.ndarray:
-    """Sums entries along weakly monotone chains."""
-    size, m, n = x.shape
-    best = np.zeros((size, m + 1, n + 1), dtype=x.dtype)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            best[:, i, j] = x[:, i - 1, j - 1] + np.maximum(
-                best[:, i - 1, j], best[:, i, j - 1]
-            )
-    return best[:, m, n]
+    """Sums entries along weakly monotone chains.
+
+    ``row[j]`` holds the best sum ending at (i - 1, j) until cell (i, j)
+    overwrites it with max(row[j], row[j - 1]) + x[i, j].
+    """
+    m, n, size = x.shape
+    row = np.zeros((n, size), dtype=np.int64)
+    for i in range(m):
+        row[0] += x[i, 0]
+        for j in range(1, n):
+            np.maximum(row[j], row[j - 1], out=row[j])
+            row[j] += x[i, j]
+    return row[-1]
+
+
+def _running_max(a: np.ndarray) -> None:
+    """Running maximum down the first axis, in place.
+
+    One ufunc call per row of contiguous draws: ``np.maximum.accumulate``
+    along the first axis walks each draw's short strided column instead,
+    about three times slower here.
+    """
+    for k in range(1, len(a)):
+        np.maximum(a[k], a[k - 1], out=a[k])
 
 
 def _weak_strict(x: np.ndarray) -> np.ndarray:
-    """Sums entries along chains with a weak row and a strict column step."""
-    size, m, n = x.shape
-    # chain value ending at (i, j); predecessors have j' < j, i' <= i
-    end = np.zeros((size, m, n), dtype=x.dtype)
-    prefix = np.zeros((size, m), dtype=x.dtype)
+    """Sums entries along chains with a weak row and a strict column step.
+
+    After column j, ``prefix[i]`` is the best chain ending at a cell
+    (i', j') with i' <= i and j' <= j, the predecessors a cell of column
+    j + 1 may take.  Entries are >= 0, so a chain ending in column j is
+    never worse than the best before it and the new prefix is the running
+    maximum of x[:, j] + prefix down the column.
+    """
+    m, n, size = x.shape
+    prefix = np.zeros((m, size), dtype=np.int64)
     for j in range(n):
-        end[:, :, j] = x[:, :, j] + prefix
-        col_best = np.maximum.accumulate(end[:, :, j], axis=1)
-        prefix = np.maximum(prefix, col_best)
-    return end.max(axis=(1, 2))
+        prefix += x[:, j]
+        _running_max(prefix)
+    return prefix[-1]
 
 
 def _strict_strict(x: np.ndarray) -> np.ndarray:
-    """Counts occupied cells along strictly monotone chains via running 2-d
-    prefix maxima."""
-    size, m, n = x.shape
-    occ = (x > 0).astype(np.int64)
-    best = np.zeros((size, m + 1, n + 1), dtype=np.int64)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            here = occ[:, i - 1, j - 1] * (1 + best[:, i - 1, j - 1])
-            best[:, i, j] = np.maximum(
-                here,
-                np.maximum(best[:, i - 1, j], best[:, i, j - 1]),
-            )
-    return best[:, m, n]
+    """Counts occupied cells along strictly monotone chains.
+
+    ``best[j + 1]`` holds the most occupied cells on a chain in rows <= i
+    and columns <= j; ``best[0]`` stays 0.  Row i takes, per column,
+    max(occ * (1 + best[j]), best[j + 1]) from the row above and then the
+    running maximum along the row.
+    """
+    m, n, size = x.shape
+    occ = x > 0
+    best = np.zeros((n + 1, size), dtype=np.int64)
+    here = np.empty((n, size), dtype=np.int64)
+    for i in range(m):
+        np.add(best[:-1], 1, out=here)
+        here *= occ[i]
+        np.maximum(here, best[1:], out=best[1:])
+        _running_max(best[1:])
+    return best[-1]
 
 
-# lattice kind -> (entry law(model, rng, size) -> arrays (size, M, N),
-#                  path rule(arrays) -> longest-path values)
+# lattice kind -> (entry law(model, rng, size) -> arrays (M, N, size),
+#                  path rule(arrays) -> longest-path values, one per draw)
 LATTICES = {
     ModelKind.LATTICE_A: (_grid_geometric, _weak_weak),
     ModelKind.LATTICE_B: (_grid_bernoulli, _weak_strict),
@@ -287,12 +330,19 @@ def plancherel_lis_cdf(n: int, ell: int) -> Fraction:
     return Fraction(total, math.factorial(n))
 
 
+# Poisson mass left unsummed once the sum may stop; far below the
+# rounding of a probability near 1
+_POISSON_TAIL = 1e-20
+
+
 def poissonized_square_cdf(t: float, ell: int):
     """Poisson(t^2)-size mixture of the permutation laws, with tail bound.
 
-    Returns (value, truncation bound); the bound is the unassigned
-    Poisson mass beyond _PLANCHEREL_MAX, since each conditional law is at
-    most 1.
+    Returns (value, truncation bound); the bound is the Poisson mass not
+    summed, since each conditional law is at most 1.  The sum stops at the
+    first n > t^2 whose tail is provably below _POISSON_TAIL, or at
+    _PLANCHEREL_MAX.  Beyond n each weight is at most lam / (n + 2) times
+    the one before, so the tail is at most w_(n+1) / (1 - lam / (n + 2)).
     """
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
@@ -306,6 +356,8 @@ def poissonized_square_cdf(t: float, ell: int):
             weight = math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1))
         mass += weight
         value += weight * float(plancherel_lis_cdf(n, ell))
+        if n > lam and weight * lam / (n + 1) < _POISSON_TAIL * (1.0 - lam / (n + 2)):
+            break
     return value, 1.0 - mass
 
 
@@ -386,15 +438,21 @@ class EmpiricalCdf:
         hits = sum(c for v, c in self.counts.items() if v <= ell)
         return hits / self.trials
 
-    def stderr_at(self, ell: int) -> float:
-        p = self.cdf_at(ell)
+    def _stderr(self, p: float) -> float:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
+    def stderr_at(self, ell: int) -> float:
+        return self._stderr(self.cdf_at(ell))
+
     def csv_rows(self) -> list[tuple[int, int, float, float]]:
-        return [
-            (v, self.counts[v], self.cdf_at(v), self.stderr_at(v))
-            for v in sorted(self.counts)
-        ]
+        """(value, count, cdf, stderr) per value, in one cumulative pass."""
+        rows = []
+        hits = 0
+        for v in sorted(self.counts):
+            hits += self.counts[v]
+            p = hits / self.trials
+            rows.append((v, self.counts[v], p, self._stderr(p)))
+        return rows
 
 
 _BLOCK_SIZE = 2048

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lppdet import montecarlo
@@ -190,6 +190,23 @@ def test_poissonized_cdf_tail_and_monotonicity():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_poissonized_cdf_stops_early_with_the_full_sum():
+    """Stopping once the Poisson tail is below 1e-20 leaves the value and
+    the bound bit-identical to the sum over every n <= 40."""
+    for t in (0.0, 0.5, 1.0, 2.0):
+        lam = t * t
+        for ell in (1, 2, 3):
+            value = mass = 0.0
+            for n in range(41):
+                if lam == 0.0:
+                    w = 1.0 if n == 0 else 0.0
+                else:
+                    w = math.exp(-lam + n * math.log(lam) - math.lgamma(n + 1))
+                mass += w
+                value += w * float(plancherel_lis_cdf(n, ell))
+            assert poissonized_square_cdf(t, ell) == (value, 1.0 - mass)
+
+
 # ------------------------------------------------------------ entry laws
 
 
@@ -239,6 +256,41 @@ def test_lattice_entry_marginals():
     assert abs(y.mean() - 0.42 / 1.42) < 0.004
 
 
+def _pmf_z(draws: np.ndarray, pmf) -> float:
+    """Largest |z| of the sampled frequencies of 0..len(pmf)-1."""
+    n = len(draws)
+    freq = np.bincount(draws, minlength=len(pmf))[: len(pmf)]
+    pmf = np.asarray(pmf)
+    return float(np.max(np.abs(freq - n * pmf) / np.sqrt(n * pmf * (1.0 - pmf))))
+
+
+# 22 z-scores per test; 4.5 keeps a Bonferroni false alarm below 2e-4
+_PMF_Z = 4.5
+
+
+def test_geometric_entries_follow_the_geometric_pmf():
+    rng = np.random.default_rng(314)
+    assert not montecarlo._geom(rng, 0.0, 1000).any()
+    grid = montecarlo._geom(rng, np.array([[0.3, 0.9]]), 100000)
+    assert grid.shape == (1, 2, 100000)
+    for p, draws in ((0.3, grid[0, 0]), (0.9, grid[0, 1])):
+        pmf = [p**k * (1.0 - p) for k in range(11)]
+        assert _pmf_z(draws, pmf) < _PMF_Z
+
+
+def test_sample_g_prime_follows_the_parity_weighted_law():
+    alpha, q = 0.7, 0.6
+    g_prime_pmf_check(alpha, q)
+    c = (1.0 - q * q) / (1.0 + alpha * q)
+    pmf = [c * (alpha if k % 2 else 1.0) * q**k for k in range(11)]
+    rng = np.random.default_rng(315)
+    draws = sample_g_prime(alpha, q, rng, 200000)
+    assert _pmf_z(draws, pmf) < _PMF_Z
+    odd = alpha * q / (1.0 + alpha * q)
+    z = (np.mean(draws % 2) - odd) / math.sqrt(odd * (1.0 - odd) / len(draws))
+    assert abs(z) < _PMF_Z
+
+
 def test_symmetric_kinds_draw_symmetric_arrays():
     rng = np.random.default_rng(5)
     for kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
@@ -246,7 +298,7 @@ def test_symmetric_kinds_draw_symmetric_arrays():
             kind=kind, alpha=0.4, row_params=(0.4, 0.3, 0.2)
         )
         x = LATTICES[kind][0](model, rng, 50)
-        assert np.array_equal(x, x.transpose(0, 2, 1))
+        assert np.array_equal(x, x.transpose(1, 0, 2))
 
 
 # ------------------------------------------------------------- path rules
@@ -268,20 +320,45 @@ _KIND_ENTRIES = {
 )
 def test_fast_path_matches_reference(seed, m, n, kind):
     rng = np.random.default_rng(seed)
-    x = rng.integers(0, _KIND_ENTRIES[kind], size=(1, m, n)).astype(np.int64)
+    x = rng.integers(0, _KIND_ENTRIES[kind], size=(m, n, 1)).astype(np.int64)
     fast = int(LATTICES[kind][1](x)[0])
-    assert fast == lattice_chain_reference(x[0], kind)
+    assert fast == lattice_chain_reference(x[:, :, 0], kind)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    draws=st.integers(2, 6),
+    kind=st.sampled_from(sorted(_KIND_ENTRIES, key=lambda k: k.value)),
+)
+@example(seed=1, m=1, n=5, draws=3, kind=ModelKind.LATTICE_A)
+@example(seed=2, m=5, n=1, draws=3, kind=ModelKind.LATTICE_B)
+@example(seed=3, m=1, n=4, draws=2, kind=ModelKind.LATTICE_C)
+@example(seed=4, m=4, n=1, draws=2, kind=ModelKind.LATTICE_C)
+@example(seed=5, m=2, n=5, draws=4, kind=ModelKind.LATTICE_B)
+def test_path_rules_match_reference_on_every_draw(seed, m, n, draws, kind):
+    """Several draws of (M, N, draws) arrays share one kernel call."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, _KIND_ENTRIES[kind], size=(m, n, draws)).astype(np.int64)
+    before = x.copy()
+    fast = LATTICES[kind][1](x)
+    assert np.array_equal(x, before)
+    assert fast.tolist() == [
+        lattice_chain_reference(x[:, :, d], kind) for d in range(draws)
+    ]
 
 
 def test_path_rules_on_pinned_arrays():
     # weak/weak reads the best corner-to-corner sum
-    a = np.array([[[1, 0], [2, 3]]], dtype=np.int64)
+    a = np.array([[[1], [0]], [[2], [3]]], dtype=np.int64)
     assert LATTICES[ModelKind.LATTICE_A][1](a)[0] == 6
     # strict column step forbids stacking within one column, so the best
     # chain is the bottom row 2 + 3
     assert LATTICES[ModelKind.LATTICE_B][1](a)[0] == 5
     # strict/strict counts occupied cells on a strict staircase
-    c = np.array([[[1, 1], [0, 1]]], dtype=np.int64)
+    c = np.array([[[1], [1]], [[0], [1]]], dtype=np.int64)
     assert LATTICES[ModelKind.LATTICE_C][1](c)[0] == 2
 
 
@@ -457,6 +534,10 @@ def test_empirical_cdf_accounting():
     rows = cdf.csv_rows()
     assert [r[0] for r in rows] == [1, 2, 4]
     assert rows[-1][2] == 1.0
+    # one cumulative pass gives the per-value accessors' floats exactly
+    assert rows == [
+        (v, c, cdf.cdf_at(v), cdf.stderr_at(v)) for v, c in sorted(cdf.counts.items())
+    ]
     with pytest.raises(ValidationError):
         EmpiricalCdf(counts={1: 1}, trials=5)
 
