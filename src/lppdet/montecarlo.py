@@ -33,7 +33,6 @@ __all__ = [
     "SimConfig",
     "EmpiricalCdf",
     "patience_lis",
-    "sample_g_prime",
     "LATTICES",
     "brute_force_lis_distribution",
     "plancherel_lis_cdf",
@@ -131,54 +130,49 @@ def _geom(rng: np.random.Generator, p, size: int) -> np.ndarray:
     return e.astype(np.int64)
 
 
-def sample_g_prime(
-    alpha: float, q: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Sample the parity-weighted geometric diagonal law.
+def _bernoulli(rng: np.random.Generator, p, size: int) -> np.ndarray:
+    """Occupancy, P(X = 1) = p, one per cell and draw, shaped as ``_geom``'s.
 
-    Conditioned on parity the law is geometric in k//2 with ratio q^2,
-    and the even branch has probability 1/(1 + alpha q); sampling is
-    exact, no truncated table.
+    One uniform per cell; the 0/1 entries stay bytes, no int64 copy, since
+    the path rules sum into int64.
     """
-    if q == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    half = _geom(rng, q * q, size)
-    odd = rng.random(size) >= 1.0 / (1.0 + alpha * q)
-    return 2 * half + odd
+    p = np.asarray(p, dtype=float)
+    u = rng.random(p.shape + (size,))
+    return (u < p[..., np.newaxis]).view(np.uint8)
 
 
 # Lattice arrays are laid out (M, N, draws): a cell of every draw of a
 # block is one contiguous vector, and the path rules advance a row at a
-# time with in-place ufuncs on those vectors.
+# time with in-place ufuncs on those vectors.  A kind's entries are one
+# cell law, ``_geom`` or ``_bernoulli``, applied to a matrix of cell
+# parameters.
 
 
-def _grid_geometric(model: ModelSpec, rng: np.random.Generator, size: int):
-    return _geom(rng, np.outer(model.row_params, model.col_params), size)
+def _grid(cell, at):
+    """Independent entries, ``cell`` at ``at(q_i q'_j)``."""
+
+    def entries(model: ModelSpec, rng: np.random.Generator, size: int):
+        return cell(rng, at(np.outer(model.row_params, model.col_params)), size)
+
+    return entries
 
 
-def _grid_bernoulli(model: ModelSpec, rng: np.random.Generator, size: int):
-    p = np.outer(model.row_params, model.col_params)
-    u = rng.random(p.shape + (size,))
-    # 0/1 entries as bytes, no int64 copy: the path rule sums into int64
-    return (u < (p / (1.0 + p))[..., np.newaxis]).view(np.uint8)
+def _symmetric(cell, diagonal):
+    """Symmetric entries: ``cell`` at q_i q_j above the diagonal, mirrored
+    below it, then at ``diagonal(alpha, q_i)`` on it."""
 
+    def entries(model: ModelSpec, rng: np.random.Generator, size: int):
+        q = np.asarray(model.row_params, dtype=float)
+        n = len(q)
+        i, j = np.triu_indices(n, k=1)
+        upper = cell(rng, q[i] * q[j], size)
+        x = np.empty((n, n, size), dtype=upper.dtype)
+        x[i, j] = x[j, i] = upper
+        k = np.arange(n)
+        x[k, k] = cell(rng, diagonal(model.alpha, q), size)
+        return x
 
-def _geometric_diagonal(alpha: float, q: float, rng: np.random.Generator, size: int):
-    return _geom(rng, alpha * q, size)
-
-
-def _symmetric(model: ModelSpec, rng: np.random.Generator, size: int, diagonal):
-    """Symmetric arrays, geometric q_i q_j off the diagonal and
-    ``diagonal(alpha, q_i, rng, size)`` on it.  Only the cells above the
-    diagonal are drawn; the ones below mirror them."""
-    rows = np.asarray(model.row_params)
-    n = len(rows)
-    i, j = np.triu_indices(n, k=1)
-    x = np.empty((n, n, size), dtype=np.int64)
-    x[i, j] = x[j, i] = _geom(rng, rows[i] * rows[j], size)
-    for k in range(n):
-        x[k, k] = diagonal(model.alpha, rows[k], rng, size)
-    return x
+    return entries
 
 
 def _weak_weak(x: np.ndarray) -> np.ndarray:
@@ -246,16 +240,19 @@ def _strict_strict(x: np.ndarray) -> np.ndarray:
 
 
 # lattice kind -> (entry law(model, rng, size) -> arrays (M, N, size),
-#                  path rule(arrays) -> longest-path values, one per draw)
+#                  path rule(arrays) -> longest-path values, one per draw).
+# A strict/strict chain counts occupied cells, so lattice-c and
+# lattice-c-sym draw occupancy: P(X > 0) = p off the diagonal, and
+# 1 - P(g' = 0) = 1 - (1 - q^2)/(1 + alpha q) on the diagonal of the
+# symmetrized model, whose law is proportional to alpha^(k mod 2) q^k.
 LATTICES = {
-    ModelKind.LATTICE_A: (_grid_geometric, _weak_weak),
-    ModelKind.LATTICE_B: (_grid_bernoulli, _weak_strict),
-    ModelKind.LATTICE_C: (_grid_geometric, _strict_strict),
-    ModelKind.LATTICE_A_SYM: (
-        functools.partial(_symmetric, diagonal=_geometric_diagonal), _weak_weak
-    ),
+    ModelKind.LATTICE_A: (_grid(_geom, lambda p: p), _weak_weak),
+    ModelKind.LATTICE_B: (_grid(_bernoulli, lambda p: p / (1.0 + p)), _weak_strict),
+    ModelKind.LATTICE_C: (_grid(_bernoulli, lambda p: p), _strict_strict),
+    ModelKind.LATTICE_A_SYM: (_symmetric(_geom, lambda a, q: a * q), _weak_weak),
     ModelKind.LATTICE_C_SYM: (
-        functools.partial(_symmetric, diagonal=sample_g_prime), _strict_strict
+        _symmetric(_bernoulli, lambda a, q: 1.0 - (1.0 - q * q) / (1.0 + a * q)),
+        _strict_strict,
     ),
 }
 
@@ -438,12 +435,6 @@ class EmpiricalCdf:
         hits = sum(c for v, c in self.counts.items() if v <= ell)
         return hits / self.trials
 
-    def _stderr(self, p: float) -> float:
-        return math.sqrt(p * (1.0 - p) / self.trials)
-
-    def stderr_at(self, ell: int) -> float:
-        return self._stderr(self.cdf_at(ell))
-
     def csv_rows(self) -> list[tuple[int, int, float, float]]:
         """(value, count, cdf, stderr) per value, in one cumulative pass."""
         rows = []
@@ -451,7 +442,8 @@ class EmpiricalCdf:
         for v in sorted(self.counts):
             hits += self.counts[v]
             p = hits / self.trials
-            rows.append((v, self.counts[v], p, self._stderr(p)))
+            stderr = math.sqrt(p * (1.0 - p) / self.trials)
+            rows.append((v, self.counts[v], p, stderr))
         return rows
 
 

@@ -203,8 +203,7 @@ class ModelSpec:
     parameters of the lattice models; for the Poisson-lines models the
     line rates live in ``col_params``.  ``alpha`` is the boundary rate of
     the symmetrized models, ``alpha_plus`` / ``alpha_minus`` the two axis
-    rates of the external-source model.  ``m_rows`` and ``n_cols`` default
-    to the parameter list lengths.  The lists each kind needs and the
+    rates of the external-source model.  The lists each kind needs and the
     parameters and products that must lie in [0, 1) are its entry in
     ``MODEL_RULES``.
     """
@@ -216,17 +215,11 @@ class ModelSpec:
     alpha_minus: float = 0.0
     row_params: tuple[float, ...] = ()
     col_params: tuple[float, ...] = ()
-    m_rows: int = 0
-    n_cols: int = 0
 
     def __post_init__(self) -> None:
         _set_nonnegative(
             self, ("t", "alpha", "alpha_plus", "alpha_minus"), ("row_params", "col_params")
         )
-        object.__setattr__(self, "m_rows", self.m_rows or len(self.row_params))
-        object.__setattr__(self, "n_cols", self.n_cols or len(self.col_params))
-        if self.m_rows != len(self.row_params) or self.n_cols != len(self.col_params):
-            raise ValidationError("m_rows/n_cols must match the parameter list lengths")
         rule = MODEL_RULES[self.kind]
         if not all(getattr(self, name) for name in rule.needs):
             raise ValidationError(f"{self.kind.value} needs {' and '.join(rule.needs)}")

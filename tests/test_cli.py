@@ -144,6 +144,24 @@ def test_ill_conditioned_group_average_exits_two(run, capsys):
     assert re.search(r"error bound \d\.\d+e-\d+", capsys.readouterr().err)
 
 
+def test_float64_square_failing_strong_szego_exits_two(run, monkeypatch):
+    """The float64 recursion (t <= 2.5) faces the strong Szego check too.
+    Log-norms off by 1e-9 stay in range and monotone, so without the check
+    the table would be written with wrong digits."""
+    real = exact_dist.levinson
+
+    def perturbed(table, cutoff):
+        data = real(table, cutoff)
+        data.log_norms[5] += 1e-9
+        return data
+
+    monkeypatch.setattr(exact_dist, "levinson", perturbed)
+    with pytest.raises(BreakdownError, match="strong Szego check failed at t = 1.0"):
+        exact_dist.square_opuc(1.0)
+    code, _ = run("dist", "square", "--t", "1", "--lmax", "6")
+    assert code == 2
+
+
 def test_mc_cross_counts_refused_thresholds(run):
     code, out = run(
         "verify", "mc-cross", "--model", "triangle-fs", "--t", "4", "--alpha", "1",

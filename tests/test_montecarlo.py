@@ -25,7 +25,6 @@ from lppdet.montecarlo import (
     plancherel_lis_cdf,
     poissonized_square_cdf,
     run_simulation,
-    sample_g_prime,
 )
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
 from sampler_oracle import (
@@ -220,26 +219,6 @@ def test_g_prime_pmf_check_accepts_and_rejects():
         g_prime_pmf_check(-0.1, 0.5)
 
 
-def test_sample_g_prime_moments():
-    alpha, q = 0.7, 0.45
-    c = (1.0 - q * q) / (1.0 + alpha * q)
-    exact_mean = sum(
-        k * c * (alpha if k % 2 else 1.0) * q**k for k in range(400)
-    )
-    rng = np.random.default_rng(2024)
-    draws = sample_g_prime(alpha, q, rng, 200000)
-    err = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(draws.mean() - exact_mean) < 4.0 * err
-    # parity split must follow the odd-branch weight alpha q/(1 + alpha q)
-    odd_frac = float(np.mean(draws % 2))
-    assert abs(odd_frac - alpha * q / (1.0 + alpha * q)) < 0.005
-
-
-def test_sample_g_prime_zero_rate():
-    rng = np.random.default_rng(0)
-    assert np.all(sample_g_prime(1.0, 0.0, rng, 100) == 0)
-
-
 def test_lattice_entry_marginals():
     rng = np.random.default_rng(99)
     model = ModelSpec(
@@ -278,17 +257,33 @@ def test_geometric_entries_follow_the_geometric_pmf():
         assert _pmf_z(draws, pmf) < _PMF_Z
 
 
-def test_sample_g_prime_follows_the_parity_weighted_law():
-    alpha, q = 0.7, 0.6
-    g_prime_pmf_check(alpha, q)
-    c = (1.0 - q * q) / (1.0 + alpha * q)
-    pmf = [c * (alpha if k % 2 else 1.0) * q**k for k in range(11)]
-    rng = np.random.default_rng(315)
-    draws = sample_g_prime(alpha, q, rng, 200000)
-    assert _pmf_z(draws, pmf) < _PMF_Z
-    odd = alpha * q / (1.0 + alpha * q)
-    z = (np.mean(draws % 2) - odd) / math.sqrt(odd * (1.0 - odd) / len(draws))
-    assert abs(z) < _PMF_Z
+def test_strict_strict_kinds_draw_occupancy_at_their_cell_laws():
+    """lattice-c occupies cell (i, j) with probability q_i q'_j, and the
+    lattice-c-sym diagonal with 1 - c, c = (1 - q^2)/(1 + alpha q) the
+    probability P(g' = 0) of the parity-weighted law; q = 0 never occupies."""
+    rng = np.random.default_rng(316)
+    n = 100000
+    grid = ModelSpec(
+        kind=ModelKind.LATTICE_C, row_params=(0.0, 0.5, 0.9), col_params=(0.3, 0.8)
+    )
+    x = LATTICES[grid.kind][0](grid, rng, n)
+    p = np.outer(grid.row_params, grid.col_params)
+    cells = [(x[i, j], p[i, j]) for i in range(3) for j in range(2)]
+    alpha, qs = 0.7, (0.0, 0.3, 0.6, 0.9)
+    sym = ModelSpec(kind=ModelKind.LATTICE_C_SYM, alpha=alpha, row_params=qs)
+    y = LATTICES[sym.kind][0](sym, rng, n)
+    assert np.array_equal(y, y.transpose(1, 0, 2))
+    for i, q in enumerate(qs):
+        g_prime_pmf_check(alpha, q)
+        cells.append((y[i, i], 1.0 - (1.0 - q * q) / (1.0 + alpha * q)))
+        cells += [(y[i, j], q * qs[j]) for j in range(i + 1, len(qs))]
+    for draws, prob in cells:
+        assert draws.dtype == np.uint8 and draws.max() <= 1
+        if prob == 0.0:
+            assert not draws.any()
+            continue
+        z = (draws.mean() - prob) / math.sqrt(prob * (1.0 - prob) / n)
+        assert abs(z) < _PMF_Z, (prob, z)
 
 
 def test_symmetric_kinds_draw_symmetric_arrays():
@@ -438,6 +433,11 @@ def test_block_samplers_match_per_draw_oracles(model):
         ModelSpec(kind=ModelKind.POISSON_LINES_D, t=3.0, col_params=(0.5, 0.4, 0.3)),
         ModelSpec(kind=ModelKind.POISSON_LINES_E, t=3.0, col_params=(0.5, 0.4, 0.3)),
         ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=2.0, alpha=0.5),
+        ModelSpec(
+            kind=ModelKind.LATTICE_C, row_params=(0.6, 0.5, 0.4), col_params=(0.7, 0.5, 0.6)
+        ),
+        ModelSpec(kind=ModelKind.LATTICE_A_SYM, alpha=0.5, row_params=(0.4, 0.5, 0.3)),
+        ModelSpec(kind=ModelKind.LATTICE_C_SYM, alpha=0.5, row_params=(0.6, 0.5, 0.7)),
     ],
     ids=lambda m: m.kind.value,
 )
@@ -530,13 +530,13 @@ def test_empirical_cdf_accounting():
     assert cdf.cdf_at(0) == 0.0
     assert cdf.cdf_at(2) == 0.8
     assert cdf.cdf_at(4) == 1.0
-    assert cdf.stderr_at(2) == pytest.approx(math.sqrt(0.8 * 0.2 / 10))
     rows = cdf.csv_rows()
     assert [r[0] for r in rows] == [1, 2, 4]
     assert rows[-1][2] == 1.0
-    # one cumulative pass gives the per-value accessors' floats exactly
-    assert rows == [
-        (v, c, cdf.cdf_at(v), cdf.stderr_at(v)) for v, c in sorted(cdf.counts.items())
+    assert rows[1][3] == pytest.approx(math.sqrt(0.8 * 0.2 / 10))
+    # one cumulative pass gives the per-value accessor's floats exactly
+    assert [r[:3] for r in rows] == [
+        (v, c, cdf.cdf_at(v)) for v, c in sorted(cdf.counts.items())
     ]
     with pytest.raises(ValidationError):
         EmpiricalCdf(counts={1: 1}, trials=5)
