@@ -7,7 +7,8 @@ versions, the seed and a sha256 for each output file.  Exit codes:
 
 * 0  success
 * 1  invalid input (bad flag, malformed parameter, out-of-range request)
-* 2  numerical failure (recursion breakdown, an error bound past its target)
+* 2  numerical failure (recursion breakdown, an error bound past its target,
+     a table that leaves [0, 1] or falls)
 * 3  a verification suite ran to completion and found a violation
 """
 
@@ -25,16 +26,11 @@ from . import __version__
 from .cache import cached_pii_solution
 from .errors import BreakdownError, ValidationError, VerificationError
 from .exact_dist import (
-    ROW_TOL,
     build_dist_table,
-    certified,
     certified_law,
     exact_law,
-    ogroup_law,
     scaled_cdf,
     square_opuc,
-    toeplitz_prob,
-    triangle_rows,
 )
 from .fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
 from .montecarlo import (
@@ -57,35 +53,10 @@ from .symbols import (
     ModelKind,
     ModelSpec,
     SymbolSpec,
-    build_symbol,
     fourier_coeffs,
-    normalization_log_z,
+    param_flags,
     strong_szego_log_z,
 )
-
-_TRIANGLE = {"t": "t", "alpha": "alpha"}
-_LATTICE = {"row_params": "q", "col_params": "qp"}
-_LINES = {"t": "t", "col_params": "q"}
-_SYMMETRIZED = {"alpha": "alpha", "row_params": "q"}
-
-# model name on the command line -> (kind, {ModelSpec field: flag setting it})
-MODELS = {
-    "square": (ModelKind.POISSON_SQUARE, {"t": "t"}),
-    "triangle": (ModelKind.POISSON_TRIANGLE, _TRIANGLE),
-    "external": (
-        ModelKind.POISSON_EXTERNAL,
-        {"t": "t", "alpha_plus": "alpha_plus", "alpha_minus": "alpha_minus"},
-    ),
-    "lattice-a": (ModelKind.LATTICE_A, _LATTICE),
-    "lattice-b": (ModelKind.LATTICE_B, _LATTICE),
-    "lattice-c": (ModelKind.LATTICE_C, _LATTICE),
-    "lines-d": (ModelKind.POISSON_LINES_D, _LINES),
-    "lines-e": (ModelKind.POISSON_LINES_E, _LINES),
-    "triangle-fs": (ModelKind.TRIANGLE_POISSON_FS, _TRIANGLE),
-    "lattice-a-sym": (ModelKind.LATTICE_A_SYM, _SYMMETRIZED),
-    "lattice-c-sym": (ModelKind.LATTICE_C_SYM, _SYMMETRIZED),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse normally exits with status 2 on bad flags; route those
@@ -108,6 +79,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lppdet", description=__doc__.splitlines()[0])
+    models = sorted(kind.value for kind in ModelKind)
     parser.add_argument("--out-dir", default=".", help="directory for output files")
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
     parser.add_argument("--workers", type=int, default=1, help="simulation processes")
@@ -122,7 +94,7 @@ def build_parser() -> _Parser:
         p.add_argument("--qp", type=_float_list, default=None, help="column parameters, comma separated")
 
     p_dist = sub.add_parser("dist", help="exact distribution table for one model")
-    p_dist.add_argument("model", choices=sorted(MODELS))
+    p_dist.add_argument("model", choices=models)
     add_model_flags(p_dist)
     p_dist.add_argument("--lmax", type=int, default=10, help="largest threshold tabulated")
 
@@ -138,7 +110,7 @@ def build_parser() -> _Parser:
         choices=["dpii", "fredholm", "corner-asymptotics", "mc-cross", "oracles"],
     )
     p_verify.add_argument("--kmax", type=int, default=8)
-    p_verify.add_argument("--model", choices=sorted(MODELS), default="square")
+    p_verify.add_argument("--model", choices=models, default="square")
     add_model_flags(p_verify)
     p_verify.add_argument("--trials", type=int, default=20000)
 
@@ -149,7 +121,7 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--x-step", type=float, default=0.25)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo empirical CDF for one model")
-    p_mc.add_argument("model", choices=sorted(MODELS))
+    p_mc.add_argument("model", choices=models)
     add_model_flags(p_mc)
     p_mc.add_argument("--trials", type=int, default=20000)
 
@@ -157,14 +129,11 @@ def build_parser() -> _Parser:
 
 
 def model_from_args(args) -> ModelSpec:
-    kind, fields = MODELS[args.model]
-    kwargs = {}
-    for name, flag in fields.items():
-        value = getattr(args, flag)
-        if value is None:
-            raise ValidationError(f"model {args.model} needs --{flag}")
-        kwargs[name] = value
-    return ModelSpec(kind=kind, **kwargs)
+    """The model named by ``args.model``, from the flags of the fields its
+    kind reads (``symbols.param_flags``); an unset list reaches it empty."""
+    kind = ModelKind(args.model)
+    values = {name: getattr(args, flag) for name, flag in param_flags(kind).items()}
+    return ModelSpec(kind=kind, **{k: () if v is None else v for k, v in values.items()})
 
 
 def _sha256(path: Path) -> str:
@@ -362,11 +331,12 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
 
     square = SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0)
     log_z = strong_szego_log_z(square)
+    table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0), 5)
     data = square_opuc(1.0, cutoff=12)
     from scipy.special import iv
 
     checks["square_closed_form_l1"] = abs(
-        toeplitz_prob(log_z, 1, data) - math.exp(-1.0) * float(iv(0, 2.0))
+        table.probability(1) - math.exp(-1.0) * float(iv(0, 2.0))
     )
     coeffs = fourier_coeffs(square, 12)
     checks["toeplitz_vs_dense_lu"] = max(
@@ -374,18 +344,14 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
         for n in range(1, 7)
     )
     checks["poissonized_plancherel"] = max(
-        abs(poissonized_square_cdf(1.0, ell)[0] - toeplitz_prob(log_z, ell, data))
+        abs(poissonized_square_cdf(1.0, ell)[0] - table.probability(ell))
         for ell in range(0, 6)
     )
-    # the half-index norm products need the full default cutoff to
-    # reach the 1e-12 truncation target
-    group = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=1.0, alpha=0.5)
-    p_rec, b_rec = triangle_rows(1.0, 0.5, 1, square_opuc(1.0))[1]
-    p_grp, b_grp = ogroup_law(build_symbol(group), normalization_log_z(group), 3)[3]
-    checks["triangle_vs_orthogonal_group"] = abs(
-        certified(p_rec, b_rec, "P(L <= 3)", ROW_TOL[ModelKind.POISSON_TRIANGLE])
-        - certified(p_grp, b_grp, "P(L <= 3)", ROW_TOL[group.kind])
+    triangle, triangle_fs = (
+        build_dist_table(ModelSpec(kind=kind, t=1.0, alpha=0.5), 3).probability(3)
+        for kind in (ModelKind.POISSON_TRIANGLE, ModelKind.TRIANGLE_POISSON_FS)
     )
+    checks["triangle_vs_orthogonal_group"] = abs(triangle - triangle_fs)
     # log det(1 - K_0) = log D_0 - log Z = -log Z
     spec = IntegrableKernelSpec(symbol=square, k=0, nodes=64)
     checks["fredholm_det_t1_k0"] = abs(fredholm_log_det(spec) + log_z)

@@ -38,7 +38,6 @@ from .errors import (
     BreakdownError,
     ConditioningError,
     ValidationError,
-    VerificationError,
 )
 from .symbols import (
     ModelKind,
@@ -356,14 +355,15 @@ def check_cdf(probs: dict[int, float]) -> None:
     """Every p must lie in [0, 1] and no p below the largest entry before
     it, each up to _CDF_SLACK.  Comparing with the running maximum rather
     than the predecessor keeps drops that each fit the slack from adding
-    up to a larger one."""
+    up to a larger one.  A table that fails is refused as a numerical
+    failure: its rows carry error no bound covered."""
     peak = -math.inf
     for ell in sorted(probs):
         p = probs[ell]
         if not (-_CDF_SLACK <= p <= 1.0 + _CDF_SLACK):
-            raise VerificationError(f"probability {p} outside [0,1]")
+            raise BreakdownError(f"probability {p} outside [0,1]")
         if p < peak - _CDF_SLACK:
-            raise VerificationError(
+            raise BreakdownError(
                 f"table is not nondecreasing: P(L <= {ell}) = {p!r} lies "
                 f"{peak - p:.2e} below an earlier entry"
             )

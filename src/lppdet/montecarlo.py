@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .symbols import ModelKind, ModelSpec, SymbolSpec, evaluate_symbol
+from .symbols import ModelKind, ModelSpec
 
 __all__ = [
     "SimConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "brute_force_lis_distribution",
     "plancherel_lis_cdf",
     "poissonized_square_cdf",
-    "haar_orthogonal_expectation",
     "SAMPLERS",
     "run_simulation",
 ]
@@ -356,41 +355,6 @@ def poissonized_square_cdf(t: float, ell: int):
         if n > lam and weight * lam / (n + 1) < _POISSON_TAIL * (1.0 - lam / (n + 2)):
             break
     return value, 1.0 - mass
-
-
-def haar_orthogonal_expectation(
-    psi: SymbolSpec,
-    ell: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo mean of det(psi(U)) over Haar orthogonal matrices.
-
-    Returns (estimate, standard error).  QR factors are sign-corrected
-    so the law is exactly Haar on the full group, covering both
-    determinant components with equal mass; det psi(U) is a product over
-    eigenvalues.
-    """
-    if not 1 <= ell <= 12:
-        raise ValidationError(f"supported range is 1 <= ell <= 12, got {ell}")
-    if trials < 2:
-        raise ValidationError("need at least 2 trials for a standard error")
-    vals = np.empty(trials)
-    done = 0
-    while done < trials:
-        batch = min(4096, trials - done)
-        g = rng.standard_normal((batch, ell, ell))
-        q, r = np.linalg.qr(g)
-        signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)
-        q = q * signs[:, np.newaxis, :]
-        lam = np.linalg.eigvals(q)
-        vals[done : done + batch] = np.real(
-            np.prod(evaluate_symbol(psi, lam), axis=-1)
-        )
-        done += batch
-    est = float(np.mean(vals))
-    err = float(np.std(vals, ddof=1) / math.sqrt(trials))
-    return est, err
 
 
 @dataclass(frozen=True)

@@ -38,16 +38,12 @@ from .symbols import FourierTable
 
 __all__ = [
     "OpucData",
-    "YCorner",
-    "RecurrenceReport",
     "levinson",
     "square_opuc_highprec",
     "toeplitz_log_det",
     "toeplitz_log_det_dense",
     "eval_pi",
-    "y_corner",
     "dpii_residual",
-    "recurrence_checks",
 ]
 
 # A reflection coefficient this close to the unit circle signals the
@@ -352,29 +348,6 @@ def eval_pi(data: OpucData, k: int, x: float) -> tuple[np.ndarray, np.ndarray, n
     return pi, pi_star, log_scale
 
 
-@dataclass(frozen=True)
-class YCorner:
-    """Corner data (a, b, d) of the normalized 2x2 array at z = 0.
-
-    a = -1/N_{k-1}, b = reflection(k), and d completes the unimodular
-    relation a*d + b^2 = 1.
-    """
-
-    a: float
-    b: float
-    d: float
-    k: int
-
-
-def y_corner(data: OpucData, k: int) -> YCorner:
-    if k < 1 or k > data.cutoff:
-        raise ValidationError(f"k must lie in [1, cutoff] = [1, {data.cutoff}], got {k}")
-    a = -math.exp(-float(data.log_norms[k - 1]))
-    b = float(data.reflection[k])
-    d = (1.0 - b * b) / a
-    return YCorner(a=a, b=b, d=d, k=k)
-
-
 def dpii_residual(data: OpucData, t: float, k: int) -> float:
     """Residual of the discrete Painleve II relation at index k.
 
@@ -390,44 +363,3 @@ def dpii_residual(data: OpucData, t: float, k: int) -> float:
     b = data.reflection
     bk = float(b[k])
     return (k / t) * bk + (float(b[k - 1]) + float(b[k + 1])) * (1.0 - bk * bk)
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    max_dev_a: float
-    max_dev_d: float
-    cutoff: int
-
-
-def recurrence_checks(data: OpucData) -> RecurrenceReport:
-    """Consistency of the stored norms with the reflection product update.
-
-    Checks, for a(k) = -1/N_{k-1} and d(k) = -N_k,
-
-        a(k) = (1 - b(k) b~(k)) a(k+1)
-        d(k) = (1 - b(k) b~(k)) d(k-1)
-
-    both restatements of N_k = (1 - b(k) b~(k)) N_{k-1}.  Because the
-    norms are computed by direct inner products, these deviations measure
-    real numerical consistency, not bookkeeping.  Returns the maxima of
-    the relative deviations.
-    """
-    K = data.cutoff
-    if K < 1:
-        raise ValidationError("need cutoff >= 1 for recurrence checks")
-    b = data.reflection
-    bd = data.reflection_dual
-    n = np.exp(data.log_norms)
-    a = -1.0 / n[:-1]  # a[k-1] stores a(k) = -1/N_{k-1}, k = 1..K
-    factors = 1.0 - b[1:] * bd[1:]  # factor at k = 1..K
-
-    # a(k) = factor(k) * a(k+1) for k = 1..K-1
-    dev_a = np.abs(a[:-1] - factors[:-1] * a[1:]) / np.abs(a[:-1])
-    # d(k) = factor(k) * d(k-1) for k = 1..K with d(0) = -N_0
-    d_full = -n  # d_full[k] = -N_k, k = 0..K
-    dev_d = np.abs(d_full[1:] - factors * d_full[:-1]) / np.abs(d_full[1:])
-    return RecurrenceReport(
-        max_dev_a=float(np.max(dev_a)) if len(dev_a) else 0.0,
-        max_dev_d=float(np.max(dev_d)),
-        cutoff=K,
-    )

@@ -85,9 +85,8 @@ X_RIGHT = 8.0
 TABLE_TOL = 1e-13
 TABLE_STEP = 0.005
 # Gauss-Legendre nodes and right end of the truncated domain of the
-# Airy-kernel oracles; the tails past the cut contribute below 1e-20.
+# Airy-kernel oracle; the tails past the cut contribute below 1e-20.
 _AIRY_NODES, _AIRY_CUT = 80, 14.0
-_RANK_ONE_NODES, _RANK_ONE_CUT = 120, 18.0
 # Central scaling window for the corner check; outside it the edge
 # expansion is replaced by the exponential decay regimes.
 CORNER_WINDOW = 3.0
@@ -295,33 +294,6 @@ def airy_kernel_fgue(x: float) -> float:
     if sign <= 0:
         raise BreakdownError("discretized Airy resolvent lost positivity")
     return float(math.exp(logdet))
-
-
-def airy_rank_one_laws(s: float) -> tuple[float, float, float]:
-    """Oracle for all three edge laws via the kernel Ai(x + y + s) on (0, inf).
-
-    With B the integral operator with that kernel, det(1 - B^2) is the
-    Airy-kernel determinant, and the two factors give the other laws:
-
-        beta=2: det(1 - B) det(1 + B)
-        beta=1: det(1 - B)
-        beta=4: (det(1 - B) + det(1 + B)) / 2
-
-    Returns (f1, f2, f4).  Completely independent of the ODE path.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_RANK_ONE_NODES)
-    xs = 0.5 * _RANK_ONE_CUT * (nodes + 1.0)
-    ws = 0.5 * _RANK_ONE_CUT * weights
-    sw = np.sqrt(ws)
-    bmat = airy(xs[:, None] + xs[None, :] + s)[0] * sw[:, None] * sw[None, :]
-    eye = np.eye(_RANK_ONE_NODES)
-    sign_m, log_m = np.linalg.slogdet(eye - bmat)
-    sign_p, log_p = np.linalg.slogdet(eye + bmat)
-    if sign_m <= 0 or sign_p <= 0:
-        raise BreakdownError("Airy convolution determinant lost positivity")
-    det_m = math.exp(log_m)
-    det_p = math.exp(log_p)
-    return det_m, det_m * det_p, 0.5 * (det_m + det_p)
 
 
 def corner_scaling_x(t: float, k: int) -> float:

@@ -5,9 +5,9 @@ circle, its symbol.  Distribution values are normalized Toeplitz
 determinants in the Fourier coefficients of phi, so this module is the
 root of the exact-computation stack: it holds one rule per model kind
 (``MODEL_RULES``: its symbol, its normalization and the parameters it
-needs) and computes Fourier coefficients by trapezoid quadrature on the
-circle (spectrally accurate for these analytic symbols).  The symbol
-family is
+reads, whose command-line flags ``param_flags`` derives) and computes
+Fourier coefficients by trapezoid quadrature on the circle (spectrally
+accurate for these analytic symbols).  The symbol family is
 
     phi(z) = exp(tp*z + tm/z) * prod(1 + a*z) * prod(1 + b/z)
              / prod(1 - c*z) / prod(1 - d/z)
@@ -45,6 +45,7 @@ __all__ = [
     "ModelSpec",
     "ModelRule",
     "MODEL_RULES",
+    "param_flags",
     "build_symbol",
     "evaluate_symbol",
     "fourier_coeffs",
@@ -180,19 +181,28 @@ def fourier_coeffs(
 
 
 class ModelKind(enum.Enum):
-    POISSON_SQUARE = "PoissonSquare"
-    POISSON_TRIANGLE = "PoissonTriangle"
-    POISSON_EXTERNAL = "PoissonExternal"
-    LATTICE_A = "LatticeA"
-    LATTICE_B = "LatticeB"
-    LATTICE_C = "LatticeC"
-    POISSON_LINES_D = "PoissonLinesD"
-    POISSON_LINES_E = "PoissonLinesE"
-    TRIANGLE_POISSON_FS = "TrianglePoissonFS"
+    """One member per solvable model; its value is the model's name on the
+    command line and in output file names."""
+
+    POISSON_SQUARE = "square"
+    POISSON_TRIANGLE = "triangle"
+    POISSON_EXTERNAL = "external"
+    LATTICE_A = "lattice-a"
+    LATTICE_B = "lattice-b"
+    LATTICE_C = "lattice-c"
+    POISSON_LINES_D = "lines-d"
+    POISSON_LINES_E = "lines-e"
+    TRIANGLE_POISSON_FS = "triangle-fs"
     # Symmetrized lattice models; like TRIANGLE_POISSON_FS their exact law
     # is an orthogonal-group average, a Toeplitz +- Hankel determinant.
-    LATTICE_A_SYM = "LatticeASym"
-    LATTICE_C_SYM = "LatticeCSym"
+    LATTICE_A_SYM = "lattice-a-sym"
+    LATTICE_C_SYM = "lattice-c-sym"
+
+
+_SCALARS = ("t", "alpha", "alpha_plus", "alpha_minus")
+_LISTS = ("row_params", "col_params")
+# how messages label the entries of the lists set by --q and --qp
+_LABELS = {"q": "q", "qp": "q'"}
 
 
 @dataclass(frozen=True)
@@ -203,9 +213,9 @@ class ModelSpec:
     parameters of the lattice models; for the Poisson-lines models the
     line rates live in ``col_params``.  ``alpha`` is the boundary rate of
     the symmetrized models, ``alpha_plus`` / ``alpha_minus`` the two axis
-    rates of the external-source model.  The lists each kind needs and the
-    parameters and products that must lie in [0, 1) are its entry in
-    ``MODEL_RULES``.
+    rates of the external-source model.  The fields each kind reads and
+    the parameters and products that must lie in [0, 1) are its entry in
+    ``MODEL_RULES``; every list it reads must be nonempty.
     """
 
     kind: ModelKind
@@ -217,13 +227,11 @@ class ModelSpec:
     col_params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        _set_nonnegative(
-            self, ("t", "alpha", "alpha_plus", "alpha_minus"), ("row_params", "col_params")
-        )
-        rule = MODEL_RULES[self.kind]
-        if not all(getattr(self, name) for name in rule.needs):
-            raise ValidationError(f"{self.kind.value} needs {' and '.join(rule.needs)}")
-        for label, p in rule.bounded(self):
+        _set_nonnegative(self, _SCALARS, _LISTS)
+        for name, flag in param_flags(self.kind).items():
+            if name in _LISTS and not getattr(self, name):
+                raise ValidationError(f"model {self.kind.value} needs --{flag}")
+        for label, p in MODEL_RULES[self.kind].bounded(self):
             if not (0.0 <= p < 1.0):
                 raise ValidationError(f"{self.kind.value}: {label} = {p} must lie in [0, 1)")
 
@@ -261,12 +269,13 @@ def _grid_products(m: ModelSpec) -> list[tuple[str, float]]:
     ]
 
 
-def _poles(**labels: str) -> Callable[[ModelSpec], list[tuple[str, float]]]:
-    """Every entry of the named parameter lists, which enter the symbol
-    as poles 1 / (1 - q z) or 1 / (1 - q / z) and so must lie in [0, 1)."""
+def _poles(*names: str) -> Callable[[ModelSpec], list[tuple[str, float]]]:
+    """Every entry of the named lists, which enter the symbol as poles
+    1 / (1 - q z) or 1 / (1 - q / z) and so must lie in [0, 1).  Entries of
+    the list set by --q are labelled q_i, those of --qp q'_i."""
     return lambda m: [
-        (f"{label}_{i+1}", q)
-        for name, label in labels.items()
+        (f"{_LABELS[param_flags(m.kind)[name]]}_{i+1}", q)
+        for name in names
         for i, q in enumerate(getattr(m, name))
     ]
 
@@ -282,12 +291,12 @@ def _symmetric_products(m: ModelSpec) -> list[tuple[str, float]]:
 
 class ModelRule(NamedTuple):
     """One model kind: the symbol of its determinants, its log Z, the
-    parameter lists it needs and the parameters and products that must
-    lie in [0, 1)."""
+    ``ModelSpec`` fields it reads and the parameters and products that
+    must lie in [0, 1)."""
 
     symbol: Callable[[ModelSpec], SymbolSpec]
     log_z: Callable[[ModelSpec], float]
-    needs: tuple[str, ...] = ()
+    params: tuple[str, ...]
     bounded: Callable[[ModelSpec], list[tuple[str, float]]] = lambda m: []
 
 
@@ -304,48 +313,64 @@ def _triangle_fs(m: ModelSpec) -> SymbolSpec:
     return SymbolSpec(exp_plus_t=m.t, zeros_plus=(m.alpha,))
 
 
-_GRID = ("row_params", "col_params")
-
 # The triangle and external-source laws are built on the square's
 # recursion, their boundary rates entering through polynomial evaluations.
 # The triangle-FS and symmetrized kinds carry the psi of their group average.
 MODEL_RULES = {
-    ModelKind.POISSON_SQUARE: _rule(_square, strong_szego_log_z),
-    ModelKind.POISSON_TRIANGLE: ModelRule(_square, lambda m: ogroup_log_z(_triangle_fs(m))),
+    ModelKind.POISSON_SQUARE: _rule(_square, strong_szego_log_z, ("t",)),
+    ModelKind.POISSON_TRIANGLE: ModelRule(
+        _square, lambda m: ogroup_log_z(_triangle_fs(m)), ("t", "alpha")
+    ),
     ModelKind.POISSON_EXTERNAL: ModelRule(
         _square,
         lambda m: strong_szego_log_z(_square(m)) + (m.alpha_plus + m.alpha_minus) * m.t,
+        ("t", "alpha_plus", "alpha_minus"),
     ),
     ModelKind.LATTICE_A: _rule(
         lambda m: SymbolSpec(zeros_plus=m.row_params, zeros_minus=m.col_params),
-        strong_szego_log_z, _GRID, _grid_products,
+        strong_szego_log_z, _LISTS, _grid_products,
     ),
     ModelKind.LATTICE_B: _rule(
         lambda m: SymbolSpec(zeros_plus=m.row_params, poles_minus=m.col_params),
-        strong_szego_log_z, _GRID, _poles(col_params="q'"),
+        strong_szego_log_z, _LISTS, _poles("col_params"),
     ),
     ModelKind.LATTICE_C: _rule(
         lambda m: SymbolSpec(poles_plus=m.row_params, poles_minus=m.col_params),
-        strong_szego_log_z, _GRID, _poles(row_params="q", col_params="q'"),
+        strong_szego_log_z, _LISTS, _poles(*_LISTS),
     ),
     ModelKind.POISSON_LINES_D: _rule(
         lambda m: SymbolSpec(exp_plus_t=m.t, zeros_minus=m.col_params),
-        strong_szego_log_z, ("col_params",),
+        strong_szego_log_z, ("t", "col_params"),
     ),
     ModelKind.POISSON_LINES_E: _rule(
         lambda m: SymbolSpec(exp_plus_t=m.t, poles_minus=m.col_params),
-        strong_szego_log_z, ("col_params",), _poles(col_params="q"),
+        strong_szego_log_z, ("t", "col_params"), _poles("col_params"),
     ),
-    ModelKind.TRIANGLE_POISSON_FS: _rule(_triangle_fs, ogroup_log_z),
+    ModelKind.TRIANGLE_POISSON_FS: _rule(_triangle_fs, ogroup_log_z, ("t", "alpha")),
     ModelKind.LATTICE_A_SYM: _rule(
         lambda m: SymbolSpec(zeros_plus=(m.alpha,) + m.row_params),
-        ogroup_log_z, ("row_params",), _symmetric_products,
+        ogroup_log_z, ("alpha", "row_params"), _symmetric_products,
     ),
     ModelKind.LATTICE_C_SYM: _rule(
         lambda m: SymbolSpec(zeros_plus=(m.alpha,), poles_plus=m.row_params),
-        ogroup_log_z, ("row_params",), _symmetric_products,
+        ogroup_log_z, ("alpha", "row_params"), _symmetric_products,
     ),
 }
+
+
+def param_flags(kind: ModelKind) -> dict[str, str]:
+    """{ModelSpec field: command-line flag} of every field ``kind`` reads.
+
+    A scalar's flag is its own name; the first list the kind reads is
+    ``q`` and the second ``qp``, so the lines' one list, ``col_params``,
+    is ``q``.  Flags are named as argparse stores them (``alpha_plus``
+    for ``--alpha-plus``).
+    """
+    lists = iter(("q", "qp"))
+    return {
+        name: next(lists) if name in _LISTS else name
+        for name in MODEL_RULES[kind].params
+    }
 
 
 def build_symbol(model: ModelSpec) -> SymbolSpec:

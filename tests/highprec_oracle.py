@@ -11,10 +11,14 @@ of norms, and ``triangle_law_mpf`` the triangle law off a dense
 orthogonal-group determinant.  ``toeplitz_log_norms_fixed`` runs the
 asymmetric recursion for any ``SymbolSpec`` in fixed-point integers, on a
 table convolved from the symbol's one-sided power series instead of the
-float64 quadrature table.
+float64 quadrature table, and ``group_mean_mpf`` the orthogonal-group mean
+on the same series.  ``y_corner`` and ``recurrence_checks`` restate
+the stored norms and reflection coefficients through the corner relation
+and the norm update, to check a table against itself.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -195,6 +199,42 @@ def _one_sided_series(
     return u
 
 
+def group_mean_mpf(psi: SymbolSpec, ell: int, bits: int = 192, dps: int = 50) -> float:
+    """E_{O(ell)} det psi(U) for a one-sided psi = e^{tz} prod(1 + az) /
+    prod(1 - cz), with no float64 step before the result.
+
+    The coefficients g_n = sum_k u_k u_{k+n} of psi(z) psi(1/z) come from
+    ``_one_sided_series`` at ``bits`` plus 64 guard bits, and psi(+-1) =
+    sum_k (+-1)^k u_k.  The mean averages the two components of O(ell),
+    the same Toeplitz +- Hankel determinants as ``exact_dist._ogroup_mean``,
+    taken in mpmath at ``dps`` digits.
+    """
+    if psi.exp_minus_t or psi.zeros_minus or psi.poles_minus:
+        raise ValidationError("group means here take a one-sided psi")
+    scale = bits + _GUARD_BITS
+    u = _one_sided_series(psi.exp_plus_t, psi.zeros_plus, psi.poles_plus, scale)
+    u += [0] * (ell + 3)
+    with mp.workdps(dps):
+        g = [mp.ldexp(sum(x * y for x, y in zip(u, u[n:])), -2 * scale) for n in range(ell + 3)]
+        psi_plus = mp.ldexp(sum(u), -scale)
+        psi_minus = mp.ldexp(sum(x if k % 2 == 0 else -x for k, x in enumerate(u)), -scale)
+
+        def det(size, sign, shift):
+            if size == 0:
+                return mp.mpf(1)
+            return mp.det(mp.matrix(
+                [[g[abs(j - k)] + sign * g[j + k + shift] for k in range(size)]
+                 for j in range(size)]
+            ))
+
+        m = ell // 2
+        if ell % 2 == 0:
+            mean = det(m, 1, 0) / 2 + psi_plus * psi_minus * det(m - 1, -1, 2)
+        else:
+            mean = psi_plus * det(m, -1, 1) + psi_minus * det(m, 1, 1)
+        return float(mean / 2)
+
+
 def toeplitz_log_norms_fixed(spec: SymbolSpec, cutoff: int, bits: int = 192) -> np.ndarray:
     """log N_k, k = 0..cutoff, of the symbol's Toeplitz recursion with no
     float64 step before the logarithms.
@@ -239,3 +279,67 @@ def toeplitz_log_norms_fixed(spec: SymbolSpec, cutoff: int, bits: int = 192) -> 
             raise BreakdownError(f"norm N_{k + 1} not positive in fixed point")
         log_norms.append(math.log1p((n_cur - one) / one))
     return np.array(log_norms)
+
+
+@dataclass(frozen=True)
+class YCorner:
+    """Corner data (a, b, d) of the normalized 2x2 array at z = 0.
+
+    a = -1/N_{k-1}, b = reflection(k), and d completes the unimodular
+    relation a*d + b^2 = 1.
+    """
+
+    a: float
+    b: float
+    d: float
+    k: int
+
+
+def y_corner(data: OpucData, k: int) -> YCorner:
+    if k < 1 or k > data.cutoff:
+        raise ValidationError(f"k must lie in [1, cutoff] = [1, {data.cutoff}], got {k}")
+    a = -math.exp(-float(data.log_norms[k - 1]))
+    b = float(data.reflection[k])
+    d = (1.0 - b * b) / a
+    return YCorner(a=a, b=b, d=d, k=k)
+
+
+@dataclass(frozen=True)
+class RecurrenceReport:
+    max_dev_a: float
+    max_dev_d: float
+    cutoff: int
+
+
+def recurrence_checks(data: OpucData) -> RecurrenceReport:
+    """Consistency of the stored norms with the reflection product update.
+
+    Checks, for a(k) = -1/N_{k-1} and d(k) = -N_k,
+
+        a(k) = (1 - b(k) b~(k)) a(k+1)
+        d(k) = (1 - b(k) b~(k)) d(k-1)
+
+    both restatements of N_k = (1 - b(k) b~(k)) N_{k-1}.  Because the
+    norms are computed by direct inner products, these deviations measure
+    real numerical consistency, not bookkeeping.  Returns the maxima of
+    the relative deviations.
+    """
+    K = data.cutoff
+    if K < 1:
+        raise ValidationError("need cutoff >= 1 for recurrence checks")
+    b = data.reflection
+    bd = data.reflection_dual
+    n = np.exp(data.log_norms)
+    a = -1.0 / n[:-1]  # a[k-1] stores a(k) = -1/N_{k-1}, k = 1..K
+    factors = 1.0 - b[1:] * bd[1:]  # factor at k = 1..K
+
+    # a(k) = factor(k) * a(k+1) for k = 1..K-1
+    dev_a = np.abs(a[:-1] - factors[:-1] * a[1:]) / np.abs(a[:-1])
+    # d(k) = factor(k) * d(k-1) for k = 1..K with d(0) = -N_0
+    d_full = -n  # d_full[k] = -N_k, k = 0..K
+    dev_d = np.abs(d_full[1:] - factors * d_full[:-1]) / np.abs(d_full[1:])
+    return RecurrenceReport(
+        max_dev_a=float(np.max(dev_a)) if len(dev_a) else 0.0,
+        max_dev_d=float(np.max(dev_d)),
+        cutoff=K,
+    )

@@ -3,12 +3,16 @@
 The Weyl integration formula integrated on a tensor Gauss grid, one
 axis per conjugate eigenvalue pair.  The grid has n^(ell/2) points, so it
 is only usable for small groups; the package evaluates the same averages
-as Toeplitz +- Hankel determinants and the tests compare the two.
+as Toeplitz +- Hankel determinants and the tests compare the two.  Also a
+Monte Carlo mean over Haar orthogonal matrices, the sampled counterpart.
 """
+
+import math
 
 import numpy as np
 from scipy.special import roots_chebyt, roots_chebyu, roots_jacobi
 
+from lppdet.errors import ValidationError
 from lppdet.symbols import SymbolSpec, evaluate_symbol
 
 MAX_ELL = 8
@@ -79,3 +83,38 @@ def quadrature_expectation(spec: SymbolSpec, ell: int, n_nodes: int = 48) -> flo
     plus = weyl_component_mean(spec, ell, False, n_nodes)
     minus = weyl_component_mean(spec, ell, True, n_nodes)
     return 0.5 * (plus + minus)
+
+
+def haar_orthogonal_expectation(
+    psi: SymbolSpec,
+    ell: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Monte Carlo mean of det(psi(U)) over Haar orthogonal matrices.
+
+    Returns (estimate, standard error).  QR factors are sign-corrected
+    so the law is exactly Haar on the full group, covering both
+    determinant components with equal mass; det psi(U) is a product over
+    eigenvalues.
+    """
+    if not 1 <= ell <= 12:
+        raise ValidationError(f"supported range is 1 <= ell <= 12, got {ell}")
+    if trials < 2:
+        raise ValidationError("need at least 2 trials for a standard error")
+    vals = np.empty(trials)
+    done = 0
+    while done < trials:
+        batch = min(4096, trials - done)
+        g = rng.standard_normal((batch, ell, ell))
+        q, r = np.linalg.qr(g)
+        signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)
+        q = q * signs[:, np.newaxis, :]
+        lam = np.linalg.eigvals(q)
+        vals[done : done + batch] = np.real(
+            np.prod(evaluate_symbol(psi, lam), axis=-1)
+        )
+        done += batch
+    est = float(np.mean(vals))
+    err = float(np.std(vals, ddof=1) / math.sqrt(trials))
+    return est, err

@@ -28,12 +28,11 @@ from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det, identity_che
 from lppdet.montecarlo import (
     SimConfig,
     brute_force_lis_distribution,
-    haar_orthogonal_expectation,
     plancherel_lis_cdf,
     poissonized_square_cdf,
     run_simulation,
 )
-from lppdet.opuc import dpii_residual, recurrence_checks, y_corner
+from lppdet.opuc import dpii_residual
 from lppdet.painleve import (
     airy_kernel_fgue,
     corner_asymptotics_study,
@@ -43,6 +42,8 @@ from lppdet.painleve import (
 )
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
 
+from highprec_oracle import recurrence_checks, y_corner
+from ogroup_quadrature import haar_orthogonal_expectation
 from route_points import external_point, group_mean, triangle_odd
 
 SLOPE_WINDOW = (-2.0 / 3.0 - 0.2, -2.0 / 3.0 + 0.2)

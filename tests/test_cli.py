@@ -59,7 +59,7 @@ def test_dist_square_writes_table_and_manifest(run):
         digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
     table = json.loads((out / "dist_square.json").read_text())
-    assert table["model"]["kind"] == "PoissonSquare"
+    assert table["model"]["kind"] == "square"
 
 
 def test_dist_rows_round_trip_as_floats(run):
@@ -78,9 +78,18 @@ def test_validation_exits_one(run):
     assert code == 1
 
 
-def test_missing_model_params_exit_one(run):
-    code, _ = run("dist", "lattice-a")
-    assert code == 1
+def test_missing_model_params_exit_one(run, capsys):
+    """The message names the flag of the first list the kind reads and
+    lacks: --q for the first list, --qp for the second."""
+    for argv, flag in (
+        (("lattice-a",), "--q"),
+        (("lattice-a", "--q", "0.3"), "--qp"),
+        (("lines-d",), "--q"),
+        (("lattice-c-sym",), "--q"),
+    ):
+        code, _ = run("dist", *argv)
+        assert code == 1, argv
+        assert capsys.readouterr().err == f"error: model {argv[0]} needs {flag}\n"
 
 
 @pytest.mark.parametrize(
@@ -110,10 +119,14 @@ def test_mc_refuses_negative_or_non_finite_rates(run, capsys, argv):
 @pytest.mark.parametrize("command", [("mc", "--trials", "100"), ("dist", "--lmax", "5")])
 def test_pole_parameter_past_one_exits_one_on_both_routes(run, capsys, command, argv):
     """A pole parameter >= 1 is no model: the sampler once drew counts for
-    it while the exact route refused its symbol."""
+    it while the exact route refused its symbol.  The message labels an
+    entry of --q as q_i and one of --qp as q'_i."""
     code, _ = run(command[0], *argv, *command[1:])
     assert code == 1
-    assert "must lie in [0, 1)" in capsys.readouterr().err
+    label = "q'_1" if argv[0] == "lattice-b" else "q_1"
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: {label} = " in err
+    assert "must lie in [0, 1)" in err
 
 
 def test_unknown_flag_exits_one(run):
@@ -188,8 +201,8 @@ def test_mc_cross_refuses_an_ill_conditioned_lattice(run):
 
 
 def test_mc_cross_checks_the_range_of_its_rows(run, monkeypatch):
-    """A certified row above 1 fails the suite (exit 3); it is not skipped
-    as a degenerate threshold."""
+    """A certified row above 1 is refused as a numerical failure (exit 2);
+    it is not skipped as a degenerate threshold."""
     real = cli.exact_law
 
     def above_one(model, lmax):
@@ -199,7 +212,7 @@ def test_mc_cross_checks_the_range_of_its_rows(run, monkeypatch):
 
     monkeypatch.setattr(cli, "exact_law", above_one)
     code, _ = run("verify", "mc-cross", "--model", "square", "--trials", "400")
-    assert code == 3
+    assert code == 2
 
 
 def test_triangle_rows_past_the_tail_bound_are_refused_one_by_one(run, capsys, monkeypatch):
@@ -509,11 +522,15 @@ def test_warm_cache_painleve_commands_leave_scipy_unloaded(tmp_path, fresh_env):
     assert scipy_loaded("verify", "oracles") == "['scipy']"
 
 
-def test_every_model_kind_has_a_cli_name_route_and_sampler():
-    """Adding a model is one entry in each table; a missing one fails here."""
-    named = {kind for kind, _ in cli.MODELS.values()}
+def test_every_model_kind_has_a_cli_name_route_and_sampler(run):
+    """Adding a model is one entry in each table; a missing one fails here.
+    The command line takes each kind by its value, and its dist table
+    records the kind by that name."""
     for kind in ModelKind:
-        assert kind in named, f"{kind} has no command-line name"
+        code, out = run("dist", kind.value, "--q", "0.3", "--qp", "0.3", "--lmax", "3")
+        assert code == 0, f"{kind} has no command-line name"
+        table = json.loads((out / f"dist_{kind.value}.json").read_text())
+        assert table["model"]["kind"] == kind.value
         assert kind in exact_dist.EXACT_ROUTES, f"{kind} has no exact route"
         assert kind in SAMPLERS, f"{kind} has no sampler"
         assert kind in MODEL_RULES, f"{kind} has no symbol rule"

@@ -11,7 +11,6 @@ from lppdet.errors import (
     BreakdownError,
     ConditioningError,
     ValidationError,
-    VerificationError,
 )
 from lppdet.exact_dist import (
     _default_cutoff,
@@ -471,11 +470,11 @@ def test_dist_table_round_trip_and_rows():
 
 
 def test_dist_table_monotone_guard():
-    with pytest.raises(VerificationError):
+    with pytest.raises(BreakdownError):
         check_cdf({0: 0.5, 1: 0.4})
     # every step drops 6e-11, inside the slack; together they drop 1.2e-10
     drift = [0.5, 1.0, 1.0 - 6e-11, 1.0 - 1.2e-10]
-    with pytest.raises(VerificationError, match="below an earlier entry"):
+    with pytest.raises(BreakdownError, match="below an earlier entry"):
         check_cdf(dict(enumerate(drift)))
 
 
@@ -489,7 +488,7 @@ def test_lines_d_drift_refused():
     with pytest.raises(ConditioningError, match="error bound"):
         build_dist_table(model, 35)
     rows, _ = exact_law(model, 35)
-    with pytest.raises(VerificationError, match="below an earlier entry"):
+    with pytest.raises(BreakdownError, match="below an earlier entry"):
         check_cdf({ell: p for ell, (p, _) in rows.items()})
 
 

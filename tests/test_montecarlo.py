@@ -20,7 +20,6 @@ from lppdet.montecarlo import (
     _chain_rows,
     _patience_rows,
     brute_force_lis_distribution,
-    haar_orthogonal_expectation,
     patience_lis,
     plancherel_lis_cdf,
     poissonized_square_cdf,
@@ -35,6 +34,7 @@ from sampler_oracle import (
     longest_chain_2d,
     sample_poisson_square,
 )
+from ogroup_quadrature import haar_orthogonal_expectation
 from route_points import group_mean
 
 # ---------------------------------------------------------------- sequences
@@ -398,6 +398,13 @@ def test_sampler_validation():
     assert sample_poisson_square(0.0, rng) == 0
 
 
+def _case_id(model: ModelSpec) -> str:
+    """The kind's member name in CamelCase (POISSON_LINES_D ->
+    PoissonLinesD, TRIANGLE_POISSON_FS -> TrianglePoissonFS), so that the
+    cases below keep one id whatever name the command line uses."""
+    return "".join(w if len(w) <= 2 else w.capitalize() for w in model.kind.name.split("_"))
+
+
 _POISSON_MODELS = [
     ModelSpec(kind=ModelKind.POISSON_SQUARE, t=3.0),
     ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=3.0, alpha=0.5),
@@ -408,7 +415,7 @@ _POISSON_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("model", _POISSON_MODELS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("model", _POISSON_MODELS, ids=_case_id)
 def test_block_samplers_match_per_draw_oracles(model):
     """Two-sample z at every threshold of the empirical CDFs, block sampler
     against the per-draw oracle on independent streams."""
@@ -439,7 +446,7 @@ def test_block_samplers_match_per_draw_oracles(model):
         ModelSpec(kind=ModelKind.LATTICE_A_SYM, alpha=0.5, row_params=(0.4, 0.5, 0.3)),
         ModelSpec(kind=ModelKind.LATTICE_C_SYM, alpha=0.5, row_params=(0.6, 0.5, 0.7)),
     ],
-    ids=lambda m: m.kind.value,
+    ids=_case_id,
 )
 def test_block_samplers_match_exact_laws(model):
     """The kinds criterion 7 leaves out, against their certified rows."""
@@ -467,7 +474,7 @@ def test_block_samplers_match_exact_laws(model):
         ModelSpec(kind=ModelKind.POISSON_LINES_D, t=5.0, col_params=(0.0, 0.0)),
         ModelSpec(kind=ModelKind.POISSON_LINES_E, t=0.0, col_params=(0.5,)),
     ],
-    ids=lambda m: m.kind.value,
+    ids=_case_id,
 )
 def test_empty_processes_give_zero_chains(model):
     with np.errstate(all="raise"):

@@ -14,15 +14,18 @@ from lppdet.opuc import (
     dpii_residual,
     eval_pi,
     levinson,
-    recurrence_checks,
     square_opuc_highprec,
     toeplitz_log_det,
     toeplitz_log_det_dense,
-    y_corner,
 )
 from lppdet.symbols import SymbolSpec, fourier_coeffs
 
-from highprec_oracle import eval_pi_dense, square_opuc_mpf
+from highprec_oracle import (
+    eval_pi_dense,
+    recurrence_checks,
+    square_opuc_mpf,
+    y_corner,
+)
 
 
 def test_reflection_starts_from_bessel_ratio():

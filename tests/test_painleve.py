@@ -8,11 +8,10 @@ import pytest
 
 from lppdet import painleve
 from lppdet.cache import CACHE_ENV_VAR, _pii_cache_path, cached_pii_solution
-from lppdet.errors import ValidationError
+from lppdet.errors import BreakdownError, ValidationError
 from lppdet.painleve import (
     PiiSolution,
     airy_kernel_fgue,
-    airy_rank_one_laws,
     corner_scaling_t,
     corner_scaling_x,
     f_goe,
@@ -104,6 +103,40 @@ def test_interpolation_matches_a_four_times_finer_grid(ode_tol, grid_step, tol):
             assert getattr(coarse, read)(x) == pytest.approx(
                 getattr(fine, read)(x), abs=tol
             ), (read, x)
+
+
+# Gauss-Legendre nodes and right end of the truncated domain of the
+# rank-one oracle; the tails past the cut contribute below 1e-20.
+_RANK_ONE_NODES, _RANK_ONE_CUT = 120, 18.0
+
+
+def airy_rank_one_laws(s: float) -> tuple[float, float, float]:
+    """Oracle for all three edge laws via the kernel Ai(x + y + s) on (0, inf).
+
+    With B the integral operator with that kernel, det(1 - B^2) is the
+    Airy-kernel determinant, and the two factors give the other laws:
+
+        beta=2: det(1 - B) det(1 + B)
+        beta=1: det(1 - B)
+        beta=4: (det(1 - B) + det(1 + B)) / 2
+
+    Returns (f1, f2, f4).  Completely independent of the ODE path.
+    """
+    from scipy.special import airy
+
+    nodes, weights = np.polynomial.legendre.leggauss(_RANK_ONE_NODES)
+    xs = 0.5 * _RANK_ONE_CUT * (nodes + 1.0)
+    ws = 0.5 * _RANK_ONE_CUT * weights
+    sw = np.sqrt(ws)
+    bmat = airy(xs[:, None] + xs[None, :] + s)[0] * sw[:, None] * sw[None, :]
+    eye = np.eye(_RANK_ONE_NODES)
+    sign_m, log_m = np.linalg.slogdet(eye - bmat)
+    sign_p, log_p = np.linalg.slogdet(eye + bmat)
+    if sign_m <= 0 or sign_p <= 0:
+        raise BreakdownError("Airy convolution determinant lost positivity")
+    det_m = math.exp(log_m)
+    det_p = math.exp(log_p)
+    return det_m, det_m * det_p, 0.5 * (det_m + det_p)
 
 
 def test_rank_one_oracle_covers_all_three_laws(sol):

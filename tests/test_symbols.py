@@ -22,8 +22,7 @@ from lppdet.symbols import (
     strong_szego_log_z,
 )
 
-from highprec_oracle import toeplitz_log_norms_fixed
-from route_points import group_mean
+from highprec_oracle import group_mean_mpf, toeplitz_log_norms_fixed
 
 
 def test_evaluate_exponential_symbol_on_circle():
@@ -237,11 +236,16 @@ def test_strong_szego_log_z_on_every_factor_type(t, factors):
 
 @settings(deadline=None, max_examples=25)
 @given(t=st.floats(0.0, 1.0), zeros=_rates, poles=_rates)
+# the float64 group mean's conditioning bound is 4.2e-9 here, past its
+# 1e-9 target, so it refuses the point
+@example(t=1.0, zeros=(0.5,) * 3, poles=(0.5,) * 3)
 def test_ogroup_log_z_on_every_factor_type(t, zeros, poles):
     """The closed form against E_{O(30)} det psi(U) for psi with an
-    exponential, zeros and poles at once."""
+    exponential, zeros and poles at once.  The mean comes from the
+    high-precision oracle: a float64 one can be too ill-conditioned to
+    certify 1e-9 for such symbols."""
     psi = SymbolSpec(exp_plus_t=t, zeros_plus=zeros, poles_plus=poles)
-    assert group_mean(psi, 30) == pytest.approx(
+    assert group_mean_mpf(psi, 30) == pytest.approx(
         math.exp(ogroup_log_z(psi)), rel=1e-9
     )
 
@@ -257,11 +261,12 @@ def test_ogroup_log_z_on_every_factor_type(t, zeros, poles):
 )
 def test_group_log_z_is_the_limit_of_the_group_mean(model):
     """exp(log Z) against E_{O(30)} det psi(U), the group mean without
-    normalization; the triangle's psi is that of the triangle-FS model."""
+    normalization, from the high-precision oracle; the triangle's psi is
+    that of the triangle-FS model."""
     psi = build_symbol(model)
     if model.kind is ModelKind.POISSON_TRIANGLE:
         psi = SymbolSpec(exp_plus_t=model.t, zeros_plus=(model.alpha,))
-    assert group_mean(psi, 30) == pytest.approx(
+    assert group_mean_mpf(psi, 30) == pytest.approx(
         math.exp(normalization_log_z(model)), rel=1e-9
     )
 
