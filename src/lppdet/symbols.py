@@ -201,8 +201,6 @@ class ModelKind(enum.Enum):
 
 _SCALARS = ("t", "alpha", "alpha_plus", "alpha_minus")
 _LISTS = ("row_params", "col_params")
-# how messages label the entries of the lists set by --q and --qp
-_LABELS = {"q": "q", "qp": "q'"}
 
 
 @dataclass(frozen=True)
@@ -261,31 +259,28 @@ def ogroup_log_z(spec: SymbolSpec) -> float:
     return out + sum(math.log1p(x * y) for x in a for y in c)
 
 
+def _labelled(m: ModelSpec, name: str) -> list[tuple[str, float]]:
+    """The entries of list ``name`` as messages name them: q_i for the list
+    set by --q, q'_i for the one set by --qp."""
+    prime = "'" if param_flags(m.kind)[name] == "qp" else ""
+    return [(f"q{prime}_{i+1}", q) for i, q in enumerate(getattr(m, name))]
+
+
 def _grid_products(m: ModelSpec) -> list[tuple[str, float]]:
-    return [
-        (f"q_{i+1}*q'_{j+1}", qi * qj)
-        for i, qi in enumerate(m.row_params)
-        for j, qj in enumerate(m.col_params)
-    ]
+    cols = _labelled(m, "col_params")
+    return [(f"{a}*{b}", x * y) for a, x in _labelled(m, "row_params") for b, y in cols]
 
 
 def _poles(*names: str) -> Callable[[ModelSpec], list[tuple[str, float]]]:
     """Every entry of the named lists, which enter the symbol as poles
-    1 / (1 - q z) or 1 / (1 - q / z) and so must lie in [0, 1).  Entries of
-    the list set by --q are labelled q_i, those of --qp q'_i."""
-    return lambda m: [
-        (f"{_LABELS[param_flags(m.kind)[name]]}_{i+1}", q)
-        for name in names
-        for i, q in enumerate(getattr(m, name))
-    ]
+    1 / (1 - q z) or 1 / (1 - q / z) and so must lie in [0, 1)."""
+    return lambda m: [entry for name in names for entry in _labelled(m, name)]
 
 
 def _symmetric_products(m: ModelSpec) -> list[tuple[str, float]]:
-    qs = m.row_params
-    return [(f"alpha*q_{i+1}", m.alpha * q) for i, q in enumerate(qs)] + [
-        (f"q_{i+1}*q_{j+1}", qs[i] * qs[j])
-        for i in range(len(qs))
-        for j in range(i, len(qs))
+    qs = _labelled(m, "row_params")
+    return [(f"alpha*{a}", m.alpha * x) for a, x in qs] + [
+        (f"{a}*{b}", x * y) for i, (a, x) in enumerate(qs) for b, y in qs[i:]
     ]
 
 

@@ -167,6 +167,10 @@ def triangle_law_mpf(t: float, alpha: float, ell: int, dps: int = 120) -> float:
 
 
 _GUARD_BITS = 64
+# ``group_mean_mpf`` reads the series at this scale (plus the guard bits)
+# and takes its determinants at this many digits
+_MEAN_BITS = 192
+_MEAN_DPS = 50
 
 
 def _one_sided_series(
@@ -199,22 +203,22 @@ def _one_sided_series(
     return u
 
 
-def group_mean_mpf(psi: SymbolSpec, ell: int, bits: int = 192, dps: int = 50) -> float:
+def group_mean_mpf(psi: SymbolSpec, ell: int) -> float:
     """E_{O(ell)} det psi(U) for a one-sided psi = e^{tz} prod(1 + az) /
     prod(1 - cz), with no float64 step before the result.
 
     The coefficients g_n = sum_k u_k u_{k+n} of psi(z) psi(1/z) come from
-    ``_one_sided_series`` at ``bits`` plus 64 guard bits, and psi(+-1) =
-    sum_k (+-1)^k u_k.  The mean averages the two components of O(ell),
-    the same Toeplitz +- Hankel determinants as ``exact_dist._ogroup_mean``,
-    taken in mpmath at ``dps`` digits.
+    ``_one_sided_series`` at ``_MEAN_BITS`` plus the guard bits, and
+    psi(+-1) = sum_k (+-1)^k u_k.  The mean averages the two components of
+    O(ell), the same Toeplitz +- Hankel determinants as
+    ``exact_dist._ogroup_mean``, taken in mpmath at ``_MEAN_DPS`` digits.
     """
     if psi.exp_minus_t or psi.zeros_minus or psi.poles_minus:
         raise ValidationError("group means here take a one-sided psi")
-    scale = bits + _GUARD_BITS
+    scale = _MEAN_BITS + _GUARD_BITS
     u = _one_sided_series(psi.exp_plus_t, psi.zeros_plus, psi.poles_plus, scale)
     u += [0] * (ell + 3)
-    with mp.workdps(dps):
+    with mp.workdps(_MEAN_DPS):
         g = [mp.ldexp(sum(x * y for x, y in zip(u, u[n:])), -2 * scale) for n in range(ell + 3)]
         psi_plus = mp.ldexp(sum(u), -scale)
         psi_minus = mp.ldexp(sum(x if k % 2 == 0 else -x for k, x in enumerate(u)), -scale)
