@@ -19,9 +19,19 @@ classical edge laws are assembled:
     F_beta1(x) = exp((1/2) I(x)) * sqrt(F_beta2(x))
     F_beta4(x) = cosh(I(x) / 2) * sqrt(F_beta2(x))
 
-The table (``PiiSolution``, cache format version 2) is read back by cubic
-Hermite interpolation with the ODE's own derivatives at the nodes, so only
-the solve and the Airy tails past the matching point need scipy.
+The system (u, u', v, I, W) is polynomial, so it is integrated by Taylor
+series: each macro step of fixed length expands the solution about its
+right end by Cauchy-product recurrences and takes as many terms as
+``tol`` asks.  Against a 40-digit reference the table's u and W are
+within about 1e-17 on [0, 8], 1e-13 on [-4, 0], 4e-11 on [-6, -4] and
+6e-8 on [-8, -6].  Left of 0 the solution's own instability (Bornemann,
+arXiv:0804.2543) amplifies float64 roundoff like exp(0.94 |x|^{3/2}); at
+X_MIN = -9, u is 4e-6 off and W 9e-7.
+
+The Airy functions come from their Maclaurin series in decimal
+arithmetic, so the layer needs numpy and the standard library only.  The
+table (``PiiSolution``, cache format version 3) is read back by cubic
+Hermite interpolation with the ODE's own derivatives at the nodes.
 
 An independent Airy-kernel Fredholm determinant oracle is included for
 cross-validation, plus the corner-asymptotics check tying the circle
@@ -30,33 +40,16 @@ recursion data at the scaling edge to (u, v).
 
 from __future__ import annotations
 
-import importlib
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from .errors import ValidationError, BreakdownError
 from .opuc import OpucData, square_opuc_highprec
-
-
-def _deferred(module: str, name: str):
-    """Stand-in for ``module.name`` that imports it on its first call and
-    rebinds this module's global ``name`` to it, so later calls reach the
-    scipy function directly.  The exact laws never solve Painleve II, and
-    importing scipy here would cost most of the package's import time."""
-
-    def first_call(*args, **kwargs):
-        fn = getattr(importlib.import_module(module), name)
-        globals()[name] = fn
-        return fn(*args, **kwargs)
-
-    return first_call
-
-
-solve_ivp = _deferred("scipy.integrate", "solve_ivp")
-quad = _deferred("scipy.integrate", "quad")
-airy = _deferred("scipy.special", "airy")
 
 __all__ = [
     "PiiSolution",
@@ -72,18 +65,28 @@ __all__ = [
     "corner_asymptotics_study",
 ]
 
-_BLOWUP_LIMIT = 50.0
-# The solve window.  Left of about -7 accuracy degrades: perturbations
-# around the branch grow like exp((2 sqrt 2 / 3)|x|^{3/2}), which costs
-# about two digits per unit of x near -9, so the window stops where the
-# solution still carries ~3 digits.  At 8 the Airy matching error sits
-# below the integration tolerance.
+# The solve window.  Left of about -6 accuracy degrades: perturbations
+# around the branch grow like exp((2 sqrt 2 / 3)|x|^{3/2}), so float64
+# roundoff puts u 6e-8 off at -8 and 4e-6 off at -9, where the window
+# stops.
 X_MIN = -9.0
 X_RIGHT = 8.0
-# The one table behind every limit law: the integrator's error control
-# and the output grid step.
+# The solve starts from Airy data right of the table.  That data is not
+# quite the solution, and the error grows going left: matched at X_RIGHT
+# it alone puts u 5e-8 off at x = -8, matched here 2e-13.
+_X_MATCH = 10.0
+# The one table behind every limit law: the truncation tolerance of the
+# Taylor steps and the output grid step.
 TABLE_TOL = 1e-13
 TABLE_STEP = 0.005
+# Length of a Taylor step, the same for every output grid, and the most
+# terms a step may take: a step that needs more has a pole of the
+# solution within reach, so the solve stops there.
+_TAYLOR_STEP = 0.1
+_MAX_ORDER = 100
+# Past this x, Ai, Ai' and int_x^inf Ai all lie below half the smallest
+# float64 subnormal, so each rounds to zero.
+_AIRY_UNDERFLOW = 108.0
 # Gauss-Legendre nodes and right end of the truncated domain of the
 # Airy-kernel oracle; the tails past the cut contribute below 1e-20.
 _AIRY_NODES, _AIRY_CUT = 80, 14.0
@@ -92,31 +95,89 @@ _AIRY_NODES, _AIRY_CUT = 80, 14.0
 CORNER_WINDOW = 3.0
 
 
+@functools.lru_cache(maxsize=16)
+def _airy_origin(digits: int) -> tuple[Decimal, Decimal]:
+    """Ai(0) and Ai'(0) to ``digits`` significant digits.
+
+    Both follow from Gamma(1/3), which the complete elliptic integral at
+    modulus sin 15 deg gives as Gamma(1/3)^3 = 2^{4/3} pi^2 / (3^{1/4} M)
+    with M = agm(1, cos 15 deg); pi comes from the Gauss-Legendre
+    iteration.  Then Ai(0) = Gamma(1/3) / (2 pi 3^{1/6}) and
+    Ai'(0) = -1 / (3^{1/3} Gamma(1/3)).
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        one = Decimal(1)
+        # each round of either mean doubles the digits
+        rounds = ctx.prec.bit_length() + 2
+        a, b, t, p = one, Decimal("0.5").sqrt(), Decimal("0.25"), one
+        for _ in range(rounds):
+            a, b, t, p = (a + b) / 2, (a * b).sqrt(), t - p * ((a - b) / 2) ** 2, 2 * p
+        pi = (a + b) ** 2 / (4 * t)
+        a, b = one, (Decimal(6).sqrt() + Decimal(2).sqrt()) / 4
+        for _ in range(rounds):
+            a, b = (a + b) / 2, (a * b).sqrt()
+        third = one / 3
+        gamma = (2 * pi * pi * 2 ** third / (3 ** Decimal("0.25") * a)) ** third
+        return gamma / (2 * pi * 3 ** (third / 2)), -one / (3 ** third * gamma)
+
+
+def _airy(x: float) -> tuple[float, float, float]:
+    """Ai(x), Ai'(x) and int_x^inf Ai(y) dy, each correctly rounded.
+
+    Sums the Maclaurin series Ai(x) = sum_n t_n, t_n = a_n x^n, with
+    a_{n+3} = a_n / ((n + 2)(n + 3)) and a_2 = 0, and from the same terms
+    Ai'(x) = a_1 + x^2 sum_n t_n / (n + 2) and
+    int_x^inf Ai = 1/3 - x sum_n t_n / (n + 1).  The terms grow to about
+    exp(zeta), zeta = (2/3)|x|^{3/2}, while Ai falls like exp(-zeta) on the
+    right, so the sums run in decimal arithmetic with 45 + 2 zeta / ln 10
+    digits; Ai(0) and Ai'(0) come to that precision from ``_airy_origin``.
+    """
+    if x >= _AIRY_UNDERFLOW:
+        return 0.0, -0.0, 0.0
+    zeta = (2.0 / 3.0) * abs(x) ** 1.5
+    with localcontext() as ctx:
+        ctx.prec = 45 + math.ceil(2.0 * zeta / math.log(10.0))
+        ai0, aip0 = _airy_origin(-(-ctx.prec // 50) * 50)
+        xd = Decimal(x)
+        x3 = xd * xd * xd
+        # the derivative and integral weigh a term by at most this
+        reach = max(Decimal(1), xd * xd)
+        ai = d_sum = i_sum = Decimal(0)
+        for n, term in ((0, ai0), (1, aip0 * xd)):
+            top = abs(term)
+            while True:
+                ai += term
+                d_sum += term / (n + 2)
+                i_sum += term / (n + 1)
+                term = term * x3 / ((n + 2) * (n + 3))
+                n += 3
+                size = abs(term)
+                # past the largest term by a factor 10^-prec the ratio of
+                # successive terms is below 1/2, so the rest is smaller still
+                if size > top:
+                    top = size
+                elif size * reach <= top.scaleb(-ctx.prec):
+                    break
+        return float(ai), float(aip0 + d_sum * xd * xd), float(1 / Decimal(3) - i_sum * xd)
+
+
 def _gue_tail_exponent(x: float) -> float:
     """int_x^inf (y - x) Ai(y)^2 dy in closed form (Airy identities)."""
-    ai, aip, _, _ = airy(x)
+    ai, aip, _ = _airy(x)
     return (2.0 / 3.0) * (x * x * ai * ai - x * aip * aip) - ai * aip / 3.0
-
-
-def _int_airy_to_inf(x: float) -> float:
-    """int_x^inf Ai(y) dy for x >= 0, by direct quadrature of the tail."""
-    val, _ = quad(
-        lambda s: float(airy(s)[0]), x, x + 40.0,
-        epsabs=1e-16, epsrel=1e-13, limit=200,
-    )
-    return val
 
 
 @dataclass(frozen=True)
 class PiiSolution:
     """Dense table of the Hastings-McLeod solution on [X_MIN, X_RIGHT].
 
-    Columns on a uniform grid (cache format version 2): u, du = u',
+    Columns on a uniform grid (cache format version 3): u, du = u',
     v(x) = int_inf^x u^2, I(x) = int_x^inf u and W(x) = int_x^inf v; the
     last three are nonpositive.  Between nodes each column is read by cubic
     Hermite interpolation with the ODE's derivatives at the cell's two
     nodes (du, u^2, -u and -v), and past ``x_right`` by the Airy tails.
-    ``tol`` is the local error control used by the integrator.
+    ``tol`` is the relative truncation tolerance of the Taylor steps.
     """
 
     grid: np.ndarray
@@ -128,7 +189,7 @@ class PiiSolution:
     x_right: float
     tol: float
 
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
     # the arrays, in the integrator's state order after the grid
     COLUMNS = ("grid", "u", "du", "v", "I", "W")
 
@@ -149,21 +210,20 @@ class PiiSolution:
     def u_at(self, x: float) -> float:
         self._check_range(x)
         if x > self.x_right:
-            ai = airy(x)[0]
-            return -float(ai)
+            return -_airy(x)[0]
         return self._hermite(x, self.u, lambda j: self.du[j])
 
     def v_at(self, x: float) -> float:
         self._check_range(x)
         if x > self.x_right:
-            ai, aip, _, _ = airy(x)
-            return -float(aip * aip - x * ai * ai)
+            ai, aip, _ = _airy(x)
+            return -(aip * aip - x * ai * ai)
         return self._hermite(x, self.v, lambda j: self.u[j] * self.u[j])
 
     def i_at(self, x: float) -> float:
         self._check_range(x)
         if x > self.x_right:
-            return -_int_airy_to_inf(x)
+            return -_airy(x)[2]
         return self._hermite(x, self.I, lambda j: -self.u[j])
 
     def w_at(self, x: float) -> float:
@@ -172,7 +232,6 @@ class PiiSolution:
         if x > self.x_right:
             return -_gue_tail_exponent(x)
         return self._hermite(x, self.W, lambda j: -self.v[j])
-
     def _check_range(self, x: float) -> None:
         if not math.isfinite(x):
             raise ValidationError(f"x must be finite, got {x!r}")
@@ -205,55 +264,90 @@ class PiiSolution:
             )
 
 
-def solve_hastings_mcleod(tol: float = TABLE_TOL, grid_step: float = TABLE_STEP) -> PiiSolution:
-    """Integrate the Hastings-McLeod solution from X_RIGHT down to X_MIN.
+def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
+    """Taylor coefficients at x0 of u, u', v, I and W, one list each.
 
-    Uses an adaptive high-order embedded Runge-Kutta pair (DOP853) with
-    dense output evaluated on a uniform grid.  The backward direction is
-    the stable one: the unwanted growing mode at +inf decays as x drops.
+    With a_k, v_k, I_k and W_k the coefficients of u, v, I and W, and
+    (u^2)_k, (u^3)_k those of the Cauchy products,
+
+        (k + 2)(k + 1) a_{k+2} = 2 (u^3)_k + x0 a_k + a_{k-1},
+        (k + 1) v_{k+1} = (u^2)_k,  (k + 1) I_{k+1} = -a_k,
+        (k + 1) W_{k+1} = -v_k.
+
+    Terms are added until, for two orders running, each component's term
+    at offset h is below ``tol`` times its value at x0.
     """
-    ai, aip, _, _ = airy(X_RIGHT)
-    u0 = -float(ai)
-    du0 = -float(aip)
-    v0 = -float(aip * aip - X_RIGHT * ai * ai)
-    i0 = -_int_airy_to_inf(X_RIGHT)
-    w0 = -_gue_tail_exponent(X_RIGHT)
-
-    def rhs(x, y):
-        u, du, v, _, _ = y
-        return (du, 2.0 * u ** 3 + x * u, u * u, -u, -v)
-
-    def blow_up(x, y):
-        return abs(y[0]) - _BLOWUP_LIMIT
-
-    blow_up.terminal = True
-
-    n_pts = int(round((X_RIGHT - X_MIN) / grid_step)) + 1
-    grid = np.linspace(X_RIGHT, X_MIN, n_pts)
-    sol = solve_ivp(
-        rhs,
-        (X_RIGHT, X_MIN),
-        (u0, du0, v0, i0, w0),
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        # near X_RIGHT the state is exponentially small and errors in the
-        # decaying direction are amplified by 1/Ai going left, so error
-        # control must be essentially relative there
-        atol=max(tol, 1e-13) * 1e-7,
-        dense_output=True,
-        events=blow_up,
-        max_step=0.25,
+    u0, du0, v0, i0, w0 = state
+    a, v, I, W = [u0, du0], [v0], [i0], [w0]
+    sq, cube = [u0 * u0], [u0 * u0 * u0]
+    scale = [tol * abs(c) for c in (u0, du0, v0, i0, w0)]
+    passed = 0
+    for m in range(1, _MAX_ORDER + 1):
+        if m >= 2:
+            a.append((2.0 * cube[m - 2] + x0 * a[m - 2] + (a[m - 3] if m >= 3 else 0.0))
+                     / (m * (m - 1)))
+        sq.append(sum(map(operator.mul, a, reversed(a))))
+        cube.append(sum(map(operator.mul, sq, reversed(a))))
+        v.append(sq[m - 1] / m)
+        I.append(-a[m - 1] / m)
+        W.append(-v[m - 1] / m)
+        hm = abs(h) ** m
+        terms = (abs(a[m]) * hm, m * abs(a[m]) * hm / abs(h), abs(v[m]) * hm,
+                 abs(I[m]) * hm, abs(W[m]) * hm)
+        passed = passed + 1 if all(t <= s for t, s in zip(terms, scale)) else 0
+        if passed == 2:
+            du = [k * a[k] for k in range(1, m + 1)] + [0.0]
+            return [a, du, v, I, W]
+    raise BreakdownError(
+        f"Taylor series at x = {x0:.6f} did not reach tolerance {tol:g} within "
+        f"{_MAX_ORDER} terms over a step of {abs(h):.3g}: the solution has a pole "
+        "that close, as a branch off the Hastings-McLeod one does in double precision"
     )
-    if sol.status == 1:
-        raise BreakdownError(
-            f"solution blew past |u| = {_BLOWUP_LIMIT} near x = {sol.t_events[0][0]:.6f}; "
-            "this branch only exists down to moderate negative x in double precision"
-        )
-    if not sol.success:
-        raise BreakdownError(f"integrator failed: {sol.message}")
-    # ascending in x, one contiguous row per column
-    table = np.ascontiguousarray(np.vstack([grid, sol.sol(grid)])[:, ::-1])
-    return PiiSolution(**dict(zip(PiiSolution.COLUMNS, table)), x_right=X_RIGHT, tol=tol)
+
+
+def _horner(coeffs: list[float], h: float) -> float:
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * h + c
+    return value
+
+
+def solve_hastings_mcleod(tol: float = TABLE_TOL, grid_step: float = TABLE_STEP) -> PiiSolution:
+    """Integrate the Hastings-McLeod solution from Airy data at _X_MATCH,
+    right of the table, down to X_MIN, and tabulate it on [X_MIN, X_RIGHT].
+
+    Taylor series in macro steps of fixed length ``_TAYLOR_STEP``, whose
+    order comes from the relative truncation tolerance ``tol`` (9 to 15
+    terms at the table's 1e-13).  Grid nodes inside a step are read off
+    that step's polynomial; the state carried to the next step is the
+    polynomial's value at the step end, so the steps and the carried state
+    do not depend on the output grid.  The backward direction is the
+    stable one: the unwanted growing mode at +inf decays as x drops.  The
+    accuracy per window is in the module docstring.
+    """
+    if not tol > 0.0:
+        raise ValidationError(f"tol must be positive, got {tol!r}")
+    ai, aip, int_ai = _airy(_X_MATCH)
+    state = (-ai, -aip, -(aip * aip - _X_MATCH * ai * ai), -int_ai,
+             -_gue_tail_exponent(_X_MATCH))
+    n_pts = int(round((X_RIGHT - X_MIN) / grid_step)) + 1
+    grid = np.linspace(X_MIN, X_RIGHT, n_pts)
+    table = np.empty((n_pts, 5))
+    n_steps = math.ceil((_X_MATCH - X_MIN) / _TAYLOR_STEP - 1e-9)
+    hi = n_pts
+    for step in range(n_steps):
+        x0 = _X_MATCH - step * _TAYLOR_STEP
+        x1 = max(_X_MATCH - (step + 1) * _TAYLOR_STEP, X_MIN)
+        coeffs = _taylor_step(x0, state, x1 - x0, tol)
+        # the nodes in (x1, x0], and X_MIN with the last step
+        lo = 0 if step == n_steps - 1 else int(np.searchsorted(grid, x1, side="right"))
+        offsets = grid[lo:hi] - x0
+        table[lo:hi] = np.vander(offsets, len(coeffs[0]), increasing=True) @ np.array(coeffs).T
+        hi = lo
+        state = tuple(_horner(c, x1 - x0) for c in coeffs)
+    return PiiSolution(
+        **dict(zip(PiiSolution.COLUMNS, (grid, *table.T.copy()))), x_right=X_RIGHT, tol=tol
+    )
 
 
 def f_gue(sol: PiiSolution, x: float) -> float:
@@ -275,15 +369,20 @@ def airy_kernel_fgue(x: float) -> float:
     """Independent oracle: Fredholm determinant of the Airy kernel on (x, inf).
 
     Nystrom discretization with Gauss-Legendre nodes on [x, _AIRY_CUT].
-    Entirely separate from the ODE path.
+    Entirely separate from the ODE path.  x must lie in the table's window
+    and well below the cut; further left the Airy series at the nodes
+    would need ever more digits and terms.
     """
-    if x >= _AIRY_CUT - 1.0:
-        raise ValidationError(f"x = {x} must sit well below the domain cut {_AIRY_CUT}")
+    if not X_MIN <= x < _AIRY_CUT - 1.0:
+        raise ValidationError(
+            f"x = {x} must lie in [{X_MIN}, {_AIRY_CUT - 1.0}), the table's window "
+            f"and well below the domain cut {_AIRY_CUT}"
+        )
     nodes, weights = np.polynomial.legendre.leggauss(_AIRY_NODES)
     a, b = x, _AIRY_CUT
     xs = 0.5 * (b - a) * nodes + 0.5 * (b + a)
     ws = 0.5 * (b - a) * weights
-    ai, aip, _, _ = airy(xs)
+    ai, aip, _ = np.array([_airy(node) for node in xs]).T
     diff = xs[:, None] - xs[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff

@@ -15,6 +15,8 @@ float64 quadrature table, and ``group_mean_mpf`` the orthogonal-group mean
 on the same series.  ``y_corner`` and ``recurrence_checks`` restate
 the stored norms and reflection coefficients through the corner relation
 and the norm update, to check a table against itself.
+``hastings_mcleod_mpf`` integrates Painleve II by 40-digit Taylor series
+from Airy data at x = 12, a reference for the float64 table.
 """
 
 import math
@@ -347,3 +349,55 @@ def recurrence_checks(data: OpucData) -> RecurrenceReport:
         max_dev_d=float(np.max(dev_d)),
         cutoff=K,
     )
+
+
+def hastings_mcleod_mpf(
+    xs, dps: int = 40, x_start: float = 12.0, step: float = 0.25
+) -> dict[float, tuple[float, float]]:
+    """(u(x), W(x)) of the Hastings-McLeod solution at each x of ``xs``.
+
+    Taylor series in mpmath at ``dps`` digits for u'' = 2u^3 + xu,
+    v' = u^2 and W' = -v, stepping left from Airy data at ``x_start``:
+    u = -Ai, u' = -Ai', v = -(Ai'^2 - x Ai^2) and W = -int_x^inf (y - x)
+    Ai^2.  At x = 12 the Airy data is about 1e-24 from the solution, and
+    the solution's instability grows that like exp(0.94 |x|^{3/2}), to
+    about 1e-15 at x = -8.  Every step ends on the next requested x, so
+    no value is interpolated.
+    """
+    out = {}
+    with mp.workdps(dps):
+        x0 = mp.mpf(x_start)
+        ai, aip = mp.airyai(x0), mp.airyai(x0, derivative=1)
+        state = [-ai, -aip, -(aip * aip - x0 * ai * ai),
+                 -(2 * (x0 * x0 * ai * ai - x0 * aip * aip) - ai * aip) / 3]
+        tiny = mp.mpf(10) ** (-dps - 5)
+        for target in sorted(set(xs), reverse=True):
+            if target > x_start:
+                raise ValidationError(f"x = {target} lies right of the Airy data at {x_start}")
+            while x0 > target:
+                h = max(mp.mpf(target) - x0, -mp.mpf(step))
+                u0, du0, v0, w0 = state
+                a, v, w = [u0, du0], [v0], [w0]
+                sq = []
+                cube = []
+                m = 0
+                while True:
+                    sq.append(mp.fdot(a[: m + 1], a[m::-1]))
+                    cube.append(mp.fdot(sq, a[m::-1]))
+                    v.append(sq[m] / (m + 1))
+                    w.append(-v[m] / (m + 1))
+                    a.append((2 * cube[m] + x0 * a[m] + (a[m - 1] if m else 0))
+                             / ((m + 1) * (m + 2)))
+                    m += 1
+                    hm = abs(h) ** m
+                    if all(abs(c[m]) * hm <= tiny * abs(c[0]) for c in (a, v, w)):
+                        break
+                state = [
+                    mp.polyval(a[::-1], h),
+                    mp.polyval([k * c for k, c in enumerate(a)][:0:-1], h),
+                    mp.polyval(v[::-1], h),
+                    mp.polyval(w[::-1], h),
+                ]
+                x0 += h
+            out[target] = (float(state[0]), float(state[3]))
+    return out

@@ -469,10 +469,10 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
 
 
 def test_cli_import_leaves_mpmath_unloaded(tmp_path, fresh_env):
-    """mpmath is a test-only oracle and scipy serves only the Painleve
-    layer: neither the package or CLI import, nor a square table on the
-    fixed-point route, nor the commands that never solve Painleve II
-    (``dist``, ``mc``, ``verify dpii|fredholm|mc-cross``) load them."""
+    """mpmath and scipy are test-only oracles: neither the package or CLI
+    import, nor a square table on the fixed-point route, nor the commands
+    that never solve Painleve II (``dist``, ``mc``,
+    ``verify dpii|fredholm|mc-cross``) load them."""
     out = str(tmp_path / "out")
     code = (
         "import sys\n"
@@ -497,29 +497,30 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path, fresh_env):
     subprocess.run([sys.executable, "-c", code], env=fresh_env, check=True)
 
 
-def test_warm_cache_painleve_commands_leave_scipy_unloaded(tmp_path, fresh_env):
-    """scipy serves the Painleve solve only: once the table is cached,
-    ``tw``, ``converge`` and ``verify corner-asymptotics`` read it with
-    numpy alone, and ``verify oracles`` reads the same table, loading
-    scipy.special for its Bessel and Airy oracles but not the integrator.
-    The cold call must load the integrator, so that the warm checks
-    cannot pass for a reason that has nothing to do with the cache."""
+def test_no_command_loads_scipy_on_a_cold_cache(tmp_path, fresh_env):
+    """The package needs numpy alone: each of these commands, on a cache
+    of its own that holds no Painleve table yet, runs without loading any
+    scipy module.  ``tw gue`` must leave a solved table behind, so that the
+    check cannot pass because no solve ran."""
     code = (
         "import sys\n"
         "from lppdet import cli\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
-        "print([m for m in ('scipy', 'scipy.integrate') if m in sys.modules])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    def scipy_loaded(*argv):
-        argv = [sys.executable, "-c", code, "--out-dir", str(tmp_path / "out"), *argv]
-        done = subprocess.run(argv, env=fresh_env, check=True, capture_output=True, text=True)
-        return done.stdout.splitlines()[-1]
-
-    assert "'scipy.integrate'" in scipy_loaded("tw", "gue")
-    for argv in (["tw", "goe"], ["converge", "--t-list", "4,7"],
-                 ["verify", "corner-asymptotics"]):
-        assert scipy_loaded(*argv) == "[]", argv
-    assert scipy_loaded("verify", "oracles") == "['scipy']"
+    commands = (
+        ["tw", "gue"], ["verify", "oracles"], ["converge", "--t-list", "4,7"],
+        ["dist", "square", "--t", "3", "--lmax", "12"],
+        ["mc", "square", "--t", "3", "--trials", "500"],
+    )
+    for i, argv in enumerate(commands):
+        env = dict(fresh_env, **{CACHE_ENV_VAR: str(tmp_path / f"cache{i}")})
+        done = subprocess.run(
+            [sys.executable, "-c", code, "--out-dir", str(tmp_path / "out"), *argv],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]", argv
+    assert list((tmp_path / "cache0").glob("pii-*.npz"))
 
 
 def test_every_model_kind_has_a_cli_name_route_and_sampler(run):

@@ -1,10 +1,11 @@
 """Hastings-McLeod solve, the three edge laws and their oracles."""
 
-import importlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from highprec_oracle import hastings_mcleod_mpf
 
 from lppdet import painleve
 from lppdet.cache import CACHE_ENV_VAR, _pii_cache_path, cached_pii_solution
@@ -23,8 +24,68 @@ from lppdet.painleve import (
 
 
 def test_solution_value_at_origin(sol):
-    assert sol.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-10)
+    # u(0) of the 40-digit reference (``hastings_mcleod_mpf``), rounded
+    assert sol.u_at(0.0) == pytest.approx(-0.3670615515480784, abs=1e-15)
     assert sol.i_at(0.0) == pytest.approx(-0.33696069793052574, abs=1e-9)
+
+
+# the reference's x: half and quarter steps, all on nodes of the table's grid,
+# so that no interpolation error enters the comparison
+REFERENCE_BANDS = (
+    (np.arange(0.0, 8.01, 0.5), 1e-14),
+    (np.arange(-4.0, -0.01, 0.5), 1e-12),
+    (np.arange(-8.0, -4.01, 0.25), 1e-7),
+)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    xs = [float(x) for band, _ in REFERENCE_BANDS for x in band]
+    return hastings_mcleod_mpf(xs)
+
+
+@pytest.mark.parametrize("band, tol", REFERENCE_BANDS, ids=("0..8", "-4..0", "-8..-4"))
+def test_table_matches_a_40_digit_reference(sol, reference, band, tol):
+    """u and W = log F_beta2 against mpmath Taylor series from x = 12.
+    Left of 0 the solution's instability amplifies the table's float64
+    roundoff like exp(0.94 |x|^{3/2}), hence the wider bands."""
+    for x in map(float, band):
+        u, w = reference[x]
+        assert sol.u_at(x) == pytest.approx(u, abs=tol), x
+        assert sol.w_at(x) == pytest.approx(w, abs=tol), x
+
+
+def test_left_tail_follows_deift_its_krasovsky(sol):
+    """log F_beta2(s) = -|s|^3/12 - (1/8) log|s| + (1/24) log 2 + zeta'(-1)
+    + 3/(2^6 |s|^3) + O(|s|^-6) (Deift, Its and Krasovsky, Comm. Math.
+    Phys. 2008); on the reference the remainder times |s|^6 reads
+    0.26-0.35 on this window."""
+    zeta_prime = float(mp.zeta(-1, derivative=1))
+    for s in np.arange(-8.0, -3.99, 0.25):
+        a = abs(float(s))
+        expansion = (-a ** 3 / 12.0 - math.log(a) / 8.0 + math.log(2.0) / 24.0
+                     + zeta_prime + 3.0 / (64.0 * a ** 3))
+        assert abs(sol.w_at(float(s)) - expansion) <= 0.4 / a ** 6, s
+
+
+def test_airy_functions_against_mpmath():
+    """Ai, Ai' and int_x^inf Ai within 4 ulps relative on [-12, 20], and
+    exact zeros past the point where all three underflow.  The reference
+    integral is 1/3 - int_0^x Ai, which cancels 28 digits at x = 20."""
+    eps = np.finfo(float).eps
+    with mp.workdps(80):
+        for x in np.linspace(-12.0, 20.0, 129):
+            got = painleve._airy(float(x))
+            X = mp.mpf(float(x))
+            want = (mp.airyai(X), mp.airyai(X, derivative=1),
+                    mp.mpf(1) / 3 - mp.airyai(X, derivative=-1))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * eps * abs(w), (float(x), g, w)
+        X = mp.mpf(painleve._AIRY_UNDERFLOW)
+        tail = mp.quad(mp.airyai, [X, mp.inf])
+        for w in (mp.airyai(X), mp.airyai(X, derivative=1), tail):
+            assert abs(w) < mp.mpf(2) ** -1075
+    assert painleve._airy(painleve._AIRY_UNDERFLOW) == (0.0, 0.0, 0.0)
 
 
 def test_airy_matching_on_the_right(sol):
@@ -144,35 +205,6 @@ def test_rank_one_oracle_covers_all_three_laws(sol):
     assert f2 == pytest.approx(f_gue(sol, 0.5), abs=1e-8)
     assert f1 == pytest.approx(f_goe(sol, 0.5), abs=1e-8)
     assert f4 == pytest.approx(f_gse(sol, 0.5), abs=1e-8)
-
-
-def test_deferred_scipy_names_bind_once(sol, monkeypatch):
-    """Each scipy function of the Painleve layer is imported on its first
-    call and then bound into the module, and a call through the stand-in
-    gives the same float as one through the bound function."""
-    names = (
-        ("scipy.special", "airy"),
-        ("scipy.integrate", "quad"),
-        ("scipy.integrate", "solve_ivp"),
-    )
-    x = sol.x_right + 1.0
-    calls = {
-        "u_at": lambda: sol.u_at(x),
-        "v_at": lambda: sol.v_at(x),
-        "i_at": lambda: sol.i_at(x),
-        "w_at": lambda: sol.w_at(x),
-        "gue_tail_exponent": lambda: painleve._gue_tail_exponent(x),
-        "airy_kernel_fgue": lambda: airy_kernel_fgue(0.5),
-        "solve": lambda: solve_hastings_mcleod(1e-9, 0.05).u_at(-1.0),
-    }
-    for label, call in calls.items():
-        for module, name in names:
-            monkeypatch.setattr(painleve, name, painleve._deferred(module, name))
-        first = call()
-        second = call()
-        assert first == second, label
-    for module, name in names:
-        assert getattr(painleve, name) is getattr(importlib.import_module(module), name)
 
 
 def test_corner_scaling_round_trip():
