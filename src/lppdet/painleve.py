@@ -87,6 +87,11 @@ _MAX_ORDER = 100
 # Past this x, Ai, Ai' and int_x^inf Ai all lie below half the smallest
 # float64 subnormal, so each rounds to zero.
 _AIRY_UNDERFLOW = 108.0
+# Past this x the three edge laws all round to 1.0 (F_beta1 is the last
+# below it, up to x = 13.62), so they return 1.0 without summing the Airy
+# series, whose cost grows with x: 0.3 ms at x = 12, 80 ms at x = 100.
+# An infinite x still meets the tables' range check.
+_LAWS_AT_ONE = 14.0
 # Gauss-Legendre nodes and right end of the truncated domain of the
 # Airy-kernel oracle; the tails past the cut contribute below 1e-20.
 _AIRY_NODES, _AIRY_CUT = 80, 14.0
@@ -232,6 +237,7 @@ class PiiSolution:
         if x > self.x_right:
             return -_gue_tail_exponent(x)
         return self._hermite(x, self.W, lambda j: -self.v[j])
+
     def _check_range(self, x: float) -> None:
         if not math.isfinite(x):
             raise ValidationError(f"x must be finite, got {x!r}")
@@ -305,10 +311,15 @@ def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
     )
 
 
-def _horner(coeffs: list[float], h: float) -> float:
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * h + c
+def _horner(coeffs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each row of ``coeffs`` (one polynomial per column of the result)
+    at each of ``offsets``.  Every entry is its own chain of float64
+    multiply-adds, so a value does not depend on the other offsets."""
+    x = offsets[:, None]
+    value = np.zeros((len(offsets), len(coeffs)))
+    for c in coeffs.T[::-1]:
+        value *= x
+        value += c
     return value
 
 
@@ -338,13 +349,14 @@ def solve_hastings_mcleod(tol: float = TABLE_TOL, grid_step: float = TABLE_STEP)
     for step in range(n_steps):
         x0 = _X_MATCH - step * _TAYLOR_STEP
         x1 = max(_X_MATCH - (step + 1) * _TAYLOR_STEP, X_MIN)
-        coeffs = _taylor_step(x0, state, x1 - x0, tol)
-        # the nodes in (x1, x0], and X_MIN with the last step
+        coeffs = np.array(_taylor_step(x0, state, x1 - x0, tol))
+        # the nodes in (x1, x0], and X_MIN with the last step, then the
+        # step end, whose value is carried on
         lo = 0 if step == n_steps - 1 else int(np.searchsorted(grid, x1, side="right"))
-        offsets = grid[lo:hi] - x0
-        table[lo:hi] = np.vander(offsets, len(coeffs[0]), increasing=True) @ np.array(coeffs).T
+        values = _horner(coeffs, np.append(grid[lo:hi] - x0, x1 - x0))
+        table[lo:hi] = values[:-1]
         hi = lo
-        state = tuple(_horner(c, x1 - x0) for c in coeffs)
+        state = tuple(values[-1].tolist())
     return PiiSolution(
         **dict(zip(PiiSolution.COLUMNS, (grid, *table.T.copy()))), x_right=X_RIGHT, tol=tol
     )
@@ -352,16 +364,22 @@ def solve_hastings_mcleod(tol: float = TABLE_TOL, grid_step: float = TABLE_STEP)
 
 def f_gue(sol: PiiSolution, x: float) -> float:
     """Edge law for beta = 2: exp(-int_x^inf (y - x) u(y)^2 dy)."""
+    if _LAWS_AT_ONE <= x < math.inf:
+        return 1.0
     return math.exp(sol.w_at(x))
 
 
 def f_goe(sol: PiiSolution, x: float) -> float:
     """Edge law for beta = 1: exp(I(x)/2) * sqrt(F_beta2)."""
+    if _LAWS_AT_ONE <= x < math.inf:
+        return 1.0
     return math.exp(0.5 * sol.i_at(x) + 0.5 * sol.w_at(x))
 
 
 def f_gse(sol: PiiSolution, x: float) -> float:
     """Edge law for beta = 4: cosh(I(x)/2) * sqrt(F_beta2)."""
+    if _LAWS_AT_ONE <= x < math.inf:
+        return 1.0
     return math.cosh(0.5 * sol.i_at(x)) * math.exp(0.5 * sol.w_at(x))
 
 

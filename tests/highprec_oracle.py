@@ -351,31 +351,36 @@ def recurrence_checks(data: OpucData) -> RecurrenceReport:
     )
 
 
-def hastings_mcleod_mpf(
-    xs, dps: int = 40, x_start: float = 12.0, step: float = 0.25
-) -> dict[float, tuple[float, float]]:
+# ``hastings_mcleod_mpf`` works at this many digits and starts from Airy
+# data at this x, in steps of at most this length.  At x = 12 the Airy data
+# is about 1e-24 from the solution, and the solution's instability grows
+# that like exp(0.94 |x|^{3/2}), to about 1e-15 at x = -8.
+_PII_DPS = 40
+_PII_START = 12.0
+_PII_STEP = 0.25
+
+
+def hastings_mcleod_mpf(xs) -> dict[float, tuple[float, float]]:
     """(u(x), W(x)) of the Hastings-McLeod solution at each x of ``xs``.
 
-    Taylor series in mpmath at ``dps`` digits for u'' = 2u^3 + xu,
-    v' = u^2 and W' = -v, stepping left from Airy data at ``x_start``:
+    Taylor series in mpmath at ``_PII_DPS`` digits for u'' = 2u^3 + xu,
+    v' = u^2 and W' = -v, stepping left from Airy data at ``_PII_START``:
     u = -Ai, u' = -Ai', v = -(Ai'^2 - x Ai^2) and W = -int_x^inf (y - x)
-    Ai^2.  At x = 12 the Airy data is about 1e-24 from the solution, and
-    the solution's instability grows that like exp(0.94 |x|^{3/2}), to
-    about 1e-15 at x = -8.  Every step ends on the next requested x, so
-    no value is interpolated.
+    Ai^2.  Every step ends on the next requested x, so no value is
+    interpolated.
     """
     out = {}
-    with mp.workdps(dps):
-        x0 = mp.mpf(x_start)
+    with mp.workdps(_PII_DPS):
+        x0 = mp.mpf(_PII_START)
         ai, aip = mp.airyai(x0), mp.airyai(x0, derivative=1)
         state = [-ai, -aip, -(aip * aip - x0 * ai * ai),
                  -(2 * (x0 * x0 * ai * ai - x0 * aip * aip) - ai * aip) / 3]
-        tiny = mp.mpf(10) ** (-dps - 5)
+        tiny = mp.mpf(10) ** (-_PII_DPS - 5)
         for target in sorted(set(xs), reverse=True):
-            if target > x_start:
-                raise ValidationError(f"x = {target} lies right of the Airy data at {x_start}")
+            if target > _PII_START:
+                raise ValidationError(f"x = {target} lies right of the Airy data at {_PII_START}")
             while x0 > target:
-                h = max(mp.mpf(target) - x0, -mp.mpf(step))
+                h = max(mp.mpf(target) - x0, -mp.mpf(_PII_STEP))
                 u0, du0, v0, w0 = state
                 a, v, w = [u0, du0], [v0], [w0]
                 sq = []

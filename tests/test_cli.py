@@ -509,7 +509,8 @@ def test_no_command_loads_scipy_on_a_cold_cache(tmp_path, fresh_env):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     commands = (
-        ["tw", "gue"], ["verify", "oracles"], ["converge", "--t-list", "4,7"],
+        ["tw", "gue"], ["verify", "oracles"], ["verify", "corner-asymptotics"],
+        ["converge", "--t-list", "4,7"],
         ["dist", "square", "--t", "3", "--lmax", "12"],
         ["mc", "square", "--t", "3", "--trials", "500"],
     )

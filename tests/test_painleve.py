@@ -88,6 +88,35 @@ def test_airy_functions_against_mpmath():
     assert painleve._airy(painleve._AIRY_UNDERFLOW) == (0.0, 0.0, 0.0)
 
 
+def test_airy_functions_far_right_against_mpmath():
+    """The same 4 ulps out to x = 100, where the series sums at 625
+    digits; past about 104 Ai drops into the float64 subnormals.  The
+    reference integral is Gauss-Legendre quadrature on 40 decay lengths
+    1/sqrt(x) of Ai, beyond which the tail is below 1e-17 relative."""
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for x in (30.0, 50.0, 80.0, 100.0):
+            got = painleve._airy(x)
+            X = mp.mpf(x)
+            cells = [X + k / mp.sqrt(X) for k in range(41)]
+            want = (mp.airyai(X), mp.airyai(X, derivative=1),
+                    mp.quad(mp.airyai, cells, method="gauss-legendre"))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * eps * abs(w), (x, g, w)
+
+
+def test_laws_past_the_cut_are_what_the_tails_give(sol):
+    """Past ``_LAWS_AT_ONE`` the laws return 1.0 without the Airy series;
+    the tails give exactly that there, and F_beta1 is still below 1.0
+    just left of the cut."""
+    for x in (painleve._LAWS_AT_ONE, 20.0, 50.0, 100.0):
+        w, i = sol.w_at(x), sol.i_at(x)
+        assert math.exp(w) == f_gue(sol, x) == 1.0, x
+        assert math.exp(0.5 * i + 0.5 * w) == f_goe(sol, x) == 1.0, x
+        assert math.cosh(0.5 * i) * math.exp(0.5 * w) == f_gse(sol, x) == 1.0, x
+    assert f_goe(sol, 13.6) < 1.0
+
+
 def test_airy_matching_on_the_right(sol):
     """Past x = 6 the solution is numerically the Airy function."""
     from scipy.special import airy
