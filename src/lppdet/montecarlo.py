@@ -98,19 +98,6 @@ def _patience_rows(vals, lens, strict: bool = True) -> np.ndarray:
     return out
 
 
-def _chain_rows(xs, ys, lens, strict: bool = True) -> np.ndarray:
-    """Longest chain of planar points, every row of padded (rows, points) arrays.
-
-    Rows are sorted by x ascending with ``np.lexsort``; equal x (possible
-    only for boundary points, measure zero otherwise) is broken by y
-    descending in the strict case and y ascending in the weak case, so that
-    patience sorting over y realizes exactly the admissible chains.  The
-    padding is inf in both coordinates, so padded points sort last.
-    """
-    order = np.lexsort((-ys, xs) if strict else (ys, xs), axis=-1)
-    return _patience_rows(np.take_along_axis(ys, order, axis=-1), lens, strict)
-
-
 def _geom(rng: np.random.Generator, p, size: int) -> np.ndarray:
     """Geometric counts of failures >= 0, P(X >= k) = p^k, one per cell and draw.
 
@@ -119,25 +106,37 @@ def _geom(rng: np.random.Generator, p, size: int) -> np.ndarray:
     standard exponential has exactly this law, since P(X >= k) =
     P(E >= -k log p) = p^k; numpy's geometric sampler inverts the same
     way at small success probabilities.  p = 0 gives scale 0 and X = 0.
+    The exponentials are drawn a row of cells at a time into one float
+    buffer, in the order of one call for the whole array, so a block
+    never holds a float copy of all its entries.
     """
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore"):
         scale = -1.0 / np.log(p)
-    e = rng.standard_exponential(p.shape + (size,))
-    e *= scale[..., np.newaxis]
-    # the values are >= 0, so truncation toward zero is the floor
-    return e.astype(np.int64)
+    out = np.empty(p.shape + (size,), dtype=np.int64)
+    e = np.empty(p.shape[-1:] + (size,))
+    for row in np.ndindex(p.shape[:-1]):
+        rng.standard_exponential(out=e)
+        e *= scale[row][..., np.newaxis]
+        # the values are >= 0, so truncation toward zero is the floor
+        out[row] = e
+    return out
 
 
 def _bernoulli(rng: np.random.Generator, p, size: int) -> np.ndarray:
     """Occupancy, P(X = 1) = p, one per cell and draw, shaped as ``_geom``'s.
 
-    One uniform per cell; the 0/1 entries stay bytes, no int64 copy, since
-    the path rules sum into int64.
+    One uniform per cell, drawn a row of cells at a time as in ``_geom``;
+    the 0/1 entries stay bytes, no int64 copy, since the path rules sum
+    into int64.
     """
     p = np.asarray(p, dtype=float)
-    u = rng.random(p.shape + (size,))
-    return (u < p[..., np.newaxis]).view(np.uint8)
+    out = np.empty(p.shape + (size,), dtype=np.bool_)
+    u = np.empty(p.shape[-1:] + (size,))
+    for row in np.ndindex(p.shape[:-1]):
+        rng.random(out=u)
+        np.less(u, p[row][..., np.newaxis], out=out[row])
+    return out.view(np.uint8)
 
 
 # Lattice arrays are laid out (M, N, draws): a cell of every draw of a
@@ -469,22 +468,44 @@ def _square_block(model: ModelSpec, rng: np.random.Generator, count: int):
     return _in_chunks(counts, rows)
 
 
+def _sorted_uniforms(rng: np.random.Generator, lens: np.ndarray) -> np.ndarray:
+    """Row r's first ``lens[r]`` entries are ``lens[r]`` sorted uniforms on [0, 1].
+
+    Normalized exponential spacings (Devroye 1986, ch. V): with E_1, ...,
+    E_(n+1) standard exponential and S_k = E_1 + ... + E_k, the ratios
+    S_1 / S_(n+1) < ... < S_n / S_(n+1) have the law of n sorted uniforms.
+    Each row draws to the widest row's length; entries past a row's own
+    are never read.
+    """
+    width = int(lens.max(initial=0))
+    s = rng.standard_exponential((len(lens), width + 1))
+    np.cumsum(s, axis=1, out=s)
+    s /= np.take_along_axis(s, lens[:, np.newaxis], axis=1)
+    return s[:, :width]
+
+
 def _triangle_block(model: ModelSpec, rng: np.random.Generator, count: int):
     """Bulk points uniform on the triangle y < x < t plus diagonal points.
 
-    The diagonal process has rate alpha per unit of the x coordinate.
+    The diagonal process has rate alpha per unit of x, so the x
+    coordinates of all points form one Poisson process of intensity
+    x + alpha on [0, t], of total mass t^2/2 + alpha t.  Its points are
+    drawn in x order: sorted uniforms u, mapped through the inverse of the
+    cumulative intensity to x = sqrt(alpha^2 + 2 mass u) - alpha.  A point
+    at x is diagonal (y = x) with probability alpha / (x + alpha) and
+    otherwise has y uniform on [0, x); one uniform z on [-alpha, x) gives
+    both, diagonal when z < 0 and y = z otherwise.  The chain is then the
+    longest strictly increasing subsequence of the y values in the order
+    drawn.
     """
-    t = model.t
-    counts = rng.poisson([0.5 * t * t, model.alpha * t], size=(count, 2))
+    t, alpha = model.t, model.alpha
+    mass = t * (0.5 * t + alpha)
+    counts = rng.poisson(mass, size=(count, 1))
 
     def rows(c):
-        n_bulk, n_diag = c.sum(axis=0).tolist()
-        u = rng.random(n_bulk) * t
-        v = rng.random(n_bulk) * t
-        d = rng.random(n_diag) * t
-        xs = _padded(c, [np.maximum(u, v), d])
-        ys = _padded(c, [np.minimum(u, v), d])
-        return _chain_rows(xs, ys, c.sum(axis=1), strict=True)
+        x = np.sqrt(alpha * alpha + 2.0 * mass * _sorted_uniforms(rng, c[:, 0])) - alpha
+        z = rng.random(x.shape) * (x + alpha) - alpha
+        return _patience_rows(np.where(z < 0.0, x, z), c[:, 0], strict=True)
 
     return _in_chunks(counts, rows)
 
@@ -494,21 +515,23 @@ def _external_block(model: ModelSpec, rng: np.random.Generator, count: int):
 
     Axis points share a coordinate, so chains are taken in the weak
     (product) order; in the bulk this coincides with strict chains almost
-    surely.
+    surely.  In x order the points on the y axis (x = 0, rate alpha_-
+    t) come first, y ascending, drawn as sorted uniforms.  The rest form
+    one Poisson process of intensity t + alpha_+ along (0, t]: each of its
+    points lies on the x axis (y = 0) with probability alpha_+ / (t +
+    alpha_+) and otherwise has y uniform on [0, t).  As for the square,
+    their x coordinates are never drawn: one uniform z on [-alpha_+, t)
+    gives y = max(z, 0).
     """
-    t = model.t
-    rates = [t * t, model.alpha_plus * t, model.alpha_minus * t]
-    counts = rng.poisson(rates, size=(count, 3))
+    t, a_plus = model.t, model.alpha_plus
+    counts = rng.poisson([model.alpha_minus * t, t * (t + a_plus)], size=(count, 2))
 
     def rows(c):
-        n, n_x, n_y = c.sum(axis=0).tolist()
-        bulk_x = rng.random(n) * t
-        bulk_y = rng.random(n) * t
-        on_x = rng.random(n_x) * t
-        on_y = rng.random(n_y) * t
-        xs = _padded(c, [bulk_x, on_x, np.zeros(n_y)])
-        ys = _padded(c, [bulk_y, np.zeros(n_x), on_y])
-        return _chain_rows(xs, ys, c.sum(axis=1), strict=False)
+        on_y = _sorted_uniforms(rng, c[:, 0])
+        on_y = t * on_y[np.arange(on_y.shape[1]) < c[:, :1]]
+        rest = rng.random(int(c[:, 1].sum())) * (t + a_plus) - a_plus
+        ys = _padded(c, [on_y, np.maximum(rest, 0.0, out=rest)])
+        return _patience_rows(ys, c.sum(axis=1), strict=False)
 
     return _in_chunks(counts, rows)
 
@@ -557,9 +580,7 @@ _BATCH_KINDS = tuple(SAMPLERS)  # read by the benchmark tracer
 
 def _run_block(args) -> dict[int, int]:
     model, seed, block_index, count = args
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     values = SAMPLERS[model.kind](model, rng, count)
     uniq, freq = np.unique(values, return_counts=True)
     return dict(zip(uniq.tolist(), freq.tolist()))
@@ -569,8 +590,9 @@ def run_simulation(config: SimConfig) -> EmpiricalCdf:
     """Simulate the configured model and collect value counts.
 
     Trials are partitioned into fixed-size blocks, each with its own
-    counter-based stream keyed by (seed, block index), so the merged
-    integer counts do not depend on the worker count or scheduling.
+    stream of numpy's default generator (PCG64) seeded by the seed
+    sequence of (seed, block index), so the merged integer counts do not
+    depend on the worker count or scheduling.
     """
     jobs = [
         (

@@ -387,9 +387,11 @@ def test_mc_counts_and_determinism(run):
 
 
 def test_mc_cross_tests_only_thresholds_where_the_normal_law_holds(run):
-    """At t = 8, seed 0, l = 21 drew 2 exceedances against 0.4 expected
-    (|z| = 3.00).  Thresholds with trials * p (1 - p) < 5 go untested, and
-    the largest |z| of the rest meets the Bonferroni critical value."""
+    """Thresholds with trials * p (1 - p) < 5 go untested, and the largest
+    |z| of the rest meets the Bonferroni critical value.  At t = 8, seed 0,
+    that largest |z| is 3.28 at l = 12, within the 3.69 of the Bonferroni
+    bound over twelve thresholds; 400,000 draws of the same sampler keep
+    every |z| below 1.5, so the 3.28 is the spread of 20,000 draws."""
     code, out = run("--seed", "0", "verify", "mc-cross", "--model", "square", "--t", "8")
     assert code == 0
     report = json.loads((out / "verify_mc-cross.json").read_text())
@@ -397,7 +399,7 @@ def test_mc_cross_tests_only_thresholds_where_the_normal_law_holds(run):
     assert [c["ell"] for c in report["comparisons"]] == list(range(8, 20))
     assert report["false_alarm_rate"] == 0.0027
     assert report["critical_z"] == pytest.approx(3.6892, abs=1e-4)
-    assert report["max_z"] == pytest.approx(0.956, abs=1e-3)
+    assert report["max_z"] == pytest.approx(3.277, abs=1e-3)
 
 
 def test_mc_cross_fails_a_sampler_biased_at_one_threshold(run, monkeypatch):

@@ -17,7 +17,6 @@ from lppdet.montecarlo import (
     SAMPLERS,
     EmpiricalCdf,
     SimConfig,
-    _chain_rows,
     _patience_rows,
     brute_force_lis_distribution,
     patience_lis,
@@ -117,40 +116,6 @@ def test_patience_rows_match_patience_lis(rows, strict):
     assert got.tolist() == [patience_lis(r, strict=strict) for r in rows]
 
 
-def _chain_rows_of(point_sets, strict):
-    xs, lens = _pad_rows([[p[0] for p in pts] for pts in point_sets])
-    ys, _ = _pad_rows([[p[1] for p in pts] for pts in point_sets])
-    return _chain_rows(xs, ys, lens, strict=strict).tolist()
-
-
-@settings(deadline=None, max_examples=150)
-@given(
-    point_sets=st.lists(
-        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=22),
-        min_size=1,
-        max_size=6,
-    ),
-    strict=st.booleans(),
-)
-def test_chain_rows_match_point_dp(point_sets, strict):
-    assert _chain_rows_of(point_sets, strict) == [
-        _chain_dp(pts, strict) for pts in point_sets
-    ]
-
-
-def test_chain_rows_on_boundary_points():
-    """Axis points tied at 0 chain in the weak order only; diagonal points
-    chain with each other but not with bulk points sharing a coordinate."""
-    axes = [(0, 1), (0, 3), (0, 2), (2, 0), (1, 0), (0, 0), (3, 3)]
-    diagonal = [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (1, 0)]
-    sets = [axes, diagonal, [], [(0, 0)]]
-    for strict in (True, False):
-        want = [_chain_dp(pts, strict) for pts in sets]
-        assert _chain_rows_of(sets, strict) == want
-    assert _chain_rows_of(sets, strict=False) == [5, 6, 0, 1]
-    assert _chain_rows_of(sets, strict=True) == [2, 3, 0, 1]
-
-
 # ------------------------------------------------- exact distribution data
 
 
@@ -245,6 +210,43 @@ def _pmf_z(draws: np.ndarray, pmf) -> float:
 
 # 22 z-scores per test; 4.5 keeps a Bonferroni false alarm below 2e-4
 _PMF_Z = 4.5
+
+
+@pytest.mark.parametrize(
+    "p",
+    [0.0, 0.4, np.array([0.3, 0.0, 0.9]), np.array([[0.3, 0.5], [0.1, 0.9], [0.2, 0.0]])],
+    ids=["zero", "scalar", "cells", "grid"],
+)
+def test_cell_laws_fill_rows_as_one_whole_array_call(p):
+    """Drawn a row of cells at a time, the entries equal one call for the
+    whole array from the same generator state."""
+    size = 513
+    shape = np.shape(p) + (size,)
+    with np.errstate(divide="ignore"):
+        scale = -1.0 / np.log(p)
+    e = np.random.default_rng(21).standard_exponential(shape)
+    want = (e * np.asarray(scale)[..., np.newaxis]).astype(np.int64)
+    assert np.array_equal(montecarlo._geom(np.random.default_rng(21), p, size), want)
+    u = np.random.default_rng(22).random(shape)
+    want = (u < np.asarray(p)[..., np.newaxis]).view(np.uint8)
+    got = montecarlo._bernoulli(np.random.default_rng(22), p, size)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def test_sorted_uniforms_are_order_statistics():
+    """Each row's first lens[r] entries increase within (0, 1], and the
+    k-th of n has mean k / (n + 1)."""
+    rng = np.random.default_rng(17)
+    lens = np.array([0, 1, 3, 7] * 5000)
+    u = montecarlo._sorted_uniforms(rng, lens)
+    assert u.shape == (len(lens), 7)
+    for n in (1, 3, 7):
+        rows = u[lens == n, :n]
+        assert np.all(np.diff(rows, axis=1) > 0.0)
+        assert rows.min() > 0.0 and rows.max() <= 1.0
+        k = np.arange(1, n + 1)
+        sd = np.sqrt(k * (n + 1 - k) / ((n + 1) ** 2 * (n + 2)) / len(rows))
+        assert np.all(np.abs(rows.mean(axis=0) - k / (n + 1)) < _PMF_Z * sd)
 
 
 def test_geometric_entries_follow_the_geometric_pmf():
@@ -367,7 +369,12 @@ def _small_model():
 
 
 def test_worker_count_does_not_change_counts():
-    for model in (_small_model(), ModelSpec(kind=ModelKind.POISSON_SQUARE, t=2.0)):
+    for model in (
+        _small_model(),
+        ModelSpec(kind=ModelKind.POISSON_SQUARE, t=2.0),
+        ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=2.0, alpha=0.5),
+        ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=2.0, alpha_plus=0.3, alpha_minus=0.6),
+    ):
         base = SimConfig(model=model, trials=4100, seed=11, workers=1)
         multi = SimConfig(model=model, trials=4100, seed=11, workers=2)
         assert run_simulation(base).counts == run_simulation(multi).counts
@@ -437,6 +444,20 @@ def test_block_samplers_match_per_draw_oracles(model):
 @pytest.mark.parametrize(
     "model",
     [
+        *(
+            pytest.param(
+                ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=5.0, alpha=a),
+                id=f"PoissonTriangle-alpha{a}",
+            )
+            for a in (0.0, 0.5, 1.5)
+        ),
+        *(
+            pytest.param(
+                ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=3.0, alpha_plus=ap, alpha_minus=am),
+                id=f"PoissonExternal-{ap}-{am}",
+            )
+            for ap, am in ((0.8, 1.5), (0.0, 1.2), (1.2, 0.0))
+        ),
         ModelSpec(kind=ModelKind.POISSON_LINES_D, t=3.0, col_params=(0.5, 0.4, 0.3)),
         ModelSpec(kind=ModelKind.POISSON_LINES_E, t=3.0, col_params=(0.5, 0.4, 0.3)),
         ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=2.0, alpha=0.5),
@@ -449,8 +470,10 @@ def test_block_samplers_match_per_draw_oracles(model):
     ids=_case_id,
 )
 def test_block_samplers_match_exact_laws(model):
-    """The kinds criterion 7 leaves out, against their certified rows."""
-    trials = 20000
+    """The kinds criterion 7 leaves out, and the triangle and external kinds
+    past its t = 1 (the diagonal rate alpha at 0, below and above 1; both
+    boundary rates, and each alone), against their certified rows."""
+    trials = 204800
     emp = run_simulation(SimConfig(model=model, trials=trials, seed=2024))
     rows, _ = exact_law(model, max(emp.counts))
     law, _ = certified_law(model.kind, rows)
