@@ -18,7 +18,7 @@ import zipfile
 from pathlib import Path
 
 from .errors import LppdetError
-from .painleve import TABLE_STEP, TABLE_TOL, X_MIN, X_RIGHT, PiiSolution, solve_hastings_mcleod
+from .painleve import TABLE_TOL, X_MIN, X_RIGHT, PiiSolution, solve_hastings_mcleod
 
 __all__ = ["CACHE_ENV_VAR", "cache_root", "cached_pii_solution"]
 
@@ -35,7 +35,7 @@ def cache_root() -> Path:
 def _pii_cache_path() -> Path:
     # no format version in the key: an entry of another version is read,
     # refused and overwritten in place rather than left behind
-    key = repr((X_MIN, X_RIGHT, TABLE_TOL, TABLE_STEP))
+    key = repr((X_MIN, X_RIGHT, TABLE_TOL))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_root() / f"pii-{digest}.npz"
 

@@ -35,7 +35,6 @@ __all__ = [
     "IdentityReport",
 ]
 
-_FACTORIZATION_TOL = 1e-12
 _IMAG_TOL = 1e-8
 
 
@@ -59,20 +58,6 @@ class IntegrableKernelSpec:
         if self.nodes < 16 or self.nodes % 2 != 0:
             raise ValidationError(
                 f"nodes must be even and >= 16, got {self.nodes}"
-            )
-        z = self.node_points
-        plus, minus = self._halves
-        resid = np.max(
-            np.abs(
-                evaluate_symbol(plus, z) * evaluate_symbol(minus, z)
-                - evaluate_symbol(self.symbol, z)
-            )
-        )
-        scale = float(np.max(np.abs(evaluate_symbol(self.symbol, z))))
-        if resid > _FACTORIZATION_TOL * max(scale, 1.0):
-            raise ValidationError(
-                f"factorization mismatch {resid:.3e} exceeds "
-                f"{_FACTORIZATION_TOL:.1e} (relative)"
             )
 
     @cached_property

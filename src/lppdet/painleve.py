@@ -22,16 +22,18 @@ classical edge laws are assembled:
 The system (u, u', v, I, W) is polynomial, so it is integrated by Taylor
 series: each macro step of fixed length expands the solution about its
 right end by Cauchy-product recurrences and takes as many terms as
-``tol`` asks.  Against a 40-digit reference the table's u and W are
-within about 1e-17 on [0, 8], 1e-13 on [-4, 0], 4e-11 on [-6, -4] and
-6e-8 on [-8, -6].  Left of 0 the solution's own instability (Bornemann,
-arXiv:0804.2543) amplifies float64 roundoff like exp(0.94 |x|^{3/2}); at
-X_MIN = -9, u is 4e-6 off and W 9e-7.
+``tol`` asks.  Those step polynomials are the table (``PiiSolution``,
+cache format version 4) on [X_MIN, X_RIGHT] = [-9, 10]: a read finds x's
+step and evaluates its polynomials, so there is no output grid and no
+interpolation.  Against a 40-digit reference u and W are within about
+1e-17 on [0, 8], 1e-13 on [-4, 0], 4e-11 on [-6, -4] and 6e-8 on
+[-8, -6], and W is within 2e-15 relative on [8, 10].  Left of 0 the
+solution's own instability (Bornemann, arXiv:0804.2543) amplifies float64
+roundoff like exp(0.94 |x|^{3/2}); at X_MIN = -9, u is 4e-6 off and W
+9e-7.  Right of X_RIGHT the Airy tails stand in for the table.
 
 The Airy functions come from their Maclaurin series in decimal
-arithmetic, so the layer needs numpy and the standard library only.  The
-table (``PiiSolution``, cache format version 3) is read back by cubic
-Hermite interpolation with the ODE's own derivatives at the nodes.
+arithmetic, so the layer needs numpy and the standard library only.
 
 An independent Airy-kernel Fredholm determinant oracle is included for
 cross-validation, plus the corner-asymptotics check tying the circle
@@ -40,6 +42,7 @@ recursion data at the scaling edge to (u, v).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -70,20 +73,24 @@ __all__ = [
 # roundoff puts u 6e-8 off at -8 and 4e-6 off at -9, where the window
 # stops.
 X_MIN = -9.0
-X_RIGHT = 8.0
-# The solve starts from Airy data right of the table.  That data is not
-# quite the solution, and the error grows going left: matched at X_RIGHT
-# it alone puts u 5e-8 off at x = -8, matched here 2e-13.
-_X_MATCH = 10.0
+# The solve starts from Airy data here, the table's right end.  That data
+# is not quite the solution, and the error grows going left: matched at
+# x = 8 it alone puts u 5e-8 off at x = -8, matched here 2e-13.  A start
+# further right rounds the carried state at more steps: from x = 14, u is
+# 2.1e-7 off at x = -8 against 6.1e-8 from here.
+X_RIGHT = 10.0
 # The one table behind every limit law: the truncation tolerance of the
-# Taylor steps and the output grid step.
+# Taylor steps.
 TABLE_TOL = 1e-13
-TABLE_STEP = 0.005
-# Length of a Taylor step, the same for every output grid, and the most
-# terms a step may take: a step that needs more has a pole of the
-# solution within reach, so the solve stops there.
+# Length of a Taylor step and the most terms a step may take: a step that
+# needs more has a pole of the solution within reach, so the solve stops
+# there.
 _TAYLOR_STEP = 0.1
 _MAX_ORDER = 100
+# The steps' right ends x0, from X_RIGHT down: step k serves
+# (_STARTS[k + 1], _STARTS[k]], and the last one reaches down to X_MIN.
+_STARTS = tuple(X_RIGHT - k * _TAYLOR_STEP
+                for k in range(math.ceil((X_RIGHT - X_MIN) / _TAYLOR_STEP - 1e-9)))
 # Past this x, Ai, Ai' and int_x^inf Ai all lie below half the smallest
 # float64 subnormal, so each rounds to zero.
 _AIRY_UNDERFLOW = 108.0
@@ -127,8 +134,8 @@ def _airy_origin(digits: int) -> tuple[Decimal, Decimal]:
         return gamma / (2 * pi * 3 ** (third / 2)), -one / (3 ** third * gamma)
 
 
-def _airy(x: float) -> tuple[float, float, float]:
-    """Ai(x), Ai'(x) and int_x^inf Ai(y) dy, each correctly rounded.
+def _airy_decimal(x: float) -> tuple[Decimal, Decimal, Decimal]:
+    """Ai(x), Ai'(x) and int_x^inf Ai(y) dy to about 45 significant digits.
 
     Sums the Maclaurin series Ai(x) = sum_n t_n, t_n = a_n x^n, with
     a_{n+3} = a_n / ((n + 2)(n + 3)) and a_2 = 0, and from the same terms
@@ -138,8 +145,6 @@ def _airy(x: float) -> tuple[float, float, float]:
     right, so the sums run in decimal arithmetic with 45 + 2 zeta / ln 10
     digits; Ai(0) and Ai'(0) come to that precision from ``_airy_origin``.
     """
-    if x >= _AIRY_UNDERFLOW:
-        return 0.0, -0.0, 0.0
     zeta = (2.0 / 3.0) * abs(x) ** 1.5
     with localcontext() as ctx:
         ctx.prec = 45 + math.ceil(2.0 * zeta / math.log(10.0))
@@ -164,95 +169,90 @@ def _airy(x: float) -> tuple[float, float, float]:
                     top = size
                 elif size * reach <= top.scaleb(-ctx.prec):
                     break
-        return float(ai), float(aip0 + d_sum * xd * xd), float(1 / Decimal(3) - i_sum * xd)
+        return ai, aip0 + d_sum * xd * xd, 1 / Decimal(3) - i_sum * xd
+
+
+def _airy(x: float) -> tuple[float, float, float]:
+    """Ai(x), Ai'(x) and int_x^inf Ai(y) dy, each correctly rounded."""
+    if x >= _AIRY_UNDERFLOW:
+        return 0.0, -0.0, 0.0
+    ai, aip, int_ai = _airy_decimal(x)
+    return float(ai), float(aip), float(int_ai)
 
 
 def _gue_tail_exponent(x: float) -> float:
-    """int_x^inf (y - x) Ai(y)^2 dy in closed form (Airy identities)."""
-    ai, aip, _ = _airy(x)
-    return (2.0 / 3.0) * (x * x * ai * ai - x * aip * aip) - ai * aip / 3.0
+    """int_x^inf (y - x) Ai(y)^2 dy = (2/3)(x^2 Ai^2 - x Ai'^2) - Ai Ai' / 3
+    (Airy identities), correctly rounded.  Right of 0 the terms cancel
+    like x^{3/2} (in float64 that puts the result 6.5e-12 relative off at
+    x = 20), so they are combined from the 45-digit sums at 40 digits."""
+    if x >= _AIRY_UNDERFLOW:
+        return 0.0
+    ai, aip, _ = _airy_decimal(x)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        xd = Decimal(x)
+        return float((2 * xd * (xd * ai * ai - aip * aip) - ai * aip) / 3)
 
 
 @dataclass(frozen=True)
 class PiiSolution:
-    """Dense table of the Hastings-McLeod solution on [X_MIN, X_RIGHT].
+    """The Hastings-McLeod solution on [X_MIN, X_RIGHT] as the solver's
+    own Taylor steps (cache format version 4).
 
-    Columns on a uniform grid (cache format version 3): u, du = u',
-    v(x) = int_inf^x u^2, I(x) = int_x^inf u and W(x) = int_x^inf v; the
-    last three are nonpositive.  Between nodes each column is read by cubic
-    Hermite interpolation with the ODE's derivatives at the cell's two
-    nodes (du, u^2, -u and -v), and past ``x_right`` by the Airy tails.
-    ``tol`` is the relative truncation tolerance of the Taylor steps.
+    ``coeffs[k]`` holds, zero-padded to one order, the Taylor coefficients
+    of u, v(x) = int_inf^x u^2, I(x) = int_x^inf u and W(x) = int_x^inf v
+    (the last three nonpositive) about the right end ``_STARTS[k]`` of step
+    k; past X_RIGHT the Airy tails serve.  ``tol`` is the relative truncation
+    tolerance of the steps.
     """
 
-    grid: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    v: np.ndarray
-    I: np.ndarray
-    W: np.ndarray
-    x_right: float
+    coeffs: np.ndarray
     tol: float
 
-    FORMAT_VERSION = 3
-    # the arrays, in the integrator's state order after the grid
-    COLUMNS = ("grid", "u", "du", "v", "I", "W")
+    FORMAT_VERSION = 4
 
-    def _hermite(self, x: float, y: np.ndarray, dy) -> float:
-        """Cubic Hermite interpolant of column ``y`` at x, with slope
-        ``dy(j)`` at the two nodes j of x's grid cell."""
-        grid = self.grid
-        i = min(int(np.searchsorted(grid, x, side="right")) - 1, len(grid) - 2)
-        h = grid[i + 1] - grid[i]
-        s = (x - grid[i]) / h
-        r = 1.0 - s
-        return float(
-            (1.0 + 2.0 * s) * r * r * y[i]
-            + s * s * (3.0 - 2.0 * s) * y[i + 1]
-            + h * s * r * (r * dy(i) - s * dy(i + 1))
-        )
+    def _read(self, x: float, component: int) -> float:
+        k = bisect.bisect_right(_STARTS, -x, key=operator.neg) - 1
+        return _horner(self.coeffs[k, component].tolist(), x - _STARTS[k])
 
     def u_at(self, x: float) -> float:
         self._check_range(x)
-        if x > self.x_right:
+        if x > X_RIGHT:
             return -_airy(x)[0]
-        return self._hermite(x, self.u, lambda j: self.du[j])
+        return self._read(x, 0)
 
     def v_at(self, x: float) -> float:
         self._check_range(x)
-        if x > self.x_right:
+        if x > X_RIGHT:
             ai, aip, _ = _airy(x)
             return -(aip * aip - x * ai * ai)
-        return self._hermite(x, self.v, lambda j: self.u[j] * self.u[j])
+        return self._read(x, 1)
 
     def i_at(self, x: float) -> float:
         self._check_range(x)
-        if x > self.x_right:
+        if x > X_RIGHT:
             return -_airy(x)[2]
-        return self._hermite(x, self.I, lambda j: -self.u[j])
+        return self._read(x, 2)
 
     def w_at(self, x: float) -> float:
         """W(x) = int_x^inf v dy = -int_x^inf (y - x) u(y)^2 dy."""
         self._check_range(x)
-        if x > self.x_right:
+        if x > X_RIGHT:
             return -_gue_tail_exponent(x)
-        return self._hermite(x, self.W, lambda j: -self.v[j])
+        return self._read(x, 3)
 
     def _check_range(self, x: float) -> None:
         if not math.isfinite(x):
             raise ValidationError(f"x must be finite, got {x!r}")
-        if x < self.grid[0]:
-            raise ValidationError(
-                f"x = {x} below tabulated range (grid starts at {self.grid[0]})"
-            )
+        if x < X_MIN:
+            raise ValidationError(f"x = {x} below tabulated range (table starts at {X_MIN})")
 
     def save_npz(self, path) -> None:
         np.savez(
             path,
             format_version=np.array([self.FORMAT_VERSION]),
-            x_right=np.array([self.x_right]),
             tol=np.array([self.tol]),
-            **{name: getattr(self, name) for name in self.COLUMNS},
+            coeffs=self.coeffs,
         )
 
     @classmethod
@@ -263,15 +263,18 @@ class PiiSolution:
                     f"cache format version {int(d['format_version'][0])} "
                     f"does not match {cls.FORMAT_VERSION}"
                 )
-            return cls(
-                x_right=float(d["x_right"][0]),
-                tol=float(d["tol"][0]),
-                **{name: d[name] for name in cls.COLUMNS},
-            )
+            coeffs = d["coeffs"]
+            if coeffs.ndim != 3 or coeffs.shape[:2] != (len(_STARTS), 4):
+                raise ValidationError(
+                    f"cached coefficients have shape {coeffs.shape}, "
+                    f"not ({len(_STARTS)}, 4, order)"
+                )
+            return cls(coeffs=coeffs, tol=float(d["tol"][0]))
 
 
 def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
-    """Taylor coefficients at x0 of u, u', v, I and W, one list each.
+    """Taylor coefficients at x0 of u, v, I and W, one list each, from the
+    state (u, u', v, I, W) at x0.
 
     With a_k, v_k, I_k and W_k the coefficients of u, v, I and W, and
     (u^2)_k, (u^3)_k those of the Cauchy products,
@@ -281,7 +284,7 @@ def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
         (k + 1) W_{k+1} = -v_k.
 
     Terms are added until, for two orders running, each component's term
-    at offset h is below ``tol`` times its value at x0.
+    at offset h, and that of u', is below ``tol`` times its value at x0.
     """
     u0, du0, v0, i0, w0 = state
     a, v, I, W = [u0, du0], [v0], [i0], [w0]
@@ -302,8 +305,7 @@ def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
                  abs(I[m]) * hm, abs(W[m]) * hm)
         passed = passed + 1 if all(t <= s for t, s in zip(terms, scale)) else 0
         if passed == 2:
-            du = [k * a[k] for k in range(1, m + 1)] + [0.0]
-            return [a, du, v, I, W]
+            return [a, v, I, W]
     raise BreakdownError(
         f"Taylor series at x = {x0:.6f} did not reach tolerance {tol:g} within "
         f"{_MAX_ORDER} terms over a step of {abs(h):.3g}: the solution has a pole "
@@ -311,55 +313,44 @@ def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
     )
 
 
-def _horner(coeffs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each row of ``coeffs`` (one polynomial per column of the result)
-    at each of ``offsets``.  Every entry is its own chain of float64
-    multiply-adds, so a value does not depend on the other offsets."""
-    x = offsets[:, None]
-    value = np.zeros((len(offsets), len(coeffs)))
-    for c in coeffs.T[::-1]:
-        value *= x
-        value += c
+def _horner(coeffs, x: float) -> float:
+    """The polynomial with coefficients ``coeffs`` (constant term first)
+    at x, one float64 multiply-add per coefficient."""
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
     return value
 
 
-def solve_hastings_mcleod(tol: float = TABLE_TOL, grid_step: float = TABLE_STEP) -> PiiSolution:
-    """Integrate the Hastings-McLeod solution from Airy data at _X_MATCH,
-    right of the table, down to X_MIN, and tabulate it on [X_MIN, X_RIGHT].
+def solve_hastings_mcleod(tol: float = TABLE_TOL) -> PiiSolution:
+    """Integrate the Hastings-McLeod solution from Airy data at X_RIGHT
+    down to X_MIN.
 
     Taylor series in macro steps of fixed length ``_TAYLOR_STEP``, whose
     order comes from the relative truncation tolerance ``tol`` (9 to 15
-    terms at the table's 1e-13).  Grid nodes inside a step are read off
-    that step's polynomial; the state carried to the next step is the
-    polynomial's value at the step end, so the steps and the carried state
-    do not depend on the output grid.  The backward direction is the
-    stable one: the unwanted growing mode at +inf decays as x drops.  The
-    accuracy per window is in the module docstring.
+    terms at the table's 1e-13).  The steps' polynomials are the table;
+    the state carried to the next step is their value at the step end, so
+    a step's value there is the next step's constant term.  The backward
+    direction is the stable one: the unwanted growing mode at +inf decays
+    as x drops.  The accuracy per window is in the module docstring.
     """
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
-    ai, aip, int_ai = _airy(_X_MATCH)
-    state = (-ai, -aip, -(aip * aip - _X_MATCH * ai * ai), -int_ai,
-             -_gue_tail_exponent(_X_MATCH))
-    n_pts = int(round((X_RIGHT - X_MIN) / grid_step)) + 1
-    grid = np.linspace(X_MIN, X_RIGHT, n_pts)
-    table = np.empty((n_pts, 5))
-    n_steps = math.ceil((_X_MATCH - X_MIN) / _TAYLOR_STEP - 1e-9)
-    hi = n_pts
-    for step in range(n_steps):
-        x0 = _X_MATCH - step * _TAYLOR_STEP
-        x1 = max(_X_MATCH - (step + 1) * _TAYLOR_STEP, X_MIN)
-        coeffs = np.array(_taylor_step(x0, state, x1 - x0, tol))
-        # the nodes in (x1, x0], and X_MIN with the last step, then the
-        # step end, whose value is carried on
-        lo = 0 if step == n_steps - 1 else int(np.searchsorted(grid, x1, side="right"))
-        values = _horner(coeffs, np.append(grid[lo:hi] - x0, x1 - x0))
-        table[lo:hi] = values[:-1]
-        hi = lo
-        state = tuple(values[-1].tolist())
-    return PiiSolution(
-        **dict(zip(PiiSolution.COLUMNS, (grid, *table.T.copy()))), x_right=X_RIGHT, tol=tol
-    )
+    ai, aip, int_ai = _airy(X_RIGHT)
+    state = (-ai, -aip, -(aip * aip - X_RIGHT * ai * ai), -int_ai,
+             -_gue_tail_exponent(X_RIGHT))
+    steps = []
+    for x0, x1 in zip(_STARTS, [*_STARTS[1:], X_MIN]):
+        h = x1 - x0
+        u, v, i, w = _taylor_step(x0, state, h, tol)
+        du = [j * c for j, c in enumerate(u)][1:]
+        state = tuple(_horner(c, h) for c in (u, du, v, i, w))
+        steps.append((u, v, i, w))
+    # the four polynomials of a step share its order
+    coeffs = np.zeros((len(steps), 4, max(len(u) for u, *_ in steps)))
+    for k, step in enumerate(steps):
+        coeffs[k, :, : len(step[0])] = step
+    return PiiSolution(coeffs=coeffs, tol=tol)
 
 
 def f_gue(sol: PiiSolution, x: float) -> float:

@@ -19,7 +19,6 @@ from lppdet.painleve import (
     f_gse,
     f_gue,
     fit_power_law,
-    solve_hastings_mcleod,
 )
 
 
@@ -29,19 +28,22 @@ def test_solution_value_at_origin(sol):
     assert sol.i_at(0.0) == pytest.approx(-0.33696069793052574, abs=1e-9)
 
 
-# the reference's x: half and quarter steps, all on nodes of the table's grid,
-# so that no interpolation error enters the comparison
+# the reference's x, half and quarter steps, in bands running right to left
 REFERENCE_BANDS = (
     (np.arange(0.0, 8.01, 0.5), 1e-14),
     (np.arange(-4.0, -0.01, 0.5), 1e-12),
     (np.arange(-8.0, -4.01, 0.25), 1e-7),
 )
+# inside Taylor steps, away from their ends
+OFF_NODE_XS = (-6.789, -1.2345, 0.0137, 1.5003)
+# right of 8, where W is below 1e-15 and only its relative digits tell
+RIGHT_W_XS = (8.5, 9.0, 9.5)
 
 
 @pytest.fixture(scope="module")
 def reference():
     xs = [float(x) for band, _ in REFERENCE_BANDS for x in band]
-    return hastings_mcleod_mpf(xs)
+    return hastings_mcleod_mpf(xs + list(OFF_NODE_XS + RIGHT_W_XS))
 
 
 @pytest.mark.parametrize("band, tol", REFERENCE_BANDS, ids=("0..8", "-4..0", "-8..-4"))
@@ -125,6 +127,29 @@ def test_airy_matching_on_the_right(sol):
         assert sol.u_at(x) == pytest.approx(-float(airy(x)[0]), rel=1e-8, abs=1e-13)
 
 
+def test_table_meets_the_airy_tails_at_its_right_end(sol):
+    """The table ends at the Airy data the solve starts from, and the
+    readers hand over to the Airy tails just past it."""
+    right = painleve.X_RIGHT
+    past = math.nextafter(right, math.inf)
+    for read in (sol.u_at, sol.v_at, sol.i_at, sol.w_at):
+        assert read(right) == pytest.approx(read(past), rel=1e-13, abs=0.0), read
+    assert sol.w_at(right) == -painleve._gue_tail_exponent(right)
+
+
+def test_gue_tail_exponent_against_mpmath():
+    """The closed form cancels like x^{3/2} right of 0; formed from the
+    decimal sums it is within 4 ulps relative all the same."""
+    eps = np.finfo(float).eps
+    with mp.workdps(60):
+        for x in (8.5, 10.0, 12.0, 20.0, 50.0):
+            X = mp.mpf(x)
+            ai, aip = mp.airyai(X), mp.airyai(X, derivative=1)
+            want = 2 * X * (X * ai * ai - aip * aip) / 3 - ai * aip / 3
+            got = painleve._gue_tail_exponent(x)
+            assert abs(got - want) <= 4 * eps * abs(want), (x, got, want)
+
+
 def test_right_tail_keeps_relative_digits(sol):
     """Past x = 5, u is -Ai to about Ai^2 relative, so W = log F_beta2
     must match the Airy closed form in relative terms, not just absolutely."""
@@ -165,34 +190,22 @@ def test_law_means(sol):
     assert means["gse"] == pytest.approx(-3.2624279027, abs=5e-6)
 
 
-# between grid nodes of both tables below, where a table is read by
-# interpolation rather than at a node
-OFF_NODE_XS = (-6.789, -1.2345, 0.0137, 1.5003)
-
-
 def test_airy_kernel_oracle_cross_check(sol):
     for x in (-1.0, 0.0, 1.5, *OFF_NODE_XS):
         assert airy_kernel_fgue(x) == pytest.approx(f_gue(sol, x), abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "ode_tol, grid_step, tol",
-    [
-        pytest.param(1e-11, 0.02, 1e-9, id="fast-1e-09"),
-        pytest.param(painleve.TABLE_TOL, painleve.TABLE_STEP, 1e-12, id="standard-1e-12"),
-    ],
-)
-def test_interpolation_matches_a_four_times_finer_grid(ode_tol, grid_step, tol):
-    """The integrator's steps do not depend on the output grid, so the
-    finer table differs from the coarse one only by interpolation: on a
-    coarse grid and on the cached table's."""
-    coarse = solve_hastings_mcleod(ode_tol, grid_step)
-    fine = solve_hastings_mcleod(ode_tol, grid_step / 4)
+def test_reads_inside_a_step_match_the_reference(sol, reference):
+    """u and W inside a step meet the band of their x, as at the steps'
+    ends; W right of 8 keeps its relative digits."""
     for x in OFF_NODE_XS:
-        for read in ("u_at", "v_at", "i_at", "w_at"):
-            assert getattr(coarse, read)(x) == pytest.approx(
-                getattr(fine, read)(x), abs=tol
-            ), (read, x)
+        # the first band, running right to left, that reaches x
+        tol = next(tol for band, tol in REFERENCE_BANDS if band[0] <= x)
+        u, w = reference[x]
+        assert sol.u_at(x) == pytest.approx(u, abs=tol), x
+        assert sol.w_at(x) == pytest.approx(w, abs=tol), x
+    for x in RIGHT_W_XS:
+        assert sol.w_at(x) == pytest.approx(reference[x][1], rel=1e-14, abs=0.0), x
 
 
 # Gauss-Legendre nodes and right end of the truncated domain of the
@@ -270,9 +283,9 @@ def test_load_rejects_other_format_version(tmp_path, sol):
 
 
 def test_cache_file_name_is_stable():
-    """The one table (1e-13, 0.005) keeps the file name it has always had,
-    so caches warmed by earlier versions keep hitting."""
-    assert _pii_cache_path().name == "pii-1e5757d6196b6442.npz"
+    """The one table's key (X_MIN, X_RIGHT, TABLE_TOL) names its file;
+    a new name leaves every warmed cache cold, so it changes on purpose."""
+    assert _pii_cache_path().name == "pii-81679bfdfe006ee3.npz"
 
 
 def test_cache_miss_then_hit(tmp_path, monkeypatch):
@@ -309,15 +322,37 @@ def test_cache_recovers_from_corruption(tmp_path, monkeypatch):
     assert sol2.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
 
 
-def test_cache_replaces_an_entry_of_the_previous_format(tmp_path, monkeypatch):
-    """A format 1 entry (u, v and I only) under the same key is refused,
-    solved again and overwritten in place."""
+def test_cache_refuses_coefficients_of_the_wrong_shape(tmp_path, monkeypatch):
+    """A current-version entry with too few steps is solved again rather
+    than read past its end."""
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     cached_pii_solution()
     victim = next(tmp_path.glob("pii-*.npz"))
     with np.load(victim) as entry:
-        data = {name: entry[name] for name in ("grid", "u", "v", "I", "x_right", "tol")}
-    np.savez(victim, format_version=np.array([1]), **data)
+        data = dict(entry)
+    data["coeffs"] = data["coeffs"][:10]
+    np.savez(victim, **data)
+    with pytest.raises(ValidationError, match="shape"):
+        PiiSolution.load_npz(victim)
+    sol, hit = cached_pii_solution()
+    assert not hit
+    assert sol.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
+    assert cached_pii_solution()[1]
+
+
+def test_cache_replaces_an_entry_of_the_previous_format(tmp_path, monkeypatch):
+    """A format 3 entry (the 0.005 grid with columns u, u', v, I and W)
+    under the same key is refused, solved again and overwritten in place."""
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    first, _ = cached_pii_solution()
+    victim = next(tmp_path.glob("pii-*.npz"))
+    grid = np.linspace(painleve.X_MIN, 8.0, 3401)
+    columns = {name: np.array([read(x) for x in grid.tolist()])
+               for name, read in (("u", first.u_at), ("v", first.v_at),
+                                  ("I", first.i_at), ("W", first.w_at))}
+    np.savez(victim, format_version=np.array([3]), grid=grid,
+             du=np.gradient(columns["u"], grid), x_right=np.array([8.0]),
+             tol=np.array([first.tol]), **columns)
     sol, hit = cached_pii_solution()
     assert not hit
     assert sol.w_at(0.0) == pytest.approx(math.log(0.9693728283551878), abs=1e-7)
