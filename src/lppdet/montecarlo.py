@@ -102,24 +102,24 @@ def _geom(rng: np.random.Generator, p, size: int) -> np.ndarray:
     """Geometric counts of failures >= 0, P(X >= k) = p^k, one per cell and draw.
 
     ``p`` is a scalar or an array of cells; the result has shape
-    ``p.shape + (size,)``, draws last.  X = floor(E / -log p) with E
-    standard exponential has exactly this law, since P(X >= k) =
-    P(E >= -k log p) = p^k; numpy's geometric sampler inverts the same
-    way at small success probabilities.  p = 0 gives scale 0 and X = 0.
-    The exponentials are drawn a row of cells at a time into one float
-    buffer, in the order of one call for the whole array, so a block
-    never holds a float copy of all its entries.
+    ``p.shape + (size,)``, draws last.  By inversion of one uniform U,
+    X = floor(log(1 - U) / log p) has exactly this law, since P(X >= k) =
+    P(1 - U <= p^k) = p^k; p = 0 gives 1 / log p = -0 and X = 0.  The
+    uniforms are drawn a row of cells at a time into one float buffer, in
+    the order of one call for the whole array, so a block never holds a
+    float copy of all its entries.
     """
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore"):
-        scale = -1.0 / np.log(p)
+        inv_log = 1.0 / np.log(p)
     out = np.empty(p.shape + (size,), dtype=np.int64)
-    e = np.empty(p.shape[-1:] + (size,))
+    u = np.empty(p.shape[-1:] + (size,))
     for row in np.ndindex(p.shape[:-1]):
-        rng.standard_exponential(out=e)
-        e *= scale[row][..., np.newaxis]
+        rng.random(out=u)
+        np.log1p(np.negative(u, out=u), out=u)
+        u *= inv_log[row][..., np.newaxis]
         # the values are >= 0, so truncation toward zero is the floor
-        out[row] = e
+        out[row] = u
     return out
 
 
@@ -375,12 +375,23 @@ class SimConfig:
 
     @property
     def block_size(self) -> int:
-        """Draws per block; each block has its own random stream."""
-        return _BLOCK_SIZE
+        """Draws per block; each block has its own random stream.
+
+        A Poisson kind's block holds 2048 draws.  A lattice kind's holds
+        the largest multiple of 2048 whose entries fit ``_BLOCK_CELLS``,
+        at least 2048: 65,536 draws of a 2x2 array, 2048 of a 20x20 one.
+        Manifests record it as ``diagnostics.block_size``, and the seeded
+        counts depend on it.
+        """
+        if self.model.kind not in LATTICES:
+            return _BLOCK_SIZE
+        rows = len(self.model.row_params)
+        cells = rows * len(self.model.col_params or self.model.row_params)
+        return _BLOCK_SIZE * max(1, _BLOCK_CELLS // (_BLOCK_SIZE * cells))
 
     @property
     def blocks(self) -> int:
-        return (self.trials + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+        return -(-self.trials // self.block_size)
 
 
 @dataclass
@@ -411,6 +422,10 @@ class EmpiricalCdf:
 
 
 _BLOCK_SIZE = 2048
+
+# entries of one lattice block's (M, N, draws) array, 2 MiB in int64; at
+# twice this a 2x2 block's peak memory would pass every other kind's
+_BLOCK_CELLS = 1 << 18
 
 # entries of one padded (rows, points) array; a block whose padded arrays
 # would be larger is sampled in row chunks, cut from the block's own
@@ -582,25 +597,23 @@ def _run_block(args) -> dict[int, int]:
     model, seed, block_index, count = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     values = SAMPLERS[model.kind](model, rng, count)
-    uniq, freq = np.unique(values, return_counts=True)
-    return dict(zip(uniq.tolist(), freq.tolist()))
+    freq = np.bincount(values)
+    uniq = np.flatnonzero(freq)
+    return dict(zip(uniq.tolist(), freq[uniq].tolist()))
 
 
 def run_simulation(config: SimConfig) -> EmpiricalCdf:
     """Simulate the configured model and collect value counts.
 
-    Trials are partitioned into fixed-size blocks, each with its own
-    stream of numpy's default generator (PCG64) seeded by the seed
-    sequence of (seed, block index), so the merged integer counts do not
-    depend on the worker count or scheduling.
+    Trials are partitioned into blocks of ``config.block_size`` draws,
+    which depends on the model only, each with its own stream of numpy's
+    default generator (PCG64) seeded by the seed sequence of (seed, block
+    index), so the merged integer counts do not depend on the worker count
+    or scheduling.
     """
+    size = config.block_size
     jobs = [
-        (
-            config.model,
-            config.seed,
-            b,
-            min(_BLOCK_SIZE, config.trials - b * _BLOCK_SIZE),
-        )
+        (config.model, config.seed, b, min(size, config.trials - b * size))
         for b in range(config.blocks)
     ]
     totals: dict[int, int] = {}
@@ -612,7 +625,7 @@ def run_simulation(config: SimConfig) -> EmpiricalCdf:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_block, jobs, chunksize=4))
+            results = list(pool.map(_run_block, jobs, chunksize=1))
     for block in results:
         for v, c in block.items():
             totals[v] = totals.get(v, 0) + c

@@ -376,7 +376,8 @@ def test_mc_counts_and_determinism(run):
     assert header == "value,count,cdf,stderr"
     assert sum(int(r.split(",")[1]) for r in rows) == 3000
     assert float(rows[-1].split(",")[2]) == 1.0
-    assert _manifest(out)["diagnostics"] == {"block_size": 2048, "blocks": 2}
+    # a 2x2 lattice's block holds 65,536 draws
+    assert _manifest(out)["diagnostics"] == {"block_size": 65536, "blocks": 1}
     first = (out / "mc_lattice-a.csv").read_bytes()
     code, out = run(*args)
     assert code == 0

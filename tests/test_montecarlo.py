@@ -219,13 +219,14 @@ _PMF_Z = 4.5
 )
 def test_cell_laws_fill_rows_as_one_whole_array_call(p):
     """Drawn a row of cells at a time, the entries equal one call for the
-    whole array from the same generator state."""
+    whole array from the same generator state: geometric cells invert one
+    uniform each, occupancy compares one uniform each."""
     size = 513
     shape = np.shape(p) + (size,)
     with np.errstate(divide="ignore"):
-        scale = -1.0 / np.log(p)
-    e = np.random.default_rng(21).standard_exponential(shape)
-    want = (e * np.asarray(scale)[..., np.newaxis]).astype(np.int64)
+        inv_log = 1.0 / np.log(p)
+    u = np.random.default_rng(21).random(shape)
+    want = (np.log1p(-u) * np.asarray(inv_log)[..., np.newaxis]).astype(np.int64)
     assert np.array_equal(montecarlo._geom(np.random.default_rng(21), p, size), want)
     u = np.random.default_rng(22).random(shape)
     want = (u < np.asarray(p)[..., np.newaxis]).view(np.uint8)
@@ -257,6 +258,22 @@ def test_geometric_entries_follow_the_geometric_pmf():
     for p, draws in ((0.3, grid[0, 0]), (0.9, grid[0, 1])):
         pmf = [p**k * (1.0 - p) for k in range(11)]
         assert _pmf_z(draws, pmf) < _PMF_Z
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.81, 0.99])
+def test_geometric_inversion_has_the_geometric_tail(p):
+    """P(X >= k) = p^k for k <= 5, each tail frequency within z <= 5 over
+    10^6 draws; p = 0 draws 0 only."""
+    n = 10**6
+    draws = montecarlo._geom(np.random.default_rng(318), p, n)
+    assert draws.shape == (n,) and draws.min() >= 0
+    if p == 0.0:
+        assert not draws.any()
+        return
+    tail = np.cumsum(np.bincount(draws, minlength=6)[::-1])[::-1] / n
+    for k in range(1, 6):
+        want = p**k
+        assert abs(tail[k] - want) <= 5.0 * math.sqrt(want * (1.0 - want) / n), (k, tail[k])
 
 
 def test_strict_strict_kinds_draw_occupancy_at_their_cell_laws():
@@ -369,15 +386,34 @@ def _small_model():
 
 
 def test_worker_count_does_not_change_counts():
+    """Three full blocks and a partial one, so that two workers share them."""
     for model in (
         _small_model(),
         ModelSpec(kind=ModelKind.POISSON_SQUARE, t=2.0),
         ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=2.0, alpha=0.5),
         ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=2.0, alpha_plus=0.3, alpha_minus=0.6),
     ):
-        base = SimConfig(model=model, trials=4100, seed=11, workers=1)
-        multi = SimConfig(model=model, trials=4100, seed=11, workers=2)
+        trials = 3 * SimConfig(model=model, trials=1, seed=11).block_size + 4
+        base = SimConfig(model=model, trials=trials, seed=11, workers=1)
+        multi = SimConfig(model=model, trials=trials, seed=11, workers=2)
+        assert base.blocks == 4
         assert run_simulation(base).counts == run_simulation(multi).counts
+
+
+def test_lattice_blocks_are_sized_by_their_cells():
+    """2048 draws times the multiples that fit 2^18 cells, at least one;
+    the symmetrized kinds have n x n cells and the Poisson kinds 2048."""
+    def size(**fields):
+        return SimConfig(model=ModelSpec(**fields), trials=1, seed=0).block_size
+
+    for n, want in ((1, 262144), (2, 65536), (3, 28672), (4, 16384), (8, 4096), (20, 2048)):
+        q = (0.5,) * n
+        assert size(kind=ModelKind.LATTICE_B, row_params=q, col_params=q) == want
+        assert size(kind=ModelKind.LATTICE_C_SYM, alpha=0.5, row_params=q) == want
+    assert size(kind=ModelKind.LATTICE_A, row_params=(0.5,) * 2, col_params=(0.5,) * 8) == 16384
+    assert size(kind=ModelKind.POISSON_LINES_D, t=1.0, col_params=(0.5,)) == 2048
+    config = SimConfig(model=_small_model(), trials=65537, seed=0)
+    assert (config.block_size, config.blocks) == (65536, 2)
 
 
 def test_same_seed_reproduces_and_seeds_differ():
@@ -544,6 +580,28 @@ def test_large_square_stays_within_the_padding_budget():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * montecarlo._PAD_ELEMENTS
+
+
+@pytest.mark.parametrize("n, multiple", [(2, 3), (20, 6)], ids=["2x2", "20x20"])
+@pytest.mark.parametrize("kind", list(LATTICES), ids=lambda k: k.value)
+def test_lattice_block_stays_within_its_cell_budget(kind, n, multiple):
+    """One block: a 2x2 one holds the most draws (65,536) and a 20x20 one
+    the most cells (819,200, 3.1 times the budget of 2^18, since a block
+    holds at least 2048 draws).  The symmetrized 20x20 block takes the
+    most, about 5 times the budget's 2 MiB in int64."""
+    q = (0.7,) * n
+    if kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
+        model = ModelSpec(kind=kind, alpha=0.5, row_params=q)
+    else:
+        model = ModelSpec(kind=kind, row_params=q, col_params=q)
+    size = SimConfig(model=model, trials=1, seed=0).block_size
+    tracemalloc.start()
+    try:
+        run_simulation(SimConfig(model=model, trials=size, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < multiple * 8 * montecarlo._BLOCK_CELLS
 
 
 def test_sim_config_validation_and_parse():
