@@ -124,19 +124,26 @@ def _geom(rng: np.random.Generator, p, size: int) -> np.ndarray:
 
 
 def _bernoulli(rng: np.random.Generator, p, size: int) -> np.ndarray:
-    """Occupancy, P(X = 1) = p, one per cell and draw, shaped as ``_geom``'s.
+    """Occupancy, P(X = 1) = p, one uint8 per cell and draw, shaped as ``_geom``'s.
 
-    One uniform per cell, drawn a row of cells at a time as in ``_geom``;
-    the 0/1 entries stay bytes, no int64 copy, since the path rules sum
-    into int64.
+    One random byte B per cell, the little-endian bytes of one
+    ``random_raw`` call in flat order, against the threshold byte T =
+    min(floor(256 p), 255): B < T gives 1 and B > T gives 0.  A tie B = T
+    is settled by one uniform U per tie, drawn in flat order after the
+    bytes: 1 when U < 256 p - T.  So P(X = 1) = (T + 256 p - T) / 256 = p,
+    exact up to the 2^-53 grid of U over 256, about 2^-61.
     """
     p = np.asarray(p, dtype=float)
-    out = np.empty(p.shape + (size,), dtype=np.bool_)
-    u = np.empty(p.shape[-1:] + (size,))
-    for row in np.ndindex(p.shape[:-1]):
-        rng.random(out=u)
-        np.less(u, p[row][..., np.newaxis], out=out[row])
-    return out.view(np.uint8)
+    t = np.minimum(np.floor(256.0 * p), 255.0)
+    rest = (256.0 * p - t).ravel()
+    t = t.astype(np.uint8)[..., np.newaxis]
+    count = p.size * size
+    raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
+    out = raw.view(np.uint8)[:count].reshape(p.shape + (size,))
+    ties = np.flatnonzero(out == t)
+    np.less(out, t, out=out)
+    out.flat[ties] = rng.random(len(ties)) < rest[ties // size]
+    return out
 
 
 # Lattice arrays are laid out (M, N, draws): a cell of every draw of a
@@ -157,15 +164,18 @@ def _grid(cell, at):
 
 def _symmetric(cell, diagonal):
     """Symmetric entries: ``cell`` at q_i q_j above the diagonal, mirrored
-    below it, then at ``diagonal(alpha, q_i)`` on it."""
+    below it, then at ``diagonal(alpha, q_i)`` on it.
+
+    The upper triangle is drawn a row at a time straight into the array,
+    in the row-major order of one call for the whole triangle.
+    """
 
     def entries(model: ModelSpec, rng: np.random.Generator, size: int):
         q = np.asarray(model.row_params, dtype=float)
         n = len(q)
-        i, j = np.triu_indices(n, k=1)
-        upper = cell(rng, q[i] * q[j], size)
-        x = np.empty((n, n, size), dtype=upper.dtype)
-        x[i, j] = x[j, i] = upper
+        x = np.empty((n, n, size), dtype=np.uint8 if cell is _bernoulli else np.int64)
+        for i in range(n - 1):
+            x[i, i + 1 :] = x[i + 1 :, i] = cell(rng, q[i] * q[i + 1 :], size)
         k = np.arange(n)
         x[k, k] = cell(rng, diagonal(model.alpha, q), size)
         return x
@@ -207,10 +217,13 @@ def _weak_strict(x: np.ndarray) -> np.ndarray:
     (i', j') with i' <= i and j' <= j, the predecessors a cell of column
     j + 1 may take.  Entries are >= 0, so a chain ending in column j is
     never worse than the best before it and the new prefix is the running
-    maximum of x[:, j] + prefix down the column.
+    maximum of x[:, j] + prefix down the column.  Byte entries are 0/1
+    occupancy, so a chain takes at most one per column: below 256 columns
+    it fits a byte and the sums run in uint8, otherwise in int64.
     """
     m, n, size = x.shape
-    prefix = np.zeros((m, size), dtype=np.int64)
+    small = x.dtype == np.uint8 and n < 256
+    prefix = np.zeros((m, size), dtype=np.uint8 if small else np.int64)
     for j in range(n):
         prefix += x[:, j]
         _running_max(prefix)
@@ -222,16 +235,17 @@ def _strict_strict(x: np.ndarray) -> np.ndarray:
 
     ``best[j + 1]`` holds the most occupied cells on a chain in rows <= i
     and columns <= j; ``best[0]`` stays 0.  Row i takes, per column,
-    max(occ * (1 + best[j]), best[j + 1]) from the row above and then the
-    running maximum along the row.
+    max(best[j] + occ, best[j + 1]) from the row above and then the
+    running maximum along the row; ``best`` never falls along a row, so
+    this is max(occ * (1 + best[j]), best[j + 1]).  A chain holds at most
+    min(M, N) cells, so below 256 the counts run in uint8.
     """
     m, n, size = x.shape
     occ = x > 0
-    best = np.zeros((n + 1, size), dtype=np.int64)
-    here = np.empty((n, size), dtype=np.int64)
+    best = np.zeros((n + 1, size), dtype=np.uint8 if min(m, n) < 256 else np.int64)
+    here = np.empty_like(best[1:])
     for i in range(m):
-        np.add(best[:-1], 1, out=here)
-        here *= occ[i]
+        np.add(best[:-1], occ[i], out=here)
         np.maximum(here, best[1:], out=best[1:])
         _running_max(best[1:])
     return best[-1]

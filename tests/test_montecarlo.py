@@ -218,9 +218,11 @@ _PMF_Z = 4.5
     ids=["zero", "scalar", "cells", "grid"],
 )
 def test_cell_laws_fill_rows_as_one_whole_array_call(p):
-    """Drawn a row of cells at a time, the entries equal one call for the
-    whole array from the same generator state: geometric cells invert one
-    uniform each, occupancy compares one uniform each."""
+    """Geometric cells, drawn a row of cells at a time, equal one call for
+    the whole array from the same generator state, inverting one uniform
+    each.  Occupancy compares one random byte per cell, the little-endian
+    bytes of one ``random_raw`` call, with floor(256 p), and settles the
+    ties with one ``random`` call in flat order."""
     size = 513
     shape = np.shape(p) + (size,)
     with np.errstate(divide="ignore"):
@@ -228,10 +230,34 @@ def test_cell_laws_fill_rows_as_one_whole_array_call(p):
     u = np.random.default_rng(21).random(shape)
     want = (np.log1p(-u) * np.asarray(inv_log)[..., np.newaxis]).astype(np.int64)
     assert np.array_equal(montecarlo._geom(np.random.default_rng(21), p, size), want)
-    u = np.random.default_rng(22).random(shape)
-    want = (u < np.asarray(p)[..., np.newaxis]).view(np.uint8)
+    rng = np.random.default_rng(22)
+    count = math.prod(shape)
+    raw = rng.bit_generator.random_raw(-(-count // 8))
+    b = raw.astype("<u8").tobytes()[:count]
+    b = np.frombuffer(b, dtype=np.uint8).reshape(shape).astype(np.int64)
+    scaled = 256.0 * np.asarray(p, dtype=float)[..., np.newaxis]
+    t = np.minimum(np.floor(scaled), 255.0)
+    want = b < t
+    ties = np.flatnonzero(b == t)
+    want.flat[ties] = rng.random(len(ties)) < np.broadcast_to(scaled - t, shape).flat[ties]
     got = montecarlo._bernoulli(np.random.default_rng(22), p, size)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [0.0, 1 / 512, 0.5, 77.5 / 256, 0.999, 1.0])
+def test_occupancy_bytes_are_exact_on_ties(p):
+    """P(X = 1) = p within z <= 5 over 4 x 10^6 draws.  At p = 1/512 every
+    1 comes from a tie with the byte 0, at 0.5 a tie is always 0, and at
+    77.5 / 256 a tie is 1 half of the time; p = 0 draws 0 only, and p = 1,
+    whose threshold byte is capped at 255, draws 1 only."""
+    n = 4 * 10**6
+    draws = montecarlo._bernoulli(np.random.default_rng(319), p, n)
+    assert draws.shape == (n,) and draws.dtype == np.uint8 and draws.max(initial=0) <= 1
+    ones = int(np.count_nonzero(draws))
+    if p in (0.0, 1.0):
+        assert ones == n * p
+        return
+    assert abs(ones - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)), (p, ones)
 
 
 def test_sorted_uniforms_are_order_statistics():
@@ -325,16 +351,26 @@ _KIND_ENTRIES = {
 }
 
 
+def _path_entries(seed, kind, byte, shape):
+    """int64 entries below the kind's bound, or, with ``byte`` on the
+    occupancy kinds lattice-b and lattice-c, uint8 0/1 entries as
+    ``_bernoulli`` draws them."""
+    rng = np.random.default_rng(seed)
+    if byte and kind != ModelKind.LATTICE_A:
+        return rng.integers(0, 2, size=shape).astype(np.uint8)
+    return rng.integers(0, _KIND_ENTRIES[kind], size=shape).astype(np.int64)
+
+
 @settings(deadline=None, max_examples=120)
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 4),
     n=st.integers(1, 4),
     kind=st.sampled_from(sorted(_KIND_ENTRIES, key=lambda k: k.value)),
+    byte=st.booleans(),
 )
-def test_fast_path_matches_reference(seed, m, n, kind):
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, _KIND_ENTRIES[kind], size=(m, n, 1)).astype(np.int64)
+def test_fast_path_matches_reference(seed, m, n, kind, byte):
+    x = _path_entries(seed, kind, byte, (m, n, 1))
     fast = int(LATTICES[kind][1](x)[0])
     assert fast == lattice_chain_reference(x[:, :, 0], kind)
 
@@ -346,16 +382,18 @@ def test_fast_path_matches_reference(seed, m, n, kind):
     n=st.integers(1, 5),
     draws=st.integers(2, 6),
     kind=st.sampled_from(sorted(_KIND_ENTRIES, key=lambda k: k.value)),
+    byte=st.booleans(),
 )
-@example(seed=1, m=1, n=5, draws=3, kind=ModelKind.LATTICE_A)
-@example(seed=2, m=5, n=1, draws=3, kind=ModelKind.LATTICE_B)
-@example(seed=3, m=1, n=4, draws=2, kind=ModelKind.LATTICE_C)
-@example(seed=4, m=4, n=1, draws=2, kind=ModelKind.LATTICE_C)
-@example(seed=5, m=2, n=5, draws=4, kind=ModelKind.LATTICE_B)
-def test_path_rules_match_reference_on_every_draw(seed, m, n, draws, kind):
+@example(seed=1, m=1, n=5, draws=3, kind=ModelKind.LATTICE_A, byte=False)
+@example(seed=2, m=5, n=1, draws=3, kind=ModelKind.LATTICE_B, byte=False)
+@example(seed=3, m=1, n=4, draws=2, kind=ModelKind.LATTICE_C, byte=False)
+@example(seed=4, m=4, n=1, draws=2, kind=ModelKind.LATTICE_C, byte=False)
+@example(seed=5, m=2, n=5, draws=4, kind=ModelKind.LATTICE_B, byte=False)
+@example(seed=6, m=5, n=4, draws=3, kind=ModelKind.LATTICE_B, byte=True)
+@example(seed=7, m=4, n=5, draws=3, kind=ModelKind.LATTICE_C, byte=True)
+def test_path_rules_match_reference_on_every_draw(seed, m, n, draws, kind, byte):
     """Several draws of (M, N, draws) arrays share one kernel call."""
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, _KIND_ENTRIES[kind], size=(m, n, draws)).astype(np.int64)
+    x = _path_entries(seed, kind, byte, (m, n, draws))
     before = x.copy()
     fast = LATTICES[kind][1](x)
     assert np.array_equal(x, before)
@@ -374,6 +412,17 @@ def test_path_rules_on_pinned_arrays():
     # strict/strict counts occupied cells on a strict staircase
     c = np.array([[[1], [1]], [[0], [1]]], dtype=np.int64)
     assert LATTICES[ModelKind.LATTICE_C][1](c)[0] == 2
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_byte_chain_counts_do_not_wrap(n):
+    """All-occupied byte arrays: a weak/strict chain takes one cell per
+    column of a 1 x N array and a strict/strict one the diagonal of an
+    N x N array, N cells either way, past a byte's range at N = 256."""
+    rows = np.ones((1, n, 2), dtype=np.uint8)
+    assert LATTICES[ModelKind.LATTICE_B][1](rows).tolist() == [n, n]
+    square = np.ones((n, n, 2), dtype=np.uint8)
+    assert LATTICES[ModelKind.LATTICE_C][1](square).tolist() == [n, n]
 
 
 # ------------------------------------------------------- counting harness
@@ -582,13 +631,14 @@ def test_large_square_stays_within_the_padding_budget():
     assert peak < 3 * 8 * montecarlo._PAD_ELEMENTS
 
 
-@pytest.mark.parametrize("n, multiple", [(2, 3), (20, 6)], ids=["2x2", "20x20"])
+@pytest.mark.parametrize("n, multiple", [(2, 3), (20, 4)], ids=["2x2", "20x20"])
 @pytest.mark.parametrize("kind", list(LATTICES), ids=lambda k: k.value)
 def test_lattice_block_stays_within_its_cell_budget(kind, n, multiple):
     """One block: a 2x2 one holds the most draws (65,536) and a 20x20 one
     the most cells (819,200, 3.1 times the budget of 2^18, since a block
-    holds at least 2048 draws).  The symmetrized 20x20 block takes the
-    most, about 5 times the budget's 2 MiB in int64."""
+    holds at least 2048 draws).  The geometric 20x20 blocks take the
+    most, about 3.5 times the budget's 2 MiB in int64: lattice-a-sym
+    draws its upper triangle straight into its one (n, n, draws) array."""
     q = (0.7,) * n
     if kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM):
         model = ModelSpec(kind=kind, alpha=0.5, row_params=q)
@@ -602,6 +652,21 @@ def test_lattice_block_stays_within_its_cell_budget(kind, n, multiple):
     finally:
         tracemalloc.stop()
     assert peak < multiple * 8 * montecarlo._BLOCK_CELLS
+
+
+def test_symmetric_lattice_draws_its_triangle_in_place():
+    """Drawn a row of the upper triangle at a time, lattice-a-sym entries
+    equal one call for the whole triangle followed by one for the
+    diagonal, so its seeded counts keep their stream."""
+    q = np.linspace(0.3, 0.9, 20)
+    model = ModelSpec(kind=ModelKind.LATTICE_A_SYM, alpha=0.5, row_params=tuple(q))
+    x = LATTICES[model.kind][0](model, np.random.default_rng(23), 64)
+    rng = np.random.default_rng(23)
+    i, j = np.triu_indices(20, k=1)
+    upper = montecarlo._geom(rng, q[i] * q[j], 64)
+    assert np.array_equal(x[i, j], upper) and np.array_equal(x[j, i], upper)
+    diag = np.arange(20)
+    assert np.array_equal(x[diag, diag], montecarlo._geom(rng, 0.5 * q, 64))
 
 
 def test_sim_config_validation_and_parse():
