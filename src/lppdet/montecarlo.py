@@ -131,7 +131,9 @@ def _bernoulli(rng: np.random.Generator, p, size: int) -> np.ndarray:
     min(floor(256 p), 255): B < T gives 1 and B > T gives 0.  A tie B = T
     is settled by one uniform U per tie, drawn in flat order after the
     bytes: 1 when U < 256 p - T.  So P(X = 1) = (T + 256 p - T) / 256 = p,
-    exact up to the 2^-53 grid of U over 256, about 2^-61.
+    exact up to the 2^-53 grid of U over 256, about 2^-61.  The ties are
+    found a row of cells at a time, so no mask as large as the bytes is
+    held beside them.
     """
     p = np.asarray(p, dtype=float)
     t = np.minimum(np.floor(256.0 * p), 255.0)
@@ -140,7 +142,12 @@ def _bernoulli(rng: np.random.Generator, p, size: int) -> np.ndarray:
     count = p.size * size
     raw = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
     out = raw.view(np.uint8)[:count].reshape(p.shape + (size,))
-    ties = np.flatnonzero(out == t)
+    width = p.shape[-1] if p.ndim else 1  # cells per row
+    rows, row_t = out.reshape(-1, width, size), t.reshape(-1, width, 1)
+    ties = np.concatenate([
+        np.flatnonzero(row == at) + i * row.size
+        for i, (row, at) in enumerate(zip(rows, row_t))
+    ])
     np.less(out, t, out=out)
     out.flat[ties] = rng.random(len(ties)) < rest[ties // size]
     return out

@@ -89,7 +89,12 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
         rho_{k+1}(z) = z rho_k(z) + rho_{k+1}(0) * pi*_k(z)
 
     where * reverses coefficients.  N_k is then recomputed from
-    <pi_k, z^k> directly.  Cost O(cutoff^2).
+    <pi_k, z^k> directly.  For a symmetric symbol rho_k is pi_k, so one
+    family runs.  Each family lives in two preallocated buffers, a step
+    writing the next degree into the spare one; every coefficient and dot
+    product takes the same float operations in the same order as when
+    each degree was a new array, so the results are bit for bit those of
+    the two-family recursion.  Cost O(cutoff^2).
     """
     if cutoff < 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
@@ -100,13 +105,14 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
         )
     J = coeffs.half_width
     phi = np.asarray(coeffs.coeffs, dtype=float)  # phi[j + J] = phi_j
+    phi_rev = phi[::-1]  # phi_rev[J + j] = phi_{-j}
 
     # structural symmetry of the generating symbol, not bit equality of
     # the quadrature output, which roundoff breaks
     symmetric = coeffs.symbol.is_symmetric
     K = cutoff
     b = np.zeros(K + 1)
-    b_dual = np.zeros(K + 1)
+    b_dual = b if symmetric else np.zeros(K + 1)
     log_norms = np.zeros(K + 1)
 
     n0 = phi[J]  # N_0 = phi_0
@@ -114,19 +120,21 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
         raise BreakdownError(f"N_0 = phi_0 = {n0} must be positive and finite")
     log_norms[0] = math.log(n0)
 
-    pi = np.array([1.0])
-    rho = np.array([1.0])
+    # pi_k sits at pi[1 : k + 2] between zeros, so z pi_k is pi[: k + 2]
+    # and pi*_k padded with its zero coefficient of z^{k+1} is
+    # pi[k + 1 :: -1]
+    pi, pi_next = np.zeros(K + 3), np.zeros(K + 3)
+    rho, rho_next = (pi, pi_next) if symmetric else (np.zeros(K + 3), np.zeros(K + 3))
+    pi[1] = rho[1] = 1.0
     n_cur = n0
     for k in range(K):
-        # c_pi = <z pi_k, 1> = sum_a pi[a] * phi_{-(a+1)}
-        mom_down = phi[J - (k + 1) : J][::-1]  # phi_{-(a+1)} for a = 0..k
-        c_pi = float(np.dot(pi, mom_down))
-        b_next = c_pi / n_cur
+        # c_pi = <z pi_k, 1> = sum_a pi[a] * phi_{-(a+1)}, a = 0..k
+        b_next = float(np.dot(pi[1 : k + 2], phi_rev[J + 1 : J + k + 2])) / n_cur
         if symmetric:
             bd_next = b_next
         else:
-            mom_up = phi[J + 1 : J + k + 2]  # phi_{a+1} for a = 0..k
-            bd_next = float(np.dot(rho, mom_up)) / n_cur
+            # sum_a rho[a] * phi_{a+1}
+            bd_next = float(np.dot(rho[1 : k + 2], phi[J + 1 : J + k + 2])) / n_cur
         # individual coefficients may leave the unit disc for asymmetric
         # symbols; only the product entering the norm update must stay
         # away from 1
@@ -139,18 +147,22 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
         b[k + 1] = b_next
         b_dual[k + 1] = bd_next
 
-        # rho*_k has coefficients rho[k - a] for a = 0..k, then 0 at a = k+1.
-        pi_next = np.concatenate([[0.0], pi]) + (-b_next) * np.concatenate(
-            [rho[::-1], [0.0]]
-        )
-        rho_next = np.concatenate([[0.0], rho]) + (-bd_next) * np.concatenate(
-            [pi[::-1], [0.0]]
-        )
-        pi, rho = pi_next, rho_next
+        # pi_{k+1} = z pi_k - b rho*_k, one product and one sum per
+        # coefficient; rho likewise with the roles swapped
+        step = pi_next[1 : k + 3]
+        np.multiply(rho[k + 1 :: -1], -b_next, out=step)
+        np.add(step, pi[: k + 2], out=step)
+        if symmetric:
+            pi, pi_next = pi_next, pi
+            rho = pi
+        else:
+            step = rho_next[1 : k + 3]
+            np.multiply(pi[k + 1 :: -1], -bd_next, out=step)
+            np.add(step, rho[: k + 2], out=step)
+            pi, pi_next, rho, rho_next = pi_next, pi, rho_next, rho
 
         # N_{k+1} = <pi_{k+1}, z^{k+1}> = sum_a pi[a] * phi_{k+1-a}
-        mom_norm = phi[J : J + k + 2][::-1]  # phi_{k+1-a} for a = 0..k+1
-        n_cur = float(np.dot(pi, mom_norm))
+        n_cur = float(np.dot(pi[1 : k + 3], phi_rev[J - k - 1 : J + 1]))
         if not (n_cur > 0.0) or not math.isfinite(n_cur):
             raise BreakdownError(
                 f"norm N_{k + 1} = {n_cur} not positive; recursion breakdown"
@@ -159,7 +171,7 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
 
     return OpucData(
         reflection=b,
-        reflection_dual=b if symmetric else b_dual,
+        reflection_dual=b_dual,
         log_norms=log_norms,
         cutoff=K,
         source=coeffs,

@@ -194,6 +194,19 @@ def _gue_tail_exponent(x: float) -> float:
         return float((2 * xd * (xd * ai * ai - aip * aip) - ai * aip) / 3)
 
 
+def _airy_v(x: float) -> float:
+    """v = int_inf^x Ai(y)^2 dy = x Ai^2 - Ai'^2 (Airy identity), correctly
+    rounded.  The two terms cancel like x^{3/2}, as in
+    ``_gue_tail_exponent``, so they are combined from the 45-digit sums at
+    40 digits."""
+    if x >= _AIRY_UNDERFLOW:
+        return -0.0
+    ai, aip, _ = _airy_decimal(x)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(x) * ai * ai - aip * aip)
+
+
 @dataclass(frozen=True)
 class PiiSolution:
     """The Hastings-McLeod solution on [X_MIN, X_RIGHT] as the solver's
@@ -224,8 +237,7 @@ class PiiSolution:
     def v_at(self, x: float) -> float:
         self._check_range(x)
         if x > X_RIGHT:
-            ai, aip, _ = _airy(x)
-            return -(aip * aip - x * ai * ai)
+            return _airy_v(x)
         return self._read(x, 1)
 
     def i_at(self, x: float) -> float:

@@ -5,14 +5,16 @@ symbol on the moments I_j(2t) from ``mpmath.besseli``, one scalar mpf at a
 time.  It costs O(cutoff^2 * dps) interpreted bignum operations, so the
 package runs the same recursion in fixed-point integers on Miller moments
 instead, and the tests compare the two.  ``eval_pi_dense`` builds one
-orthogonal polynomial by a dense linear solve instead of the recursion.
+orthogonal polynomial by a dense linear solve instead of the recursion,
+and ``levinson_two_family`` is the float64 recursion as it ran with both
+families for every symbol.
 ``prob_square_product`` reads the square law off the complementary product
 of norms, and ``triangle_law_mpf`` the triangle law off a dense
 orthogonal-group determinant.  ``toeplitz_log_norms_fixed`` runs the
 asymmetric recursion for any ``SymbolSpec`` in fixed-point integers, on a
 table convolved from the symbol's one-sided power series instead of the
-float64 quadrature table, and ``group_mean_mpf`` the orthogonal-group mean
-on the same series.  ``y_corner`` and ``recurrence_checks`` restate
+float64 quadrature table, and ``group_means_mpf`` the orthogonal-group
+means on the same series.  ``y_corner`` and ``recurrence_checks`` restate
 the stored norms and reflection coefficients through the corner relation
 and the norm update, to check a table against itself.
 ``hastings_mcleod_mpf`` integrates Painleve II by 40-digit Taylor series
@@ -57,6 +59,47 @@ def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.nda
             b[k + 1] = float(b_next)
             log_norms[k + 1] = float(mp.log(n_cur))
     return b, log_norms
+
+
+def levinson_two_family(coeffs: FourierTable, cutoff: int) -> OpucData:
+    """``opuc.levinson`` as it ran before it kept one family for symmetric
+    symbols: both families of every symbol, each step building new arrays
+    by concatenation.  The package's recursion must match it bit for bit.
+    """
+    J = coeffs.half_width
+    phi = np.asarray(coeffs.coeffs, dtype=float)
+    symmetric = coeffs.symbol.is_symmetric
+    b = np.zeros(cutoff + 1)
+    b_dual = np.zeros(cutoff + 1)
+    log_norms = np.zeros(cutoff + 1)
+    log_norms[0] = math.log(phi[J])
+    pi = np.array([1.0])
+    rho = np.array([1.0])
+    n_cur = phi[J]
+    for k in range(cutoff):
+        b_next = float(np.dot(pi, phi[J - (k + 1) : J][::-1])) / n_cur
+        if symmetric:
+            bd_next = b_next
+        else:
+            bd_next = float(np.dot(rho, phi[J + 1 : J + k + 2])) / n_cur
+        b[k + 1] = b_next
+        b_dual[k + 1] = bd_next
+        pi_next = np.concatenate([[0.0], pi]) + (-b_next) * np.concatenate(
+            [rho[::-1], [0.0]]
+        )
+        rho_next = np.concatenate([[0.0], rho]) + (-bd_next) * np.concatenate(
+            [pi[::-1], [0.0]]
+        )
+        pi, rho = pi_next, rho_next
+        n_cur = float(np.dot(pi, phi[J : J + k + 2][::-1]))
+        log_norms[k + 1] = math.log(n_cur)
+    return OpucData(
+        reflection=b,
+        reflection_dual=b if symmetric else b_dual,
+        log_norms=log_norms,
+        cutoff=cutoff,
+        source=coeffs,
+    )
 
 
 def _geometric_remainder(terms: np.ndarray) -> float:
@@ -169,7 +212,7 @@ def triangle_law_mpf(t: float, alpha: float, ell: int, dps: int = 120) -> float:
 
 
 _GUARD_BITS = 64
-# ``group_mean_mpf`` reads the series at this scale (plus the guard bits)
+# ``group_means_mpf`` reads the series at this scale (plus the guard bits)
 # and takes its determinants at this many digits
 _MEAN_BITS = 192
 _MEAN_DPS = 50
@@ -205,40 +248,56 @@ def _one_sided_series(
     return u
 
 
-def group_mean_mpf(psi: SymbolSpec, ell: int) -> float:
-    """E_{O(ell)} det psi(U) for a one-sided psi = e^{tz} prod(1 + az) /
-    prod(1 - cz), with no float64 step before the result.
+def group_means_mpf(psi: SymbolSpec, lmax: int) -> list[float]:
+    """[E_{O(ell)} det psi(U) for ell = 0..lmax] for a one-sided psi =
+    e^{tz} prod(1 + az) / prod(1 - cz), with no float64 step before the
+    results.
 
     The coefficients g_n = sum_k u_k u_{k+n} of psi(z) psi(1/z) come from
     ``_one_sided_series`` at ``_MEAN_BITS`` plus the guard bits, and
-    psi(+-1) = sum_k (+-1)^k u_k.  The mean averages the two components of
-    O(ell), the same Toeplitz +- Hankel determinants as
-    ``exact_dist._ogroup_mean``, taken in mpmath at ``_MEAN_DPS`` digits.
+    psi(+-1) = sum_k (+-1)^k u_k.  Each mean averages the two components
+    of O(ell), Toeplitz +- Hankel determinants in g (Baik and Rains), whose
+    leading minors are the running products of the pivots of one Gaussian
+    elimination per family, without pivoting, at ``_MEAN_DPS`` digits;
+    the matrices are positive definite, so no pivot vanishes.  Nothing is
+    shared with ``exact_dist.ogroup_law``, which factors the float64
+    matrices by Cholesky.
     """
     if psi.exp_minus_t or psi.zeros_minus or psi.poles_minus:
         raise ValidationError("group means here take a one-sided psi")
     scale = _MEAN_BITS + _GUARD_BITS
     u = _one_sided_series(psi.exp_plus_t, psi.zeros_plus, psi.poles_plus, scale)
-    u += [0] * (ell + 3)
+    u += [0] * (lmax + 3)
+    size = lmax // 2
     with mp.workdps(_MEAN_DPS):
-        g = [mp.ldexp(sum(x * y for x, y in zip(u, u[n:])), -2 * scale) for n in range(ell + 3)]
+        g = [mp.ldexp(sum(x * y for x, y in zip(u, u[n:])), -2 * scale) for n in range(lmax + 3)]
         psi_plus = mp.ldexp(sum(u), -scale)
         psi_minus = mp.ldexp(sum(x if k % 2 == 0 else -x for k, x in enumerate(u)), -scale)
 
-        def det(size, sign, shift):
-            if size == 0:
-                return mp.mpf(1)
-            return mp.det(mp.matrix(
-                [[g[abs(j - k)] + sign * g[j + k + shift] for k in range(size)]
+        def minors(sign, shift):
+            """[det of the leading m x m block, m = 0..size]"""
+            a = [[g[abs(j - k)] + sign * g[j + k + shift] for k in range(size)]
                  for j in range(size)]
-            ))
+            dets = [mp.mpf(1)]
+            for p in range(size):
+                dets.append(dets[-1] * a[p][p])
+                for j in range(p + 1, size):
+                    ratio = a[j][p] / a[p][p]
+                    for k in range(p + 1, size):
+                        a[j][k] -= ratio * a[p][k]
+            return dets
 
-        m = ell // 2
-        if ell % 2 == 0:
-            mean = det(m, 1, 0) / 2 + psi_plus * psi_minus * det(m - 1, -1, 2)
-        else:
-            mean = psi_plus * det(m, -1, 1) + psi_minus * det(m, 1, 1)
-        return float(mean / 2)
+        plus_even, minus_even = minors(1, 0), minors(-1, 2)
+        plus_odd, minus_odd = minors(-1, 1), minors(1, 1)
+        means = [mp.mpf(1)]
+        for ell in range(1, lmax + 1):
+            m = ell // 2
+            if ell % 2 == 0:
+                mean = plus_even[m] / 2 + psi_plus * psi_minus * minus_even[m - 1]
+            else:
+                mean = psi_plus * plus_odd[m] + psi_minus * minus_odd[m]
+            means.append(mean / 2)
+        return [float(x) for x in means]
 
 
 def toeplitz_log_norms_fixed(spec: SymbolSpec, cutoff: int, bits: int = 192) -> np.ndarray:

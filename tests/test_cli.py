@@ -157,6 +157,15 @@ def test_ill_conditioned_group_average_exits_two(run, capsys):
     assert re.search(r"error bound \d\.\d+e-\d+", capsys.readouterr().err)
 
 
+def test_group_cholesky_breakdown_exits_two(run, capsys):
+    """At t = 16 the float64 Cholesky of the group matrices breaks down;
+    the rows below the breakdown are certified and the first row past it
+    is refused with the error-bound message."""
+    code, _ = run("dist", "triangle-fs", "--t", "16", "--alpha", "0", "--lmax", "40")
+    assert code == 2
+    assert "error bound inf exceeds" in capsys.readouterr().err
+
+
 def test_float64_square_failing_strong_szego_exits_two(run, monkeypatch):
     """The float64 recursion (t <= 2.5) faces the strong Szego check too.
     Log-norms off by 1e-9 stay in range and monotone, so without the check

@@ -2,11 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lppdet import exact_dist
 from lppdet.errors import (
     BreakdownError,
     ConditioningError,
@@ -14,12 +17,15 @@ from lppdet.errors import (
 )
 from lppdet.exact_dist import (
     _default_cutoff,
+    _leading_minors,
     OGROUP_ROUTE,
     OGROUP_TOL,
     build_dist_table,
+    certified_law,
     check_cdf,
     exact_law,
     external_rows,
+    ogroup_law,
     scaled_cdf,
     square_opuc,
     toeplitz_prob,
@@ -30,11 +36,12 @@ from lppdet.symbols import (
     ModelKind,
     ModelSpec,
     SymbolSpec,
+    build_symbol,
     fourier_coeffs,
     normalization_log_z,
 )
 
-from highprec_oracle import prob_square_product, triangle_law_mpf
+from highprec_oracle import group_means_mpf, prob_square_product, triangle_law_mpf
 from ogroup_quadrature import MAX_ELL, quadrature_expectation
 from route_points import external_point, group_mean, triangle_odd
 
@@ -410,6 +417,113 @@ def test_ogroup_determinant_matches_quadrature(spec):
         assert group_mean(spec, ell) == pytest.approx(
             quadrature_expectation(spec, ell), rel=1e-11
         )
+
+
+def _random_group_psi(count: int, seed: int):
+    """One-sided psi with t in [0, 1] and one to three zeros and poles each
+    in [0, 0.6]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield SymbolSpec(
+            exp_plus_t=float(rng.uniform(0.0, 1.0)),
+            zeros_plus=tuple(rng.uniform(0.0, 0.6, rng.integers(1, 4)).tolist()),
+            poles_plus=tuple(rng.uniform(0.0, 0.6, rng.integers(1, 4)).tolist()),
+        )
+
+
+def _symmetrized_catalogue():
+    """The symmetrized laws of the benchmark catalogue: its timed stratum,
+    its Monte Carlo configurations and its known-defect entry."""
+    sym = [(kind, q, alpha, lmax)
+           for kind in (ModelKind.LATTICE_A_SYM, ModelKind.LATTICE_C_SYM)
+           for q in ((0.5,), (0.3, 0.6), (0.4, 0.5, 0.6)) for alpha in (0.3, 0.8)
+           for lmax in (6, 8, 12)]
+    sym += [(ModelKind.LATTICE_A_SYM, (0.4, 0.5), 0.5, 8),
+            (ModelKind.LATTICE_A_SYM, (0.3,) * 6, 0.6, 8),
+            (ModelKind.LATTICE_C_SYM, (0.4, 0.5), 0.5, 8),
+            (ModelKind.LATTICE_C_SYM, (0.6,) * 8, 0.8, 8),
+            (ModelKind.LATTICE_A_SYM, (0.5,), 0.5, 12)]
+    for kind, q, alpha, lmax in sym:
+        yield ModelSpec(kind=kind, alpha=alpha, row_params=q), lmax
+    for t in (0.5, 1.0, 2.0):
+        for alpha in (0.0, 1.0):
+            for lmax in (6, 8, 12):
+                yield ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=t, alpha=alpha), lmax
+    yield ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=2.0, alpha=0.5), 8
+    yield ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=4.0, alpha=1.0), 20
+
+
+def test_group_bound_covers_the_float64_error():
+    """Every row of ``ogroup_law`` lies within its bound of the 50-digit
+    means of ``group_means_mpf``: bare means up to O(30) for 60 seeded
+    random psi, and every symmetrized law of the benchmark catalogue.
+    The cond * eps bound this one replaced was exceeded by up to 77x on
+    these rows."""
+    cases = [(psi, 0.0, 30) for psi in _random_group_psi(60, seed=25)]
+    cases += [(build_symbol(model), normalization_log_z(model), lmax)
+              for model, lmax in _symmetrized_catalogue()]
+    for psi, log_z, lmax in cases:
+        exact = group_means_mpf(psi, lmax)
+        for ell, (value, bound) in enumerate(ogroup_law(psi, log_z, lmax)):
+            if math.isfinite(bound):
+                err = abs(value - exact[ell] * math.exp(-log_z))
+                assert err <= bound, (psi, ell, value, err, bound)
+
+
+def test_leading_minors_refuse_only_blocks_past_a_breakdown():
+    """Cholesky of the second matrix breaks down at size 3: its blocks of
+    size 3 and 4 are refused, its smaller ones and every block of the
+    first matrix keep their log det and eigenvalue data."""
+    good = np.array([[4.0, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 0.5], [0, 0, 0.5, 1]])
+    bad = np.diag([2.0, 1.0, -1.0, 1.0])
+    bad[0, 1] = bad[1, 0] = 0.5
+    log_det, lam_max, inv_trace = _leading_minors(np.stack([good, bad]))
+    for f, mat in enumerate((good, bad)):
+        for m in range(1, 5):
+            if f == 1 and m >= 3:
+                assert math.isnan(log_det[f, m]) and inv_trace[f, m] == math.inf
+                continue
+            block = mat[:m, :m]
+            eig = np.linalg.eigvalsh(block)
+            assert log_det[f, m] == pytest.approx(np.linalg.slogdet(block)[1], rel=1e-14)
+            assert lam_max[f, m] == pytest.approx(eig[-1], rel=1e-14)
+            assert inv_trace[f, m] == pytest.approx(np.sum(1.0 / eig), rel=1e-13)
+    assert log_det[:, 0].tolist() == [0.0, 0.0]
+
+
+def test_group_breakdown_refuses_only_the_rows_that_need_it():
+    """At t = 16 the float64 Cholesky breaks down past blocks of size 7-9,
+    so those rows carry infinite bounds; the low rows, whose blocks are
+    well conditioned, stay certified, and the refused rows are exactly the
+    rows from the first refused one on."""
+    model = ModelSpec(kind=ModelKind.TRIANGLE_POISSON_FS, t=16.0, alpha=0.0)
+    rows, _ = exact_law(model, 40)
+    law, refused = certified_law(model.kind, rows, skip_refused=True)
+    assert sorted(law) == list(range(min(refused)))
+    assert refused == list(range(min(refused), 41))
+    assert len(law) >= 3
+    broken = [ell for ell, (_, bound) in rows.items() if bound == math.inf]
+    assert broken and min(broken) > max(law)
+    for parity in (0, 1):
+        side = [ell for ell in broken if ell % 2 == parity]
+        assert side == list(range(side[0], 41, 2))
+
+
+def test_group_law_blocks_stay_within_their_batch_budget(monkeypatch):
+    """The padded blocks of one table hold 4 s^3 numbers, 256 MB at
+    lmax 400; eigvalsh takes them in batches of at most _EIG_BATCH, and
+    the batching does not change a row."""
+    psi = SymbolSpec(exp_plus_t=1.0, zeros_plus=(0.5,))
+    tracemalloc.start()
+    try:
+        ogroup_law(psi, 0.0, 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * exact_dist._EIG_BATCH
+    whole = ogroup_law(psi, 0.0, 60)
+    monkeypatch.setattr(exact_dist, "_EIG_BATCH", 4 * 30 * 30 * 7)
+    assert ogroup_law(psi, 0.0, 60) == whole
 
 
 def test_symmetrized_table_past_the_old_quadrature_limit():

@@ -18,10 +18,11 @@ from lppdet.opuc import (
     toeplitz_log_det,
     toeplitz_log_det_dense,
 )
-from lppdet.symbols import SymbolSpec, fourier_coeffs
+from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec, build_symbol, fourier_coeffs
 
 from highprec_oracle import (
     eval_pi_dense,
+    levinson_two_family,
     recurrence_checks,
     square_opuc_mpf,
     y_corner,
@@ -215,6 +216,35 @@ def test_miller_moments_match_besseli(t):
         assert abs(mp.ldexp(i0, -bits) / exact_i0 - 1) <= tol
         for j, r in enumerate(ratios):
             assert abs(mp.ldexp(r, -bits) - mp.besseli(j, two_t) / exact_i0) <= tol
+
+
+def _table_symbol(kind: ModelKind, q, qp=None, t: float = 0.0) -> SymbolSpec:
+    return build_symbol(ModelSpec(kind=kind, t=t, row_params=q, col_params=q if qp is None else qp))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymbolSpec(exp_plus_t=0.5, exp_minus_t=0.5),
+        SymbolSpec(exp_plus_t=2.5, exp_minus_t=2.5),
+        _table_symbol(ModelKind.LATTICE_A, (0.5, 0.3, 0.7)),
+        _table_symbol(ModelKind.LATTICE_C, (0.6,) * 4),
+        _table_symbol(ModelKind.LATTICE_A, (0.5, 0.3), (0.2, 0.6)),
+        _table_symbol(ModelKind.LATTICE_B, (0.5,) * 3, (0.3,) * 3),
+        _table_symbol(ModelKind.POISSON_LINES_D, (), (0.3, 0.7), t=3.0),
+        _table_symbol(ModelKind.POISSON_LINES_E, (), (0.3, 0.7), t=3.0),
+    ],
+    ids=["square-t0.5", "square-t2.5", "lattice-a", "lattice-c", "lattice-a-qp",
+         "lattice-b", "lines-d", "lines-e"],
+)
+def test_levinson_matches_the_two_family_recursion_bit_for_bit(spec):
+    """One family for symmetric symbols, in preallocated buffers, with the
+    float operations of the two-family recursion that built new arrays."""
+    for cutoff in (30, 120):
+        table = fourier_coeffs(spec, cutoff + 2)
+        got, want = levinson(table, cutoff), levinson_two_family(table, cutoff)
+        for name in ("reflection", "reflection_dual", "log_norms"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_levinson_requires_enough_coefficients():

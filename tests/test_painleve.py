@@ -150,6 +150,19 @@ def test_gue_tail_exponent_against_mpmath():
             assert abs(got - want) <= 4 * eps * abs(want), (x, got, want)
 
 
+def test_v_past_the_table_against_mpmath(sol):
+    """Past X_RIGHT, v = x Ai^2 - Ai'^2 cancels like x^{3/2} as well; read
+    from the decimal sums it is within 4 ulps relative."""
+    eps = np.finfo(float).eps
+    with mp.workdps(60):
+        for x in (10.5, 12.0, 20.0, 50.0):
+            X = mp.mpf(x)
+            ai, aip = mp.airyai(X), mp.airyai(X, derivative=1)
+            want = X * ai * ai - aip * aip
+            got = sol.v_at(x)
+            assert abs(got - want) <= 4 * eps * abs(want), (x, got, want)
+
+
 def test_right_tail_keeps_relative_digits(sol):
     """Past x = 5, u is -Ai to about Ai^2 relative, so W = log F_beta2
     must match the Airy closed form in relative terms, not just absolutely."""
