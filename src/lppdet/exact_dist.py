@@ -10,11 +10,12 @@ every probability through these two.
 
 The square, lattice and lines laws are plain determinants,
 p(ell) = D_ell / Z.  The square's recursion (``square_opuc``) switches to
-extended precision at t > 2.5.  The triangle and external-source laws
-reuse it, their boundary rates entering through one pass of polynomial
-values at -alpha, -a+ and -a-.  The triangle law at odd thresholds
-couples those values with two infinite products over odd-index norms,
-taken as suffix sums to the end of the table.  The external-source law is
+extended precision at t > 2.5, and its rows are read off the reflection
+coefficients alone (``_square_log_cdf``).  The triangle and
+external-source laws reuse it, their boundary rates entering through one
+pass of polynomial values at -alpha, -a+ and -a-.  The triangle law at
+odd thresholds couples those values with two infinite products over
+odd-index norms, taken as suffix sums to the end of the table.  The external-source law is
 the Christoffel-Darboux kernel K_n(-a+, -a-) = sum_{k <= n} pi_k(-a+)
 pi_k(-a-) / N_k times the square's determinants, entire in both rates;
 its rows carry a float64 roundoff estimate from the size of the terms
@@ -140,6 +141,23 @@ def toeplitz_prob(log_z: float, ell: int, opuc: OpucData) -> float:
             f"ell = {ell} exceeds recursion cutoff {opuc.cutoff}"
         )
     return math.exp(-log_z + toeplitz_log_det(opuc, ell))
+
+
+def _square_log_cdf(opuc: OpucData) -> np.ndarray:
+    """log P(L <= ell) of the square for ell = 0..cutoff, from its
+    reflection coefficients r_j alone.
+
+    The square's norms tend to 1, so N_k = prod_{j > k} (1 - r_j^2)^-1 and
+    P(L <= ell) = prod_{k >= ell} 1 / N_k = prod_{j > ell} (1 - r_j^2)^(j -
+    ell).  With a_j = log1p(-r_j^2) <= 0 its log, sum_{j > ell} (j - ell)
+    a_j, is sum_{m > ell} T_m for the tails T_m = sum_{j >= m} a_j: two
+    reversed cumulative sums of terms of one sign, so nothing cancels, and
+    no row carries the float64 roundoff of log N_k or of log Z = t^2.  A
+    row reads r up to the cutoff, so the table must reach the converged
+    cutoff ``_default_cutoff(t, 0)``.
+    """
+    tails = np.cumsum(np.log1p(-np.square(opuc.reflection[:0:-1])))
+    return np.append(np.cumsum(tails)[::-1], 0.0)
 
 
 def triangle_rows(
@@ -432,24 +450,22 @@ def certified(value: float, bound: float, what: str, tol: float) -> float:
 def scaled_cdf(t: float, x: float, opuc: OpucData) -> float:
     """P(L <= floor(2t + x t^{1/3})), the edge-scaled staircase CDF.
 
-    Past the end of ``opuc`` the law has converged and its last row is
-    returned, provided the table reaches the converged cutoff
-    ``_default_cutoff(t, 0)``; a shorter table is refused.
+    Every row reads the reflection coefficients up to the end of ``opuc``
+    (``_square_log_cdf``), so the table must reach the converged cutoff
+    ``_default_cutoff(t, 0)``; a shorter table is refused.  Past its end
+    the law has converged and its last row is returned.
     """
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
     ell = math.floor(2.0 * t + x * t ** (1.0 / 3.0))
     if ell < 0:
         return 0.0
-    if ell > opuc.cutoff:
-        if opuc.cutoff < _default_cutoff(t, 0):
-            raise ValidationError(
-                f"ell = {ell} exceeds cutoff {opuc.cutoff}, which stops short "
-                f"of the converged cutoff {_default_cutoff(t, 0)} at t = {t}"
-            )
-        ell = opuc.cutoff
-    log_z = strong_szego_log_z(SymbolSpec(exp_plus_t=t, exp_minus_t=t))
-    return toeplitz_prob(log_z, ell, opuc)
+    if opuc.cutoff < _default_cutoff(t, 0):
+        raise ValidationError(
+            f"ell = {ell} needs a table to the converged cutoff "
+            f"{_default_cutoff(t, 0)} at t = {t}; this one stops at {opuc.cutoff}"
+        )
+    return math.exp(_square_log_cdf(opuc)[min(ell, opuc.cutoff)])
 
 
 # a probability may leave [0, 1], or fall below an earlier entry, by this much
@@ -523,9 +539,9 @@ Law = tuple[dict[int, tuple[float, float]], dict]
 
 
 def _square_law(model: ModelSpec, lmax: int) -> Law:
-    opuc, log_z = square_opuc(model.t, ell=lmax), normalization_log_z(model)
-    rows = {ell: (toeplitz_prob(log_z, ell, opuc), 0.0) for ell in range(lmax + 1)}
-    return rows, {"cutoff": opuc.cutoff}
+    opuc = square_opuc(model.t, ell=lmax)
+    log_p = _square_log_cdf(opuc)[: lmax + 1].tolist()
+    return {ell: (math.exp(lp), 0.0) for ell, lp in enumerate(log_p)}, {"cutoff": opuc.cutoff}
 
 
 def _lattice_law(model: ModelSpec, lmax: int) -> Law:

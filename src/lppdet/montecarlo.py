@@ -59,34 +59,37 @@ def patience_lis(values, strict: bool = True) -> int:
     return len(tops)
 
 
-def _patience_rows(vals, lens, strict: bool = True) -> np.ndarray:
-    """``patience_lis`` of every row's first ``lens[r]`` entries at once.
+def _patience_rows(flat, starts, lens, strict: bool = True, prefix=None) -> np.ndarray:
+    """``patience_lis`` of every row r = ``flat[starts[r] : starts[r] + lens[r]]``.
 
-    Patience sorting takes one step per point, so column j of the padded
-    array advances every row longer than j by one numpy operation.  Rows
-    are sorted by length, longest first, so the rows still active at a
-    column form a prefix; the pile tops are stored as (pile, row), so the
-    comparison against every pile of the active rows reads contiguous
-    memory.  Each row's tops increase along its piles, so the number of
-    tops below the new value (strict) or at most it (weak) is the pile
-    the value lands on, as bisect_left / bisect_right give in
-    ``patience_lis``.  Entries past a row's length are never read.
+    Patience sorting takes one step per point, so step j advances every
+    row longer than j by one numpy operation on their j-th points, read
+    from ``flat`` where they were drawn.  Rows are sorted by length,
+    longest first, so the rows still active at a step come first; the
+    pile tops are stored as (pile, row), so the comparison against every
+    pile of the active rows reads contiguous memory.  Each row's tops
+    increase along its piles, so the number of tops below the new value
+    (strict) or at most it (weak) is the pile the value lands on, as
+    bisect_left / bisect_right give in ``patience_lis``.  Row r of a
+    (rows, k) ``prefix``, a chain (sorted, strictly if ``strict``) padded
+    with inf, comes before row r: its entries open the first piles.
     """
     lens = np.asarray(lens, dtype=np.int64)
     rows = len(lens)
     width = int(lens.max(initial=0))
     order = np.argsort(-lens, kind="stable")
-    cols = np.asarray(vals, dtype=float).T[:width, order]
+    first = np.asarray(starts, dtype=np.int64)[order]
     active = rows - np.searchsorted(np.sort(lens), np.arange(width), side="right")
     below = np.less if strict else np.less_equal
-    # a pile index fits in int16 below 2^15 points, and its sum runs
+    head = np.empty((rows, 0)) if prefix is None else prefix
+    piles = head.shape[1]
+    # a pile index fits in int16 below 2^15 piles, and its sum runs
     # about twice as fast as one in intp
-    index_type = np.int16 if width < 2**15 else np.intp
-    tops = np.full((8, rows), np.inf)
+    index_type = np.int16 if piles + width < 2**15 else np.intp
+    tops = np.vstack([head[order].T, np.full((8, rows), np.inf)])
     where = np.arange(rows)
-    piles = 0
     for j, a in enumerate(active.tolist()):
-        v = cols[j, :a]
+        v = flat.take(first[:a] + j)
         idx = below(tops[:piles, :a], v).sum(axis=0, dtype=index_type)
         if idx.max() == piles:
             piles += 1
@@ -448,9 +451,9 @@ _BLOCK_SIZE = 2048
 # twice this a 2x2 block's peak memory would pass every other kind's
 _BLOCK_CELLS = 1 << 18
 
-# entries of one padded (rows, points) array; a block whose padded arrays
-# would be larger is sampled in row chunks, cut from the block's own
-# point counts so that the chunking never depends on the worker count
+# points of one row chunk, counted as its rows times its longest row; a
+# block with more is sampled in row chunks, cut from the block's own point
+# counts so that the chunking never depends on the worker count
 _PAD_ELEMENTS = 1 << 20
 
 
@@ -458,7 +461,7 @@ def _in_chunks(counts: np.ndarray, sample_rows) -> np.ndarray:
     """Chain values of a block, ``sample_rows(counts[chunk])`` per row chunk.
 
     ``counts`` holds one row per draw and one column per point process.
-    Rows without points are 0 and never reach ``sample_rows``.
+    A block without points is all 0 and never reaches ``sample_rows``.
     """
     lens = counts.sum(axis=1)
     out = np.zeros(len(lens), dtype=np.int64)
@@ -471,35 +474,19 @@ def _in_chunks(counts: np.ndarray, sample_rows) -> np.ndarray:
     return out
 
 
-def _padded(counts: np.ndarray, segments) -> np.ndarray:
-    """Point coordinates laid out as (rows, points), padded with inf.
-
-    Row r holds the next ``counts[r, s]`` entries of ``segments[s]`` for
-    each process s in turn; each flat segment lists its rows in order.
-    """
-    ends = np.cumsum(counts, axis=1)
-    width = int(ends[:, -1].max(initial=0))
-    out = np.full((len(counts), width), np.inf)
-    col = np.arange(width)
-    for s, flat in enumerate(segments):
-        lo = (ends[:, s] - counts[:, s])[:, np.newaxis]
-        out[(col >= lo) & (col < ends[:, s, np.newaxis])] = flat
-    return out
-
-
 def _square_block(model: ModelSpec, rng: np.random.Generator, count: int):
     """Longest chains among Poisson(t^2) uniform points in a square.
 
     Sorting the points by x leaves their y values in uniformly random
     order, independent of the point count, so the chain is the longest
     increasing subsequence of ``rng.random(n)`` in the order drawn and the
-    x coordinates are never drawn.
+    x coordinates are never drawn.  A chunk's rows are one flat stream.
     """
     counts = rng.poisson(model.t * model.t, size=(count, 1))
 
     def rows(c):
-        ys = _padded(c, [rng.random(int(c.sum()))])
-        return _patience_rows(ys, c[:, 0], strict=True)
+        n = c[:, 0]
+        return _patience_rows(rng.random(int(n.sum())), np.cumsum(n) - n, n, strict=True)
 
     return _in_chunks(counts, rows)
 
@@ -510,8 +497,8 @@ def _sorted_uniforms(rng: np.random.Generator, lens: np.ndarray) -> np.ndarray:
     Normalized exponential spacings (Devroye 1986, ch. V): with E_1, ...,
     E_(n+1) standard exponential and S_k = E_1 + ... + E_k, the ratios
     S_1 / S_(n+1) < ... < S_n / S_(n+1) have the law of n sorted uniforms.
-    Each row draws to the widest row's length; entries past a row's own
-    are never read.
+    Each row draws to the widest row's length; callers overwrite or skip
+    the entries past a row's own.
     """
     width = int(lens.max(initial=0))
     s = rng.standard_exponential((len(lens), width + 1))
@@ -532,7 +519,7 @@ def _triangle_block(model: ModelSpec, rng: np.random.Generator, count: int):
     otherwise has y uniform on [0, x); one uniform z on [-alpha, x) gives
     both, diagonal when z < 0 and y = z otherwise.  The chain is then the
     longest strictly increasing subsequence of the y values in the order
-    drawn.
+    drawn; y overwrites z, whose row r starts at r times the widest row.
     """
     t, alpha = model.t, model.alpha
     mass = t * (0.5 * t + alpha)
@@ -541,7 +528,9 @@ def _triangle_block(model: ModelSpec, rng: np.random.Generator, count: int):
     def rows(c):
         x = np.sqrt(alpha * alpha + 2.0 * mass * _sorted_uniforms(rng, c[:, 0])) - alpha
         z = rng.random(x.shape) * (x + alpha) - alpha
-        return _patience_rows(np.where(z < 0.0, x, z), c[:, 0], strict=True)
+        np.copyto(z, x, where=z < 0.0)
+        starts = np.arange(len(c)) * z.shape[1]
+        return _patience_rows(z.reshape(-1), starts, c[:, 0], strict=True)
 
     return _in_chunks(counts, rows)
 
@@ -552,7 +541,8 @@ def _external_block(model: ModelSpec, rng: np.random.Generator, count: int):
     Axis points share a coordinate, so chains are taken in the weak
     (product) order; in the bulk this coincides with strict chains almost
     surely.  In x order the points on the y axis (x = 0, rate alpha_-
-    t) come first, y ascending, drawn as sorted uniforms.  The rest form
+    t) come first, y ascending, drawn as sorted uniforms: a chain, the
+    kernel's ``prefix``.  The rest, a flat stream as the square's, form
     one Poisson process of intensity t + alpha_+ along (0, t]: each of its
     points lies on the x axis (y = 0) with probability alpha_+ / (t +
     alpha_+) and otherwise has y uniform on [0, t).  As for the square,
@@ -564,10 +554,12 @@ def _external_block(model: ModelSpec, rng: np.random.Generator, count: int):
 
     def rows(c):
         on_y = _sorted_uniforms(rng, c[:, 0])
-        on_y = t * on_y[np.arange(on_y.shape[1]) < c[:, :1]]
-        rest = rng.random(int(c[:, 1].sum())) * (t + a_plus) - a_plus
-        ys = _padded(c, [on_y, np.maximum(rest, 0.0, out=rest)])
-        return _patience_rows(ys, c.sum(axis=1), strict=False)
+        on_y[np.arange(on_y.shape[1]) >= c[:, :1]] = np.inf
+        on_y *= t
+        n = c[:, 1]
+        rest = rng.random(int(n.sum())) * (t + a_plus) - a_plus
+        np.maximum(rest, 0.0, out=rest)
+        return _patience_rows(rest, np.cumsum(n) - n, n, strict=False, prefix=on_y)
 
     return _in_chunks(counts, rows)
 
@@ -577,9 +569,10 @@ def _lines_block(model: ModelSpec, rng: np.random.Generator, count: int):
 
     Line i carries a Poisson(q_i t) process of positions.  Merged, the
     lines form one Poisson(t sum q) process whose line labels are i.i.d.
-    with weights q / sum q, so the labels are drawn in position order and
-    never sorted.  A chain may use several points of one line in model D
-    (weak order) and at most one in model E (strict order).
+    with weights q / sum q, so the labels are drawn in position order, a
+    flat stream as the square's, and never sorted.  A chain may use
+    several points of one line in model D (weak order) and at most one in
+    model E (strict order).
     """
     rates = np.asarray(model.col_params, dtype=float)
     lines = np.flatnonzero(rates > 0.0)  # a line of rate 0 gets no point
@@ -588,9 +581,10 @@ def _lines_block(model: ModelSpec, rng: np.random.Generator, count: int):
     strict = model.kind == ModelKind.POISSON_LINES_E
 
     def rows(c):
-        u = rng.random(int(c.sum())) * cum[-1]
+        n = c[:, 0]
+        u = rng.random(int(n.sum())) * cum[-1]
         labels = lines[np.searchsorted(cum[:-1], u, side="right")]
-        return _patience_rows(_padded(c, [labels]), c[:, 0], strict=strict)
+        return _patience_rows(labels, np.cumsum(n) - n, n, strict=strict)
 
     return _in_chunks(counts, rows)
 

@@ -300,7 +300,9 @@ def toeplitz_log_det(data: OpucData, order: int) -> float:
         raise ValidationError(
             f"order must lie in [0, cutoff + 1] = [0, {data.cutoff + 1}], got {order}"
         )
-    return float(np.sum(data.log_norms[:order]))
+    # np.sum's own pairwise sum, the same bits, without the dispatch that
+    # costs it about twice as much again on rows this short
+    return float(np.add.reduce(data.log_norms[:order]))
 
 
 def toeplitz_log_det_dense(coeffs: FourierTable, order: int) -> float:

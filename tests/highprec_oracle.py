@@ -9,7 +9,8 @@ orthogonal polynomial by a dense linear solve instead of the recursion,
 and ``levinson_two_family`` is the float64 recursion as it ran with both
 families for every symbol.
 ``prob_square_product`` reads the square law off the complementary product
-of norms, and ``triangle_law_mpf`` the triangle law off a dense
+of norms, ``square_law_bessel`` off the discrete Bessel determinant, which
+takes no recursion, and ``triangle_law_mpf`` the triangle law off a dense
 orthogonal-group determinant.  ``toeplitz_log_norms_fixed`` runs the
 asymmetric recursion for any ``SymbolSpec`` in fixed-point integers, on a
 table convolved from the symbol's one-sided power series instead of the
@@ -152,6 +153,46 @@ def prob_square_product(t: float, ell: int, opuc: OpucData) -> tuple[float, floa
     p = math.exp(-float(np.sum(logs)))
     szego = abs(float(np.sum(opuc.log_norms)) - t * t)
     return p, tail + p * szego
+
+
+def square_law_bessel(t: float, ells, dps: int = 40) -> dict[int, float]:
+    """P(L <= ell) of the square for each ell of ``ells``, as the Fredholm
+    determinant det(I - K) on l^2({ell, ell + 1, ...}) of the discrete
+    Bessel kernel K(x, y) = sum_{s >= 1} J_{x+s} J_{y+s} = t (J_x J_{y+1} -
+    J_{x+1} J_y) / (x - y), J_m = J_m(2t) (Borodin, Okounkov and
+    Olshanski; Johansson).
+
+    The space is cut at m = 2t + 10 t^(1/3) + 5, past which J_m^2 < 1e-20
+    for t >= 1.  The entries come from ``mpmath.besselj`` at ``dps``
+    digits and are eliminated in fixed point at that precision, without
+    pivoting, since I - K is positive definite.
+    """
+    bits = round((dps + 1) * math.log2(10.0))
+    top = int(2.0 * t + 10.0 * t ** (1.0 / 3.0) + 5.0)
+    out = {}
+    with mp.workdps(dps + 10):
+        two_t = 2 * mp.mpf(t)
+        j = [mp.besselj(m, two_t) for m in range(top + 2)]
+        tail = [mp.mpf(0)] * (top + 1)  # tail[m] = sum_{k > m} J_k^2
+        for m in range(top - 1, -1, -1):
+            tail[m] = tail[m + 1] + j[m + 1] ** 2
+        for ell in ells:
+            n = top - ell
+            a = np.empty((n, n), dtype=object)
+            for r in range(n):
+                for c in range(n):
+                    x, y = ell + r, ell + c
+                    if x == y:
+                        entry = 1 - tail[x]
+                    else:
+                        entry = -(t * (j[x] * j[y + 1] - j[x + 1] * j[y]) / (x - y))
+                    a[r, c] = int(mp.nint(mp.ldexp(entry, bits)))
+            det = mp.mpf(1)
+            for k in range(n):
+                det *= mp.ldexp(a[k, k], -bits)
+                a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :]) // a[k, k]
+            out[ell] = float(det)
+    return out
 
 
 def eval_pi_dense(coeffs: FourierTable, k: int, z) -> tuple[complex, complex]:

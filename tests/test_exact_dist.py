@@ -41,7 +41,12 @@ from lppdet.symbols import (
     normalization_log_z,
 )
 
-from highprec_oracle import group_means_mpf, prob_square_product, triangle_law_mpf
+from highprec_oracle import (
+    group_means_mpf,
+    prob_square_product,
+    square_law_bessel,
+    triangle_law_mpf,
+)
 from ogroup_quadrature import MAX_ELL, quadrature_expectation
 from route_points import external_point, group_mean, triangle_odd
 
@@ -106,6 +111,18 @@ def test_square_product_bound_covers_the_szego_residual():
     float64 = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
     via_product, bound = prob_square_product(t, ell, float64)
     assert abs(via_product - float(dense)) <= bound
+
+
+@pytest.mark.parametrize("t", [30.0, 90.0])
+def test_square_rows_match_the_discrete_bessel_determinant(t):
+    """Rows read off the reflection product, not exp(sum log N_k - t^2):
+    the float64 rounding of each log N_k summed to 8e-14 at t = 30 and
+    9e-13 at t = 90 on these rows, against 1e-16 here."""
+    c = t ** (1.0 / 3.0)
+    ells = [int(2.0 * t + k * c) for k in (-2, 0, 2, 4)]
+    rows, _ = exact_law(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=t), ells[-1])
+    for ell, want in square_law_bessel(t, ells).items():
+        assert abs(rows[ell][0] - want) <= 1e-15, ell
 
 
 @settings(deadline=None, max_examples=20)
@@ -561,13 +578,17 @@ def test_scaled_cdf_edges():
 
 
 def test_scaled_cdf_refuses_a_short_table():
-    """ell = 23 lies past a cutoff-10 table, whose last row P(L <= 10) =
-    0.999123 is far from the converged law; only a table that reaches the
-    converged cutoff may stand in for the rows past its end."""
-    with pytest.raises(ValidationError, match="converged cutoff"):
-        scaled_cdf(4.0, 10.0, square_opuc(4.0, cutoff=10))
+    """Every row reads the reflection coefficients to the end of the
+    table, so a cutoff-10 table, whose P(L <= 10) = 0.999123 is far from
+    the converged law, is refused at ell = 23 past its end and at ell = 8
+    inside it.  Past the end of a table that reaches the converged cutoff
+    its last row stands in, 1 in float64."""
+    short = square_opuc(4.0, cutoff=10)
+    for x in (10.0, 0.0):
+        with pytest.raises(ValidationError, match="converged cutoff"):
+            scaled_cdf(4.0, x, short)
     data = square_opuc(4.0)
-    assert scaled_cdf(4.0, 30.0, data) == toeplitz_prob(16.0, data.cutoff, data)
+    assert scaled_cdf(4.0, 30.0, data) == 1.0
 
 
 def test_dist_table_round_trip_and_rows():

@@ -88,32 +88,51 @@ def test_longest_chain_matches_point_dp(points, strict):
     assert longest_chain_2d(xs, ys, strict=strict) == _chain_dp(points, strict)
 
 
-def _pad_rows(rows):
-    """Ragged rows as a padded float array and their lengths."""
+def _stream(rows):
+    """Ragged rows as one flat stream and their starts and lengths.
+
+    The rows are laid out last first with a junk entry before each, so
+    the kernel must read every row where its start says.
+    """
     lens = np.array([len(r) for r in rows], dtype=np.int64)
-    vals = np.full((len(rows), int(lens.max(initial=0))), np.inf)
-    for i, r in enumerate(rows):
-        vals[i, : len(r)] = r
-    return vals, lens
+    flat, starts = [], np.zeros(len(rows), dtype=np.int64)
+    for i in reversed(range(len(rows))):
+        flat.append(-7)
+        starts[i] = len(flat)
+        flat.extend(rows[i])
+    return np.array(flat, dtype=float), starts, lens
+
+
+_ROWS = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 4), max_size=25),
+        st.builds(lambda v, n: [v] * n, st.integers(0, 4), st.integers(0, 12)),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 @settings(deadline=None, max_examples=200)
-@given(
-    rows=st.lists(
-        st.one_of(
-            st.lists(st.integers(0, 4), max_size=25),
-            st.builds(lambda v, n: [v] * n, st.integers(0, 4), st.integers(0, 12)),
-        ),
-        min_size=1,
-        max_size=8,
-    ),
-    strict=st.booleans(),
-)
+@given(rows=_ROWS, strict=st.booleans())
 def test_patience_rows_match_patience_lis(rows, strict):
     """Integer ties, empty rows, all-equal rows and ragged lengths."""
-    vals, lens = _pad_rows(rows)
-    got = _patience_rows(vals, lens, strict=strict)
+    got = _patience_rows(*_stream(rows), strict=strict)
     assert got.tolist() == [patience_lis(r, strict=strict) for r in rows]
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows=_ROWS, heads=st.lists(st.lists(st.integers(0, 4), max_size=6), min_size=8, max_size=8),
+       strict=st.booleans())
+def test_patience_rows_prefix_opens_the_first_piles(rows, heads, strict):
+    """A sorted prefix (strictly for strict chains) padded with inf counts
+    as if it came before its row, with ties against the row's entries."""
+    heads = [sorted(set(h) if strict else h) for h in heads[: len(rows)]]
+    prefix = np.full((len(rows), max(map(len, heads))), np.inf)
+    for i, h in enumerate(heads):
+        prefix[i, : len(h)] = h
+    got = _patience_rows(*_stream(rows), strict=strict, prefix=prefix)
+    assert got.tolist() == [patience_lis(h + r, strict=strict) for h, r in zip(heads, rows)]
 
 
 # ------------------------------------------------- exact distribution data
@@ -507,6 +526,34 @@ _POISSON_MODELS = [
 ]
 
 
+# run_simulation counts of each model above at 3000 trials (two blocks),
+# seed 7.  The streams, their draw order and the chunk rule fix them, so a
+# change to the chain kernel alone must keep them
+_PINNED_COUNTS = {
+    ModelKind.POISSON_SQUARE: {1: 14, 2: 278, 3: 751, 4: 999, 5: 621, 6: 266, 7: 61, 8: 8, 9: 2},
+    ModelKind.POISSON_TRIANGLE: {
+        0: 9, 1: 119, 2: 434, 3: 790, 4: 788, 5: 520, 6: 222, 7: 90, 8: 22, 9: 5, 10: 1,
+    },
+    ModelKind.TRIANGLE_POISSON_FS: {
+        0: 20, 1: 173, 2: 442, 3: 717, 4: 697, 5: 475, 6: 273, 7: 112, 8: 58, 9: 22,
+        10: 6, 11: 3, 12: 1, 13: 1,
+    },
+    ModelKind.POISSON_EXTERNAL: {
+        1: 20, 2: 203, 3: 650, 4: 822, 5: 664, 6: 381, 7: 174, 8: 52, 9: 23, 10: 10, 11: 1,
+    },
+    ModelKind.POISSON_LINES_D: {
+        0: 119, 1: 562, 2: 864, 3: 721, 4: 436, 5: 191, 6: 68, 7: 30, 8: 4, 9: 3, 10: 2,
+    },
+    ModelKind.POISSON_LINES_E: {0: 9, 1: 421, 2: 1739, 3: 831},
+}
+
+
+@pytest.mark.parametrize("model", _POISSON_MODELS, ids=_case_id)
+def test_poisson_seeded_counts_are_pinned(model):
+    counts = run_simulation(SimConfig(model=model, trials=3000, seed=7)).counts
+    assert counts == _PINNED_COUNTS[model.kind]
+
+
 @pytest.mark.parametrize("model", _POISSON_MODELS, ids=_case_id)
 def test_block_samplers_match_per_draw_oracles(model):
     """Two-sample z at every threshold of the empirical CDFs, block sampler
@@ -619,16 +666,41 @@ def test_row_chunks_leave_square_draws_unchanged(monkeypatch):
     assert np.array_equal(chunked, whole)
 
 
-def test_large_square_stays_within_the_padding_budget():
-    """Unchunked, one padded array of this block would take about 60 MiB."""
-    model = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=60.0)
+def _block_peak(model: ModelSpec) -> float:
+    """tracemalloc peak of one 2048-draw block, in units of 8 x
+    ``_PAD_ELEMENTS`` bytes (one chunk's points in float64)."""
     tracemalloc.start()
     try:
         run_simulation(SimConfig(model=model, trials=2048, seed=0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * montecarlo._PAD_ELEMENTS
+    return peak / (8 * montecarlo._PAD_ELEMENTS)
+
+
+def test_large_square_stays_within_the_padding_budget():
+    """Unchunked, this block's points would take about 60 MiB.  A chunk's
+    points are one flat stream, sorted where they lie: the block peaks at
+    about 1.1 units."""
+    assert _block_peak(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=60.0)) < 1.5
+
+
+@pytest.mark.parametrize(
+    "model, bound",
+    [
+        # the y-axis chain is a small prefix beside the flat bulk stream:
+        # about 1.2 units
+        (ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=40.0, alpha_plus=0.5, alpha_minus=0.5), 1.5),
+        # the mapped x, the uniforms z and x + alpha: about 3.0 units
+        (ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=60.0, alpha=0.5), 3.5),
+        # uniforms, their line indices and the labels: about 2.8 units
+        (ModelSpec(kind=ModelKind.POISSON_LINES_D, t=300.0, col_params=(0.5,) * 8), 3.5),
+        (ModelSpec(kind=ModelKind.POISSON_LINES_E, t=300.0, col_params=(0.5,) * 8), 3.5),
+    ],
+    ids=lambda v: _case_id(v) if isinstance(v, ModelSpec) else str(v),
+)
+def test_large_poisson_blocks_stay_within_the_chunk_budget(model, bound):
+    assert _block_peak(model) < bound
 
 
 @pytest.mark.parametrize("n, multiple", [(2, 3), (20, 4)], ids=["2x2", "20x20"])
