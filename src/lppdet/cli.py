@@ -352,7 +352,7 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
     )
     checks["triangle_vs_orthogonal_group"] = abs(triangle - triangle_fs)
     # log det(1 - K_0) = log D_0 - log Z = -log Z
-    spec = IntegrableKernelSpec(symbol=square, k=0, nodes=64)
+    spec = IntegrableKernelSpec(t=1.0, k=0, nodes=64)
     checks["fredholm_det_t1_k0"] = abs(fredholm_log_det(spec) + log_z)
     dist = brute_force_lis_distribution(6)
     total = sum(dist.values())

@@ -23,9 +23,8 @@ that cancel.  The triangle-FS and symmetrized lattice laws are
 orthogonal-group averages (``ogroup_law``), evaluated as Toeplitz +-
 Hankel determinants of psi(z) psi(1/z).  These are leading minors of four
 positive definite Gram matrices, so one batched Cholesky factorization
-gives every row of a table, and one batched ``eigvalsh`` the eigenvalues
-of a first-order float64 bound; the triangle-FS law is an independent
-route to the triangle law.
+gives every row of a table and the data of its first-order float64
+bound; the triangle-FS law is an independent route to the triangle law.
 Lattice and lines rows carry a measured float64 error too: the spread
 against a twin recursion on a second quadrature grid.
 """
@@ -292,8 +291,8 @@ def _pair_coeffs(spec: SymbolSpec, lmax: int) -> np.ndarray:
 
 def _cholesky_reach(mat: np.ndarray) -> tuple[int, np.ndarray]:
     """(p, L): the largest leading block mat[:p, :p] that float64 Cholesky
-    factors, found by bisection, and its factor padded with zeros."""
-    lo, hi, factor = 0, len(mat) + 1, np.zeros_like(mat)
+    factors, found by bisection, and its factor padded with the identity."""
+    lo, hi, factor = 0, len(mat) + 1, np.eye(len(mat))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
@@ -304,59 +303,37 @@ def _cholesky_reach(mat: np.ndarray) -> tuple[int, np.ndarray]:
     return lo, factor
 
 
-# numbers per batch of padded blocks in ``_leading_minors`` (16 MiB): every
-# catalogue table is one batch, and an lmax of thousands stays in memory
-_EIG_BATCH = 1 << 21
-
-
 def _leading_minors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log det, lambda_max, trace of the inverse) of the leading m x m
-    blocks of each symmetric matrix of ``mats`` (shape (f, s, s)), as
-    arrays of shape (f, s + 1) indexed by m; the empty block has log det 0
-    and trace 0.
+    """(log det, bound on lambda_max, trace of the inverse) of the leading
+    m x m blocks of each symmetric matrix of ``mats`` (shape (f, s, s)), as
+    arrays of shape (f, s + 1) indexed by m; the empty block has 0 in all
+    three.
 
-    One Cholesky factorization per matrix serves every block: a block's
-    factor is the leading block of the matrix's, so its log det is a
-    partial sum of 2 log L_ii.  The eigenvalues come from one batched
-    ``eigvalsh`` over every block, each padded to s x s with its own first
-    diagonal entry d, which lies between the block's extreme eigenvalues:
-    lambda_max and kappa_2 stay as they are, and the padding adds exactly
-    (s - m) / d to the trace of the inverse; ``eigvalsh`` takes them in
-    batches of ``_EIG_BATCH`` numbers.  A Cholesky breakdown at size
-    p, or an eigenvalue <= 0, leaves a block with log det nan and trace
-    inf; blocks below p keep theirs.
+    One Cholesky factor L per matrix serves every block: a block's factor
+    L_m is the leading block of L, so its log det is a partial sum of
+    2 log L_ii, and, L^-1 being lower triangular, tr(M_m^-1) = |L_m^-1|_F^2
+    is a partial sum of the squared row norms of L^-1.  By Cauchy
+    interlacing a block's lambda_max is at most its matrix's, from one
+    ``eigvalsh`` of the f matrices, and at most its own trace; the smaller
+    of the two is returned.  A Cholesky breakdown at size p leaves every
+    larger block with log det nan and trace inf, the unreached tail of L
+    set to the identity; blocks below p keep theirs.
     """
     count, size = mats.shape[:2]
     try:
         factor, reach = np.linalg.cholesky(mats), np.full(count, size)
     except np.linalg.LinAlgError:
-        factor = np.zeros_like(mats)
+        factor = np.empty_like(mats)
         reach = np.zeros(count, dtype=int)
         for f, mat in enumerate(mats):
             reach[f], factor[f] = _cholesky_reach(mat)
-    m = np.arange(1, size + 1)
-    log_det = np.zeros((count, size + 1))
-    with np.errstate(divide="ignore"):
-        diag = np.diagonal(factor, axis1=1, axis2=2)
-        log_det[:, 1:] = np.cumsum(2.0 * np.log(diag), axis=1)
-    inside = np.arange(size) < m[:, None]  # (block size, row)
-    block = inside[:, :, None] & inside[:, None, :]
-    first = mats[:, :1, :1]
-    pad = np.eye(size) * first[:, None]
-    # the padded blocks hold count s^3 numbers; a batch holds at most
-    # _EIG_BATCH of them
-    step = max(1, _EIG_BATCH // (count * size * size))
-    eig = np.concatenate([
-        np.linalg.eigvalsh(np.where(block[lo : lo + step], mats[:, None], pad))
-        for lo in range(0, size, step)
-    ], axis=1)
-    lam_max, inv_trace = np.zeros((count, size + 1)), np.zeros((count, size + 1))
-    lam_max[:, 1:] = eig[..., -1]
-    with np.errstate(divide="ignore"):
-        inv_trace[:, 1:] = np.sum(1.0 / eig, axis=-1) - (size - m) / first[:, 0]
-    # by eigenvalue interlacing a block past one with lambda_min <= 0 has one too
-    indefinite = np.logical_or.accumulate(eig[..., 0] <= 0.0, axis=1)
-    broken = (m > reach[:, None]) | indefinite
+    log_det, lam_max, inv_trace = np.zeros((3, count, size + 1))
+    diag = np.diagonal(factor, axis1=1, axis2=2)
+    log_det[:, 1:] = np.cumsum(2.0 * np.log(diag), axis=1)
+    inv_trace[:, 1:] = np.cumsum(np.square(np.linalg.inv(factor)).sum(axis=2), axis=1)
+    trace = np.cumsum(np.diagonal(mats, axis1=1, axis2=2), axis=1)
+    lam_max[:, 1:] = np.minimum(np.linalg.eigvalsh(mats)[:, -1:], trace)
+    broken = np.arange(1, size + 1) > reach[:, None]
     log_det[:, 1:][broken] = np.nan
     inv_trace[:, 1:][broken] = np.inf
     return log_det, lam_max, inv_trace
@@ -393,24 +370,26 @@ def ogroup_law(psi: SymbolSpec, log_z: float, lmax: int) -> list[tuple[float, fl
     and the four matrices are the Gram matrices of cos j th, sin (j+1) th,
     sin (j+1/2) th and cos (j+1/2) th under the weight g / pi, so each is
     positive definite, and the m x m matrix of any row is the leading
-    block of its family's largest.  So one Fourier table of g, one batched
-    Cholesky factorization of the four largest matrices and one batched
-    ``eigvalsh`` of their leading blocks (``_leading_minors``) serve every
-    row; the empty group's mean is 1.
+    block of its family's largest.  So one Fourier table of g and one
+    batched Cholesky factorization of the four largest matrices
+    (``_leading_minors``) serve every row; the empty group's mean is 1.
 
     The bound is first order.  A component's log det moves by
     tr(M^-1 dM) when M does by dM, and |tr(M^-1 dM)| <= |dM|_2 tr(M^-1)
     for positive definite M.  dM is Cholesky's backward error, charged as
-    eps lambda_max (so this term is at most m kappa_2 eps, kappa_2 =
-    lambda_max / lambda_min), plus the g table's roundoff, charged as
+    eps lambda_max, plus the g table's roundoff, charged as
     ``_TABLE_ROUNDOFF`` eps g_0; both cover what was measured.  The
-    exponential adds eps |log det - log_z|, the scalars
-    ``_SCALAR_ROUNDOFF`` eps, and the components may cancel (psi(-1) < 0
-    once a zero parameter exceeds 1), so the bound adds their absolute
-    errors and eps |mean| for the sum.  A row whose block breaks down, or
-    is not positive definite in float64, carries an infinite bound; rows
-    of smaller blocks keep theirs.  Bounds are returned, not enforced:
-    callers certify with ``certified``.
+    factor gives tr(M^-1) as the squared Frobenius norm of the inverse of
+    the block's factor, and lambda_max is charged as the smaller of the
+    family matrix's largest eigenvalue and the block's trace, both upper
+    bounds on it.  The exponential adds eps |log det - log_z|, the
+    scalars ``_SCALAR_ROUNDOFF`` eps, and the components may cancel
+    (psi(-1) < 0 once a zero parameter exceeds 1), so the bound adds
+    their absolute errors and eps |mean| for the sum.  A row whose block
+    lies past a breakdown of the factorization carries an infinite bound;
+    rows of smaller blocks keep theirs, and a factored block that is
+    numerically singular gets a huge bound from tr(M^-1).  Bounds are
+    returned, not enforced: callers certify with ``certified``.
     """
     if lmax < 0:
         raise ValidationError(f"lmax must be >= 0, got {lmax}")

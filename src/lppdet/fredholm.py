@@ -1,10 +1,11 @@
 """Integrable-kernel Fredholm determinants on the circle.
 
 The kernel couples a pure power ratio z^(-k) w^k with the ratio of the
-symbol's analytic factors, with the diagonal installed through the
-analytic limit of the vanishing numerator.  Nystrom discretization on
-equally spaced nodes with oriented-contour weights is spectrally
-accurate here because the kernel is smooth and periodic.
+analytic factors of the square's symbol exp(t(z + 1/z)), with the
+diagonal installed through the analytic limit of the vanishing
+numerator.  Nystrom discretization on equally spaced nodes with
+oriented-contour weights is spectrally accurate here because the kernel
+is smooth and periodic.
 
 These determinants give a second, structurally different route to the
 Toeplitz quantities: a ratio identity against the recursion norms, and
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import BreakdownError, ValidationError
 from .opuc import OpucData
-from .symbols import SymbolSpec, evaluate_symbol, strong_szego_log_z
+from .symbols import SymbolSpec, strong_szego_log_z
 
 __all__ = [
     "IntegrableKernelSpec",
@@ -40,15 +41,15 @@ _IMAG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class IntegrableKernelSpec:
-    """Discretized integrable operator for one symbol and one index k.
+    """Discretized integrable operator of the square's symbol
+    exp(t(z + 1/z)) for one index k.
 
-    The symbol's plus-indexed factors form the inner analytic piece
-    (value 1 at the origin) and the minus-indexed factors the outer one
-    (value 1 at infinity); their ratio is the function psi driving the
-    kernel.
+    Its inner analytic factor exp(t z) (value 1 at the origin) over its
+    outer one exp(t / z) (value 1 at infinity) is the function psi
+    driving the kernel.
     """
 
-    symbol: SymbolSpec
+    t: float
     k: int
     nodes: int = 128
 
@@ -69,37 +70,12 @@ class IntegrableKernelSpec:
     def node_weights(self) -> np.ndarray:
         return 2j * np.pi * self.node_points / self.nodes
 
-    @cached_property
-    def _halves(self) -> tuple[SymbolSpec, SymbolSpec]:
-        s = self.symbol
-        plus = SymbolSpec(
-            exp_plus_t=s.exp_plus_t, zeros_plus=s.zeros_plus, poles_plus=s.poles_plus
-        )
-        minus = SymbolSpec(
-            exp_minus_t=s.exp_minus_t,
-            zeros_minus=s.zeros_minus,
-            poles_minus=s.poles_minus,
-        )
-        return plus, minus
-
     def psi(self, z):
-        plus, minus = self._halves
-        return evaluate_symbol(plus, z) / evaluate_symbol(minus, z)
+        return np.exp(self.t * z) / np.exp(self.t / z)
 
     def dlog_psi(self, z):
-        """Logarithmic derivative of psi, assembled factor by factor."""
-        s = self.symbol
-        out = np.full_like(np.asarray(z, dtype=complex), s.exp_plus_t)
-        for a in s.zeros_plus:
-            out = out + a / (1.0 + a * z)
-        for c in s.poles_plus:
-            out = out + c / (1.0 - c * z)
-        out = out + s.exp_minus_t / z**2
-        for b in s.zeros_minus:
-            out = out + (b / z**2) / (1.0 + b / z)
-        for d in s.poles_minus:
-            out = out + (d / z**2) / (1.0 - d / z)
-        return out
+        """Logarithmic derivative of psi."""
+        return self.t + self.t / z**2
 
 
 def kernel_matrix(spec: IntegrableKernelSpec) -> np.ndarray:
@@ -183,11 +159,9 @@ def identity_checks(t: float, k_max: int, opuc: OpucData) -> IdentityReport:
         raise ValidationError(
             f"k_max must lie in [0, cutoff] = [0, {opuc.cutoff}], got {k_max}"
         )
-    symbol = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
-    log_z = strong_szego_log_z(symbol)  # t^2
+    log_z = strong_szego_log_z(SymbolSpec(exp_plus_t=t, exp_minus_t=t))  # t^2
     log_dets = [
-        fredholm_log_det(IntegrableKernelSpec(symbol=symbol, k=k))
-        for k in range(k_max + 1)
+        fredholm_log_det(IntegrableKernelSpec(t=t, k=k)) for k in range(k_max + 1)
     ]
     ratio = []
     for k in range(1, k_max + 1):

@@ -582,8 +582,11 @@ def _lines_block(model: ModelSpec, rng: np.random.Generator, count: int):
 
     def rows(c):
         n = c[:, 0]
-        u = rng.random(int(n.sum())) * cum[-1]
-        labels = lines[np.searchsorted(cum[:-1], u, side="right")]
+        u = rng.random(int(n.sum()))
+        u *= cum[-1]
+        index = np.searchsorted(cum[:-1], u, side="right")
+        del u  # the uniforms go before the labels are gathered
+        labels = lines[index]
         return _patience_rows(labels, np.cumsum(n) - n, n, strict=strict)
 
     return _in_chunks(counts, rows)

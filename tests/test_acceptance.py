@@ -22,7 +22,6 @@ from lppdet.exact_dist import (
     build_dist_table,
     scaled_cdf,
     square_opuc,
-    toeplitz_prob,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
 from lppdet.montecarlo import (
@@ -52,8 +51,9 @@ SLOPE_WINDOW = (-2.0 / 3.0 - 0.2, -2.0 / 3.0 + 0.2)
 # ---------------------------------------------------------------- criterion 1
 
 
-def test_criterion_1_exact_vs_combinatorial(opuc_t1, criterion_log):
-    """Poissonized counting oracle against the determinant route at t=1."""
+def test_criterion_1_exact_vs_combinatorial(criterion_log):
+    """Poissonized counting oracle against the rows ``dist square`` writes
+    at t=1."""
     # enumeration over S_n pins the per-size laws the mixture is built from
     for n in range(0, 9):
         counts = brute_force_lis_distribution(n)
@@ -61,11 +61,12 @@ def test_criterion_1_exact_vs_combinatorial(opuc_t1, criterion_log):
         for ell in range(0, n + 1):
             acc += counts.get(ell, 0)
             assert Fraction(acc, math.factorial(n)) == plancherel_lis_cdf(n, ell)
+    table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0), 5)
     worst = 0.0
     for ell in range(1, 6):
         oracle, tail = poissonized_square_cdf(1.0, ell)
         assert tail < 1e-12
-        worst = max(worst, abs(oracle - toeplitz_prob(1.0, ell, opuc_t1)))
+        worst = max(worst, abs(oracle - table.probability(ell)))
     criterion_log(
         1, worst < 1e-8, f"max |oracle - determinant| = {worst:.3e} (tol 1e-8)"
     )
@@ -113,8 +114,7 @@ def test_criterion_3_fredholm_identities(criterion_log):
         worst = max(worst, report.max_residual)
         # far above the transition the renormalized determinant saturates
         k = math.ceil(2.0 * t + 15.0)
-        sym = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
-        ld = fredholm_log_det(IntegrableKernelSpec(symbol=sym, k=k, nodes=128))
+        ld = fredholm_log_det(IntegrableKernelSpec(t=t, k=k, nodes=128))
         worst_sat = max(worst_sat, abs(math.exp(ld - k * math.log(2.0)) - 1.0))
     ok = worst < 1e-6 and worst_sat < 1e-6
     criterion_log(
@@ -276,8 +276,10 @@ def test_criterion_6_solver_stability_and_tails(sol, criterion_log):
 def test_criterion_7_monte_carlo_cross_validation(opuc_t1, criterion_log):
     trials, seed = 200000, 7
 
+    square = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0)
+
     def exact_square(ell):
-        return toeplitz_prob(1.0, ell, opuc_t1)
+        return build_dist_table(square, ell).probability(ell)
 
     def exact_triangle(alpha):
         def f(ell):

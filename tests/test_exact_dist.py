@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lppdet import exact_dist
 from lppdet.errors import (
     BreakdownError,
     ConditioningError,
@@ -56,17 +55,19 @@ def top_of_table(model, ell):
     return build_dist_table(model, ell).probability(ell)
 
 
-def test_square_closed_form_first_levels(opuc_t1):
-    """At t = 1, P(L <= 0) = e^{-1} and P(L <= 1) = e^{-1} I_0(2)."""
+def test_square_closed_form_first_levels():
+    """At t = 1, P(L <= 0) = e^{-1} and P(L <= 1) = e^{-1} I_0(2), on the
+    rows ``dist square`` writes."""
     from scipy.special import iv
 
-    assert toeplitz_prob(1.0, 0, opuc_t1) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert toeplitz_prob(1.0, 1, opuc_t1) == pytest.approx(
+    table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0), 1)
+    assert table.probability(0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert table.probability(1) == pytest.approx(
         math.exp(-1.0) * float(iv(0, 2.0)), rel=1e-13
     )
 
 
-def test_square_frozen_table(opuc_t1):
+def test_square_frozen_table():
     expected = {
         0: 0.36787944117144233,
         1: 0.8386125671260257,
@@ -75,8 +76,9 @@ def test_square_frozen_table(opuc_t1):
         4: 0.9999474581266296,
         5: 0.9999984914527477,
     }
+    table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0), 5)
     for ell, value in expected.items():
-        assert toeplitz_prob(1.0, ell, opuc_t1) == pytest.approx(value, abs=1e-12)
+        assert table.probability(ell) == pytest.approx(value, abs=1e-12)
 
 
 def test_square_out_of_range(opuc_t1):
@@ -140,9 +142,8 @@ def test_square_past_the_old_precision_limit():
     2^-k det(1 - K_k), an independent float64 route, at the top of the law."""
     t, lmax = 100.0, 228
     table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=t), lmax)
-    symbol = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
     for k in (200, 214, 228):
-        log_det = fredholm_log_det(IntegrableKernelSpec(symbol=symbol, k=k, nodes=512))
+        log_det = fredholm_log_det(IntegrableKernelSpec(t=t, k=k, nodes=512))
         fredholm_p = math.exp(log_det - k * math.log(2.0))
         assert table.probability(k) == pytest.approx(fredholm_p, abs=1e-11)
 
@@ -490,7 +491,8 @@ def test_group_bound_covers_the_float64_error():
 def test_leading_minors_refuse_only_blocks_past_a_breakdown():
     """Cholesky of the second matrix breaks down at size 3: its blocks of
     size 3 and 4 are refused, its smaller ones and every block of the
-    first matrix keep their log det and eigenvalue data."""
+    first matrix keep their log det and inverse trace, read off the one
+    factor, and a lambda_max bound between the block's own and its trace."""
     good = np.array([[4.0, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 0.5], [0, 0, 0.5, 1]])
     bad = np.diag([2.0, 1.0, -1.0, 1.0])
     bad[0, 1] = bad[1, 0] = 0.5
@@ -503,8 +505,8 @@ def test_leading_minors_refuse_only_blocks_past_a_breakdown():
             block = mat[:m, :m]
             eig = np.linalg.eigvalsh(block)
             assert log_det[f, m] == pytest.approx(np.linalg.slogdet(block)[1], rel=1e-14)
-            assert lam_max[f, m] == pytest.approx(eig[-1], rel=1e-14)
             assert inv_trace[f, m] == pytest.approx(np.sum(1.0 / eig), rel=1e-13)
+            assert eig[-1] <= lam_max[f, m] <= np.trace(block)
     assert log_det[:, 0].tolist() == [0.0, 0.0]
 
 
@@ -526,10 +528,11 @@ def test_group_breakdown_refuses_only_the_rows_that_need_it():
         assert side == list(range(side[0], 41, 2))
 
 
-def test_group_law_blocks_stay_within_their_batch_budget(monkeypatch):
-    """The padded blocks of one table hold 4 s^3 numbers, 256 MB at
-    lmax 400; eigvalsh takes them in batches of at most _EIG_BATCH, and
-    the batching does not change a row."""
+def test_group_law_holds_a_few_family_sized_arrays():
+    """At lmax 400 the four families hold 4 s^2 numbers, s = 200, and so
+    do their factor and its inverse: the table peaks at about four such
+    arrays (5.2 MB under tracemalloc).  Eigenvalues of every leading
+    block, each padded to s x s, took 29.8 MB."""
     psi = SymbolSpec(exp_plus_t=1.0, zeros_plus=(0.5,))
     tracemalloc.start()
     try:
@@ -537,10 +540,7 @@ def test_group_law_blocks_stay_within_their_batch_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * exact_dist._EIG_BATCH
-    whole = ogroup_law(psi, 0.0, 60)
-    monkeypatch.setattr(exact_dist, "_EIG_BATCH", 4 * 30 * 30 * 7)
-    assert ogroup_law(psi, 0.0, 60) == whole
+    assert peak < 5 * 8 * 4 * 200**2
 
 
 def test_symmetrized_table_past_the_old_quadrature_limit():

@@ -16,18 +16,13 @@ from lppdet.fredholm import (
     identity_checks,
     kernel_matrix,
 )
-from lppdet.symbols import SymbolSpec
-
-
-def square_symbol(t):
-    return SymbolSpec(exp_plus_t=t, exp_minus_t=t)
 
 
 def test_k0_determinant_is_gaussian_void_probability():
     """det(1 - K_0) equals the no-point probability exp(-t^2); the right
     side needs no linear algebra at all."""
     for t in (0.5, 1.0, 1.5):
-        spec = IntegrableKernelSpec(symbol=square_symbol(t), k=0, nodes=64)
+        spec = IntegrableKernelSpec(t=t, k=0, nodes=64)
         assert fredholm_log_det(spec) == pytest.approx(-t * t, abs=1e-12)
 
 
@@ -35,14 +30,14 @@ def test_k1_determinant_from_bessel():
     # log det(1 - K_1) = log I_0(2t) - t^2 + log 2, with the Bessel value
     # from scipy rather than the recursion
     t = 1.0
-    spec = IntegrableKernelSpec(symbol=square_symbol(t), k=1, nodes=96)
+    spec = IntegrableKernelSpec(t=t, k=1, nodes=96)
     expected = math.log(float(iv(0, 2.0 * t))) - t * t + math.log(2.0)
     assert fredholm_log_det(spec) == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_t_determinants_are_powers_of_two():
     for k in range(0, 4):
-        spec = IntegrableKernelSpec(symbol=square_symbol(0.0), k=k, nodes=64)
+        spec = IntegrableKernelSpec(t=0.0, k=k, nodes=64)
         assert fredholm_log_det(spec) == pytest.approx(
             k * math.log(2.0), abs=1e-12
         )
@@ -68,17 +63,13 @@ def test_normalized_dets_are_cdf_values():
 
 def test_node_halving_stability():
     t = 1.5
-    coarse = fredholm_log_det(
-        IntegrableKernelSpec(symbol=square_symbol(t), k=2, nodes=64)
-    )
-    fine = fredholm_log_det(
-        IntegrableKernelSpec(symbol=square_symbol(t), k=2, nodes=128)
-    )
+    coarse = fredholm_log_det(IntegrableKernelSpec(t=t, k=2, nodes=64))
+    fine = fredholm_log_det(IntegrableKernelSpec(t=t, k=2, nodes=128))
     assert abs(coarse - fine) < 1e-12
 
 
 def test_kernel_matrix_shape_and_finiteness():
-    spec = IntegrableKernelSpec(symbol=square_symbol(1.0), k=1, nodes=32)
+    spec = IntegrableKernelSpec(t=1.0, k=1, nodes=32)
     m = kernel_matrix(spec)
     assert m.shape == (32, 32)
     assert np.all(np.isfinite(m))
@@ -86,11 +77,11 @@ def test_kernel_matrix_shape_and_finiteness():
 
 def test_spec_validation():
     with pytest.raises(ValidationError):
-        IntegrableKernelSpec(symbol=square_symbol(1.0), k=-1)
+        IntegrableKernelSpec(t=1.0, k=-1)
     with pytest.raises(ValidationError):
-        IntegrableKernelSpec(symbol=square_symbol(1.0), k=0, nodes=65)
+        IntegrableKernelSpec(t=1.0, k=0, nodes=65)
     with pytest.raises(ValidationError):
-        IntegrableKernelSpec(symbol=square_symbol(1.0), k=0, nodes=8)
+        IntegrableKernelSpec(t=1.0, k=0, nodes=8)
 
 
 def test_identity_checks_validation():
@@ -109,10 +100,3 @@ def test_report_json_contains_residuals():
     assert d["max_residual"] == report.max_residual
     assert len(d["normalized_dets"]) == 3
 
-
-def test_lattice_symbol_kernel_runs():
-    """The kernel accepts rational symbols too; the determinant only has
-    to come out real and finite here."""
-    sym = SymbolSpec(zeros_plus=(0.3, 0.2), zeros_minus=(0.25, 0.2))
-    val = fredholm_log_det(IntegrableKernelSpec(symbol=sym, k=1, nodes=64))
-    assert math.isfinite(val)
