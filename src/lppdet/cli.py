@@ -222,7 +222,7 @@ def cmd_tw(args, out_dir: Path) -> None:
 
 def _suite_dpii(args) -> tuple[dict, bool, str]:
     kmax = max(args.kmax, 3)
-    data = square_opuc(args.t, cutoff=kmax + 2)
+    data = square_opuc(args.t, ell=kmax + 1)
     residuals = {str(k): dpii_residual(data, args.t, k) for k in range(2, kmax + 1)}
     worst = max(residuals.values())
     report = {"t": args.t, "kmax": kmax, "residuals": residuals, "max_residual": worst}
@@ -231,7 +231,7 @@ def _suite_dpii(args) -> tuple[dict, bool, str]:
 
 def _suite_fredholm(args) -> tuple[dict, bool, str]:
     kmax = max(args.kmax, 1)
-    data = square_opuc(args.t, cutoff=kmax + 2)
+    data = square_opuc(args.t, ell=kmax)
     report = identity_checks(args.t, kmax, data)
     worst = report.max_residual
     return (
@@ -332,7 +332,7 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
     square = SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0)
     log_z = strong_szego_log_z(square)
     table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0), 5)
-    data = square_opuc(1.0, cutoff=12)
+    data = square_opuc(1.0)
     # P(L <= 1) = e^{-t^2} I_0(2t) at t = 1, with I_0(2) = sum_k 1/(k!)^2
     # from its series, independent of the recursion's Miller moments
     bessel_i0 = math.fsum(1 / math.factorial(k) ** 2 for k in range(30))

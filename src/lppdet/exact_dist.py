@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,8 @@ from .symbols import (
 )
 from .opuc import (
     OpucData,
+    _default_cutoff,
+    _tail_log_norms,
     levinson,
     square_opuc_highprec,
     toeplitz_log_det,
@@ -79,54 +81,46 @@ __all__ = [
     "build_dist_table",
 ]
 
-# beyond roughly 2t + 8 t^{1/3} the reflection data is numerically zero,
-# so this cutoff covers every product tail the formulas need
-def _default_cutoff(t: float, ell: int) -> int:
-    return int(2.0 * t + 10.0 * t ** (1.0 / 3.0) + 20.0) + max(0, ell)
-
-
 _HIGHPREC_T = 2.5
-# largest |sum_k log N_k - t^2| accepted from the extended-precision route.
-# At the default precision all 51 benchmark-catalogue squares with
-# t = 7..120 stay within 1.8e-12.  Short of digits the residual grows about
-# 1000-fold per 3 digits lost, from 5e-10 at t = 75 under the older slope.
+# largest |sum_k log N_k - t^2| accepted on either route, on the tail sums
+# of b that every square-family row reads.  It grows like t^2 eps: 9e-13 at
+# t = 90, at most 1.8e-12 over the catalogue's squares to t = 120, 8.6e-13
+# at t = 2.5 and lmax 1000.  Short of digits it grows about 1000-fold per
+# 3 digits lost.
 SZEGO_TOL = 1e-10
 
 
-def square_opuc(t: float, cutoff: int | None = None, ell: int = 0) -> OpucData:
+def square_opuc(t: float, ell: int = 0) -> OpucData:
     """Circle-recursion data of the exponential symbol exp(t(z + 1/z)).
 
-    The default cutoff covers thresholds up to ``ell`` together with every
-    product tail the square, triangle and external-source formulas need.
-    Runs float64 Levinson on the symbol's Fourier table up to t = 2.5.
-    Past it e^{2t} eats the double-precision headroom, and the recursion
-    runs in fixed-point integers on Miller moments
-    (``square_opuc_highprec``).  The float64 square is 2.6e-13 off exact
-    at t = 2.5, 1.5e-11 at t = 3, 6.1e-10 at t = 4 and 1.3e-6 at t = 6,
-    with nothing to bound that error, while the fixed-point data stays
-    within 1.3e-14 at every t; the triangle and external-source laws
-    inherit the same error.  On either route, whenever the cutoff reaches
-    past the point where the reflection data is numerically zero, the
-    log-norms must sum to log Z = t^2 (strong Szego) within SZEGO_TOL, or
-    the data is refused with a BreakdownError: too little working
-    precision shows up as wrong digits before it breaks the recursion.
-    The float64 residual is at most 1.8e-11, at t = 2.5.
+    The cutoff ``_default_cutoff(t, ell)`` covers thresholds up to ``ell``
+    and every product tail the formulas need.  Runs float64 Levinson on
+    the symbol's Fourier table up to t = 2.5.  Past it e^{2t} eats the
+    double-precision headroom, and the recursion runs in fixed-point
+    integers on Miller moments (``square_opuc_highprec``).  The float64
+    square is 2.6e-13 off exact at t = 2.5, 1.5e-11 at t = 3 and 1.3e-6 at
+    t = 6, while the fixed-point data stays within 1.3e-14 at every t.  On
+    both routes the log-norms are the tail sums of the reflection
+    coefficients (``_tail_log_norms``), not Levinson's inner products,
+    whose roundoff grows with the cutoff, and they must sum to log Z = t^2
+    (strong Szego) within SZEGO_TOL, or the data is refused with a
+    BreakdownError: too little working precision shows up as wrong digits
+    before it breaks the recursion.
     """
     spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
-    if cutoff is None:
-        cutoff = _default_cutoff(t, ell)
+    cutoff = _default_cutoff(t, ell)
     if t <= _HIGHPREC_T:
         data = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
+        data = replace(data, log_norms=_tail_log_norms(data.reflection))
     else:
         data = square_opuc_highprec(t, cutoff)
-    if cutoff >= _default_cutoff(t, 0):
-        residual = abs(math.fsum(data.log_norms) - strong_szego_log_z(spec))
-        if not residual <= SZEGO_TOL:
-            raise BreakdownError(
-                f"strong Szego check failed at t = {t}: the log-norms sum "
-                f"to t^2 only within {residual:.2e} > {SZEGO_TOL:.0e}; "
-                "working precision too low"
-            )
+    residual = abs(math.fsum(data.log_norms) - strong_szego_log_z(spec))
+    if not residual <= SZEGO_TOL:
+        raise BreakdownError(
+            f"strong Szego check failed at t = {t}: the log-norms sum "
+            f"to t^2 only within {residual:.2e} > {SZEGO_TOL:.0e}; "
+            "working precision too low"
+        )
     return data
 
 
@@ -143,20 +137,17 @@ def toeplitz_prob(log_z: float, ell: int, opuc: OpucData) -> float:
 
 
 def _square_log_cdf(opuc: OpucData) -> np.ndarray:
-    """log P(L <= ell) of the square for ell = 0..cutoff, from its
-    reflection coefficients r_j alone.
+    """log P(L <= ell) of the square for ell = 0..cutoff, from the table's
+    log-norms, the tail sums of its reflection coefficients r_j.
 
-    The square's norms tend to 1, so N_k = prod_{j > k} (1 - r_j^2)^-1 and
-    P(L <= ell) = prod_{k >= ell} 1 / N_k = prod_{j > ell} (1 - r_j^2)^(j -
-    ell).  With a_j = log1p(-r_j^2) <= 0 its log, sum_{j > ell} (j - ell)
-    a_j, is sum_{m > ell} T_m for the tails T_m = sum_{j >= m} a_j: two
-    reversed cumulative sums of terms of one sign, so nothing cancels, and
-    no row carries the float64 roundoff of log N_k or of log Z = t^2.  A
-    row reads r up to the cutoff, so the table must reach the converged
-    cutoff ``_default_cutoff(t, 0)``.
+    The square's norms tend to 1, so P(L <= ell) = prod_{k >= ell} 1 / N_k
+    = prod_{j > ell} (1 - r_j^2)^(j - ell).  Its log, -sum_{k >= ell}
+    log N_k, is a second reversed cumulative sum of terms of one sign, so
+    nothing cancels, and no row carries the roundoff of log Z = t^2.  A row
+    reads r up to the cutoff, so the table must reach the converged cutoff
+    ``_default_cutoff(t, 0)``.
     """
-    tails = np.cumsum(np.log1p(-np.square(opuc.reflection[:0:-1])))
-    return np.append(np.cumsum(tails)[::-1], 0.0)
+    return np.append(np.cumsum(-opuc.log_norms[-2::-1])[::-1], 0.0)
 
 
 def triangle_rows(

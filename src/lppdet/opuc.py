@@ -20,14 +20,13 @@ All determinant-scale quantities are kept in log space.  The recursion
 runs in float64 by default.  For the Poisson-square symbol at large t,
 where the moment scale e^{2t} makes the float64 inner products cancel
 below roundoff, an extended-precision path runs the same recursion in
-fixed-point Python integers on Bessel moments from Miller's backward
-recurrence, with the standard library's correctly rounded ``decimal`` exp
-for the one transcendental scalar it needs.
+fixed-point Python integers on Bessel moment ratios from Miller's
+backward recurrence.  A square table holds one sequence, its reflection
+coefficients: its log-norms are their tail sums (``_tail_log_norms``).
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 
@@ -58,9 +57,9 @@ class OpucData:
     ``reflection[k]`` is b(k) = -pi_k(0) for 1 <= k <= cutoff, with the
     unused slot 0 set to 0.  ``reflection_dual`` is the second family's
     b~(k) = -rho_k(0); it equals ``reflection`` entrywise for symmetric
-    symbols.  ``log_norms[k]`` is log N_k for 0 <= k <= cutoff, computed
-    by a direct inner product rather than through the norm recurrence, so
-    the recurrence can serve as an independent consistency check.
+    symbols.  ``log_norms[k]`` is log N_k for 0 <= k <= cutoff: from a
+    direct inner product in ``levinson``, so the norm recurrence can serve
+    as an independent check, and in square tables the tail sums of b.
     """
 
     reflection: np.ndarray
@@ -194,20 +193,33 @@ def _highprec_dps(t: float) -> int:
     return int(_DPS_SLOPE * t / math.log(10.0)) + 60
 
 
-def _miller_moments(t: float, count: int, bits: int) -> tuple[list[int], int]:
-    """Fixed-point Bessel moments at scale 2^bits.
+# beyond roughly 2t + 8 t^{1/3} the square's reflection data is
+# numerically zero, so this cutoff covers every product tail the formulas
+# need
+def _default_cutoff(t: float, ell: int) -> int:
+    return int(2.0 * t + 10.0 * t ** (1.0 / 3.0) + 20.0) + max(0, ell)
 
-    Returns ([I_j(2t)/I_0(2t) for j < count], I_0(2t)), each rounded to an
-    integer multiple of 2^-bits.  Miller's backward recurrence
+
+def _tail_log_norms(reflection: np.ndarray) -> np.ndarray:
+    """log N_k = -sum_{j > k} log1p(-b_j^2), k = 0..cutoff, of the symbol
+    exp(t(z + 1/z)), whose norms obey N_{k+1} = N_k (1 - b_{k+1}^2) and
+    tend to 1.  One reversed cumulative sum of terms of one sign; at the
+    converged cutoff the log-norms sum to t^2 (strong Szego)."""
+    tails = np.cumsum(np.log1p(-np.square(reflection[:0:-1])))
+    return np.append(-tails[::-1], 0.0)
+
+
+def _miller_moments(t: float, count: int, bits: int) -> list[int]:
+    """Fixed-point Bessel moment ratios at scale 2^bits.
+
+    Returns [I_j(2t)/I_0(2t) for j < count], each rounded to an integer
+    multiple of 2^-bits.  Miller's backward recurrence
 
         I_{j-1} = I_{j+1} + (j/t) I_j
 
     is stable for I_j; it starts at an index M where I_M(2t)/I_0(2t) <
     2^-(bits + 32), from the bound I_n(2t) <= t^n/n! e^{t^2/(n+1)} and
-    I_0 >= 1, and the trial solution is normalized through the positive
-    series e^{2t} = I_0 + 2 sum_{k>=1} I_k, with e^{2t} 2^bits from the
-    correctly rounded ``decimal`` exp at 20 digits more than ``bits``
-    holds.  t enters as the exact ratio of its float value; the start
+    I_0 >= 1.  t enters as the exact ratio of its float value; the start
     carries 32 guard bits past ``bits``.
     """
     target = -(bits + 32) * math.log(2.0)
@@ -221,12 +233,7 @@ def _miller_moments(t: float, count: int, bits: int) -> tuple[list[int], int]:
         y_next, y = y, y_next + (j * den * y) // num
         ys.append(y)
     ys.reverse()  # ys[j] is proportional to I_j(2t), j = 0..m
-    y0 = ys[0]
-    series = 2 * sum(ys) - y0
-    with decimal.localcontext() as ctx:
-        ctx.prec = math.ceil(bits * math.log10(2.0)) + 20
-        exp_2t = int((2 * decimal.Decimal(t)).exp() * (1 << bits))
-    return [(y << bits) // y0 for y in ys[:count]], exp_2t * y0 // series
+    return [(y << bits) // ys[0] for y in ys[:count]]
 
 
 def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucData:
@@ -239,34 +246,25 @@ def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucD
     ``_highprec_dps``).  The moments are the ratios I_j(2t)/I_0(2t) from
     Miller's backward recurrence, and each recursion step is two dot
     products and one vector update on numpy object arrays of those
-    integers.  Reflection coefficients are rounded to float64, and
-    log N_k = log1p(N_k - 1) takes its argument from the exact integer
-    numerator I_0(2t) N_k - 2^(2P) of the two fixed-point integers by
-    correctly rounded int/int division, so nothing cancels where N_k ~ 1.
+    integers.  Reflection coefficients are rounded to float64, and the
+    log-norms are their tail sums, which a cutoff short of the converged
+    one (``_default_cutoff(t, 0)``) would truncate: it is refused.
     """
     if t <= 0:
         raise ValidationError(f"t must be > 0, got {t}")
+    if cutoff < _default_cutoff(t, 0):
+        raise ValidationError(
+            f"cutoff {cutoff} stops short of the converged cutoff "
+            f"{_default_cutoff(t, 0)} at t = {t}"
+        )
     if dps is None:
         dps = _highprec_dps(t)
     # mpmath's rule for the bits of dps digits, so the tests' mpmath
     # oracles run at the same precision
     bits = round((dps + 1) * math.log2(10.0))
-    ratios, i0 = _miller_moments(t, cutoff + 2, bits)
     one = 1 << bits
-    phi = np.array(ratios, dtype=object)
-
-    def log_norm(n: int) -> float:
-        # N_k = i0 * n / 2^(2 bits) = 2^e (1 + x), with x from one correctly
-        # rounded division of exact integers; e stays 0 unless N_k passes
-        # 2^1000 (t above about 350), where x would overflow a float64
-        scaled = i0 * n
-        e = max(0, scaled.bit_length() - 2 * bits - 1000)
-        scale = 1 << (2 * bits + e)
-        return e * math.log(2.0) + math.log1p((scaled - scale) / scale)
-
+    phi = np.array(_miller_moments(t, cutoff + 2, bits), dtype=object)
     b = np.zeros(cutoff + 1)
-    log_norms = np.zeros(cutoff + 1)
-    log_norms[0] = log_norm(one)
     pi = np.array([one], dtype=object)
     n_cur = one
     for k in range(cutoff):
@@ -284,11 +282,10 @@ def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucD
         if n_cur <= 0:
             raise BreakdownError(f"norm N_{k + 1} not positive at high precision")
         b[k + 1] = b_next / one
-        log_norms[k + 1] = log_norm(n_cur)
     return OpucData(
         reflection=b,
         reflection_dual=b,
-        log_norms=log_norms,
+        log_norms=_tail_log_norms(b),
         cutoff=cutoff,
         source=None,
     )

@@ -52,7 +52,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .errors import ValidationError, BreakdownError
-from .opuc import OpucData, square_opuc_highprec
+from .opuc import OpucData, _default_cutoff, square_opuc_highprec
 
 __all__ = [
     "PiiSolution",
@@ -469,13 +469,13 @@ def corner_asymptotics_study(
 
     Each k gets its own t from the scaling relation and a fresh
     extended-precision recursion (fixed-point integers on Miller Bessel
-    moments): float64 moment arithmetic loses these reflection
-    coefficients entirely once e^{2t} exceeds 1e16.
+    moments) to the converged cutoff that its tail-sum log-norms need:
+    float64 moment arithmetic loses these coefficients once e^{2t} > 1e16.
     """
     reports = []
     for k in k_values:
         t = corner_scaling_t(x, int(k))
-        data = square_opuc_highprec(t, int(k))
+        data = square_opuc_highprec(t, _default_cutoff(t, 0))
         reports.append(corner_asymptotics_check(data, t, int(k), sol))
     return reports
 

@@ -369,8 +369,8 @@ def toeplitz_log_norms_fixed(spec: SymbolSpec, cutoff: int, bits: int = 192) -> 
     one = 1 << bits
     pi = rho = np.array([one], dtype=object)
     n_cur = up[0]
-    # log1p of one correctly rounded int/int division, as in
-    # ``square_opuc_highprec``, so nothing cancels where N_k ~ 1
+    # log1p of one correctly rounded int/int division, so nothing cancels
+    # where N_k ~ 1
     log_norms = [math.log1p((n_cur - one) / one)]
     for k in range(cutoff):
         b = np.dot(pi, down[1 : k + 2]) // n_cur

