@@ -15,7 +15,10 @@ orthogonal-group determinant.  ``toeplitz_log_norms_fixed`` runs the
 asymmetric recursion for any ``SymbolSpec`` in fixed-point integers, on a
 table convolved from the symbol's one-sided power series instead of the
 float64 quadrature table, and ``group_means_mpf`` the orthogonal-group
-means on the same series.  ``y_corner`` and ``recurrence_checks`` restate
+means on the same series.  ``square_levinson`` is the float64 recursion on the
+square symbol's Fourier table with its inner-product norms, as
+``square_opuc`` ran before it took the norms as tail sums of the
+reflection coefficients.  ``y_corner`` and ``recurrence_checks`` restate
 the stored norms and reflection coefficients through the corner relation
 and the norm update, to check a table against itself.
 ``hastings_mcleod_mpf`` integrates Painleve II by 40-digit Taylor series
@@ -29,8 +32,8 @@ import mpmath as mp
 import numpy as np
 
 from lppdet.errors import BreakdownError, ValidationError
-from lppdet.opuc import OpucData
-from lppdet.symbols import FourierTable, SymbolSpec
+from lppdet.opuc import OpucData, levinson
+from lppdet.symbols import FourierTable, SymbolSpec, fourier_coeffs
 
 
 def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,6 +63,13 @@ def square_opuc_mpf(t: float, cutoff: int, dps: int) -> tuple[np.ndarray, np.nda
             b[k + 1] = float(b_next)
             log_norms[k + 1] = float(mp.log(n_cur))
     return b, log_norms
+
+
+def square_levinson(t: float, cutoff: int) -> OpucData:
+    """Float64 ``levinson`` on the exp(t(z + 1/z)) table up to ``cutoff``,
+    any cutoff, with the norms it takes by direct inner products."""
+    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
+    return levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
 
 
 def levinson_two_family(coeffs: FourierTable, cutoff: int) -> OpucData:
@@ -425,10 +435,13 @@ def recurrence_checks(data: OpucData) -> RecurrenceReport:
         a(k) = (1 - b(k) b~(k)) a(k+1)
         d(k) = (1 - b(k) b~(k)) d(k-1)
 
-    both restatements of N_k = (1 - b(k) b~(k)) N_{k-1}.  Because the
-    norms are computed by direct inner products, these deviations measure
-    real numerical consistency, not bookkeeping.  Returns the maxima of
-    the relative deviations.
+    both restatements of N_k = (1 - b(k) b~(k)) N_{k-1}.  The deviations
+    measure real numerical consistency only for norms computed by direct
+    inner products (``levinson``'s, ``square_levinson``'s or
+    ``square_opuc_mpf``'s).  ``square_opuc`` stores the tail sums of its
+    reflection coefficients, which satisfy the update by construction, so
+    on its tables the check is bookkeeping.  Returns the maxima of the
+    relative deviations.
     """
     K = data.cutoff
     if K < 1:

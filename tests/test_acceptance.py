@@ -11,6 +11,7 @@ assertions intact.
 import hashlib
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from lppdet.montecarlo import (
     poissonized_square_cdf,
     run_simulation,
 )
-from lppdet.opuc import dpii_residual
+from lppdet.opuc import _highprec_dps, dpii_residual
 from lppdet.painleve import (
     airy_kernel_fgue,
     corner_asymptotics_study,
@@ -41,7 +42,12 @@ from lppdet.painleve import (
 )
 from lppdet.symbols import ModelKind, ModelSpec, SymbolSpec
 
-from highprec_oracle import recurrence_checks, y_corner
+from highprec_oracle import (
+    recurrence_checks,
+    square_levinson,
+    square_opuc_mpf,
+    y_corner,
+)
 from ogroup_quadrature import haar_orthogonal_expectation
 from route_points import external_point, group_mean, triangle_odd
 
@@ -87,7 +93,15 @@ def test_criterion_2_discrete_painleve_ii(criterion_log):
             worst_res = max(worst_res, dpii_residual(data, t, k))
             c = y_corner(data, k)
             worst_uni = max(worst_uni, abs(c.a * c.d + c.b * c.b - 1.0))
-        rep = recurrence_checks(data)
+        # the table's log-norms are tail sums of b, which pass the norm
+        # update by construction; check b against inner-product norms
+        # instead, float64 Levinson's on the float64 route and 65-digit
+        # mpmath's past it
+        if t <= 2.5:
+            norms = square_levinson(t, data.cutoff).log_norms
+        else:
+            _, norms = square_opuc_mpf(t, data.cutoff, _highprec_dps(t))
+        rep = recurrence_checks(replace(data, log_norms=norms))
         worst_rec = max(worst_rec, rep.max_dev_a, rep.max_dev_d)
     ok = worst_res < 1e-8 and worst_rec < 1e-9 and worst_uni < 1e-10
     criterion_log(

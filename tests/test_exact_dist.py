@@ -31,13 +31,12 @@ from lppdet.exact_dist import (
     triangle_rows,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
-from lppdet.opuc import levinson, square_opuc_highprec
+from lppdet.opuc import square_opuc_highprec
 from lppdet.symbols import (
     ModelKind,
     ModelSpec,
     SymbolSpec,
     build_symbol,
-    fourier_coeffs,
     normalization_log_z,
 )
 
@@ -45,6 +44,7 @@ from highprec_oracle import (
     group_means_mpf,
     prob_square_product,
     square_law_bessel,
+    square_levinson,
     triangle_law_mpf,
 )
 from ogroup_quadrature import MAX_ELL, quadrature_expectation
@@ -109,9 +109,7 @@ def test_square_product_bound_covers_the_szego_residual():
             mp.matrix([[moments[ell + j - k] for k in range(ell)] for j in range(ell)])
         )
     assert float(dense) == pytest.approx(0.90303677043884523, abs=1e-16)
-    cutoff = _default_cutoff(t, 0)
-    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
-    float64 = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
+    float64 = square_levinson(t, _default_cutoff(t, 0))
     via_product, bound = prob_square_product(t, ell, float64)
     assert abs(via_product - float(dense)) <= bound
 
@@ -200,19 +198,12 @@ def test_triangle_frozen_values(opuc_t1):
     )
 
 
-def _short_square(t, cutoff):
-    """Float64 square data stopped at ``cutoff``, short of the converged
-    cutoff that ``square_opuc`` always reaches."""
-    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
-    return levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
-
-
 def test_triangle_needs_room_for_the_tail():
-    small = _short_square(1.0, 8)
+    small = square_levinson(1.0, 8)
     with pytest.raises(ValidationError):
         triangle_odd(1.0, 0.5, 0, small)
     # enough factors to run, not enough to certify 1e-12
-    mid = _short_square(1.0, 12)
+    mid = square_levinson(1.0, 12)
     with pytest.raises(ConditioningError):
         triangle_odd(1.0, 0.5, 0, mid)
 
@@ -615,7 +606,7 @@ def test_scaled_cdf_refuses_a_short_table():
     the converged law, is refused at ell = 23 past its end and at ell = 8
     inside it.  Past the end of a table that reaches the converged cutoff
     its last row stands in, 1 in float64."""
-    short = _short_square(4.0, 10)
+    short = square_levinson(4.0, 10)
     for x in (10.0, 0.0):
         with pytest.raises(ValidationError, match="converged cutoff"):
             scaled_cdf(4.0, x, short)

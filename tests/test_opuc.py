@@ -24,6 +24,7 @@ from highprec_oracle import (
     eval_pi_dense,
     levinson_two_family,
     recurrence_checks,
+    square_levinson,
     square_opuc_mpf,
     y_corner,
 )
@@ -59,12 +60,15 @@ def test_signs_alternate_for_exponential_symbol():
 @settings(deadline=None, max_examples=20)
 @given(t=st.floats(0.1, 2.5), order=st.integers(1, 8))
 def test_log_det_matches_dense_lu(t, order):
-    """Recursion route vs scipy's LU on the raw moment matrix."""
-    data = square_opuc(t, ell=order)
-    coeffs = fourier_coeffs(SymbolSpec(exp_plus_t=t, exp_minus_t=t), data.cutoff + 1)
-    lhs = toeplitz_log_det(data, order)
+    """Recursion route vs scipy's LU on the raw moment matrix, for
+    Levinson's inner-product norms (which the lattice and lines laws read)
+    and for the square table's tail sums of the reflection coefficients."""
+    cutoff = _default_cutoff(t, order)
+    coeffs = fourier_coeffs(SymbolSpec(exp_plus_t=t, exp_minus_t=t), cutoff + 1)
     rhs = toeplitz_log_det_dense(coeffs, order)
-    assert lhs == pytest.approx(rhs, abs=5e-12 * max(1.0, abs(rhs)))
+    for data in (square_levinson(t, cutoff), square_opuc(t, ell=order)):
+        lhs = toeplitz_log_det(data, order)
+        assert lhs == pytest.approx(rhs, abs=5e-12 * max(1.0, abs(rhs)))
 
 
 def test_log_det_order_zero_is_zero():
@@ -150,9 +154,15 @@ def test_dpii_residual_validates_range():
 
 
 def test_recurrence_report_consistency():
-    report = recurrence_checks(square_opuc(2.0))
+    """Levinson's inner-product norms follow the reflection product update,
+    and the square table's tail sums stay on them."""
+    cutoff = _default_cutoff(2.0, 0)
+    levinson_data = square_levinson(2.0, cutoff)
+    report = recurrence_checks(levinson_data)
     assert report.max_dev_a < 1e-12
     assert report.max_dev_d < 1e-12
+    tail_sums = square_opuc(2.0).log_norms
+    assert np.max(np.abs(tail_sums - levinson_data.log_norms)) <= 1e-12
 
 
 def test_corner_unimodular_relation():
