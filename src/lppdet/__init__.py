@@ -20,7 +20,6 @@ from .exact_dist import (
     exact_law,
     scaled_cdf,
     square_opuc,
-    toeplitz_prob,
 )
 from .painleve import PiiSolution, f_goe, f_gse, f_gue, solve_hastings_mcleod
 from .fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
@@ -59,5 +58,4 @@ __all__ = [
     "square_opuc",
     "square_opuc_highprec",
     "toeplitz_log_det",
-    "toeplitz_prob",
 ]

@@ -231,22 +231,15 @@ def _suite_dpii(args) -> tuple[dict, bool, str]:
 
 def _suite_fredholm(args) -> tuple[dict, bool, str]:
     kmax = max(args.kmax, 1)
-    data = square_opuc(args.t, ell=kmax)
-    report = identity_checks(args.t, kmax, data)
-    worst = report.max_residual
-    return (
-        json.loads(report.to_json()),
-        worst < 1e-6,
-        f"max Fredholm identity residual {worst:.3e}",
-    )
+    report = identity_checks(args.t, kmax, square_opuc(args.t, ell=kmax))
+    worst = report["max_residual"]
+    return report, worst < 1e-6, f"max Fredholm identity residual {worst:.3e}"
 
 
 def _suite_corner(args) -> tuple[dict, bool, str]:
     sol, _ = cached_pii_solution()
     ks = (40, 60, 90, 135)
-    reports = corner_asymptotics_study(ks, 0.0, sol)
-    dev_v = [r.dev_norm_ratio for r in reports]
-    dev_u = [r.dev_poly_at_zero for r in reports]
+    dev_v, dev_u = corner_asymptotics_study(ks, 0.0, sol)
     slope_v, _ = fit_power_law(ks, dev_v)
     slope_u, _ = fit_power_law(ks, dev_u)
     report = {

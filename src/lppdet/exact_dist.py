@@ -12,28 +12,32 @@ The square, lattice and lines laws are plain determinants,
 p(ell) = D_ell / Z.  The square's recursion (``square_opuc``) switches to
 extended precision at t > 2.5, and its rows are read off the reflection
 coefficients alone (``_square_log_cdf``).  The triangle and
-external-source laws reuse it, their boundary rates entering through one
-pass of polynomial values at -alpha, -a+ and -a-.  The triangle law at
-odd thresholds couples those values with two infinite products over
-odd-index norms, taken as suffix sums to the end of the table.  The external-source law is
-the Christoffel-Darboux kernel K_n(-a+, -a-) = sum_{k <= n} pi_k(-a+)
-pi_k(-a-) / N_k times the square's determinants, entire in both rates;
-its rows carry a float64 roundoff estimate from the size of the terms
-that cancel.  The triangle-FS and symmetrized lattice laws are
-orthogonal-group averages (``ogroup_law``), evaluated as Toeplitz +-
-Hankel determinants of psi(z) psi(1/z).  These are leading minors of four
-positive definite Gram matrices, so one batched Cholesky factorization
-gives every row of a table and the data of its first-order float64
-bound; the triangle-FS law is an independent route to the triangle law.
-Lattice and lines rows carry a measured float64 error too: the spread
-against a twin recursion on a second quadrature grid.
+external-source laws read the same coefficients, their boundary rates
+entering through one pass of polynomial values at -alpha, -a+ and -a-.
+The triangle law at odd thresholds couples those values with two
+infinite products over odd-index norms, taken as suffix sums to the end
+of the table.  The external-source law is the Christoffel-Darboux kernel
+K_n(-a+, -a-) = sum_{k <= n} pi_k(-a+) pi_k(-a-) / N_k times the
+square's determinants, entire in both rates.  The polynomial values
+multiply the error of b(k) by up to max(a+, a-)^k, so this law reads the
+fixed-point table at every t; its rows carry a float64 roundoff estimate
+from the size of the terms that cancel.  Every square-family table, on
+either route, passes the strong Szego check of ``opuc._square_table``.
+The triangle-FS and symmetrized lattice laws are orthogonal-group
+averages (``ogroup_law``), evaluated as Toeplitz +- Hankel determinants
+of psi(z) psi(1/z).  These are leading minors of four positive definite
+Gram matrices, so one batched Cholesky factorization gives every row of
+a table and the data of its first-order float64 bound; the triangle-FS
+law is an independent route to the triangle law.  Lattice and lines rows
+carry a measured float64 error too: the spread against a twin recursion
+on a second quadrature grid.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +54,11 @@ from .symbols import (
     evaluate_symbol,
     fourier_coeffs,
     normalization_log_z,
-    strong_szego_log_z,
 )
 from .opuc import (
     OpucData,
     _default_cutoff,
-    _tail_log_norms,
+    _square_table,
     levinson,
     square_opuc_highprec,
     toeplitz_log_det,
@@ -65,7 +68,6 @@ from .opuc import (
 __all__ = [
     "DistTable",
     "square_opuc",
-    "toeplitz_prob",
     "triangle_rows",
     "external_rows",
     "OGROUP_ROUTE",
@@ -82,12 +84,6 @@ __all__ = [
 ]
 
 _HIGHPREC_T = 2.5
-# largest |sum_k log N_k - t^2| accepted on either route, on the tail sums
-# of b that every square-family row reads.  It grows like t^2 eps: 9e-13 at
-# t = 90, at most 1.8e-12 over the catalogue's squares to t = 120, 8.6e-13
-# at t = 2.5 and lmax 1000.  Short of digits it grows about 1000-fold per
-# 3 digits lost.
-SZEGO_TOL = 1e-10
 
 
 def square_opuc(t: float, ell: int = 0) -> OpucData:
@@ -100,40 +96,16 @@ def square_opuc(t: float, ell: int = 0) -> OpucData:
     integers on Miller moments (``square_opuc_highprec``).  The float64
     square is 2.6e-13 off exact at t = 2.5, 1.5e-11 at t = 3 and 1.3e-6 at
     t = 6, while the fixed-point data stays within 1.3e-14 at every t.  On
-    both routes the log-norms are the tail sums of the reflection
-    coefficients (``_tail_log_norms``), not Levinson's inner products,
-    whose roundoff grows with the cutoff, and they must sum to log Z = t^2
-    (strong Szego) within SZEGO_TOL, or the data is refused with a
-    BreakdownError: too little working precision shows up as wrong digits
-    before it breaks the recursion.
+    both routes the table is made from the reflection coefficients by
+    ``_square_table``, which refuses it with a BreakdownError unless its
+    log-norms, the tail sums of b, pass the strong Szego check.
     """
-    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
     cutoff = _default_cutoff(t, ell)
-    if t <= _HIGHPREC_T:
-        data = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
-        data = replace(data, log_norms=_tail_log_norms(data.reflection))
-    else:
-        data = square_opuc_highprec(t, cutoff)
-    residual = abs(math.fsum(data.log_norms) - strong_szego_log_z(spec))
-    if not residual <= SZEGO_TOL:
-        raise BreakdownError(
-            f"strong Szego check failed at t = {t}: the log-norms sum "
-            f"to t^2 only within {residual:.2e} > {SZEGO_TOL:.0e}; "
-            "working precision too low"
-        )
-    return data
-
-
-def toeplitz_prob(log_z: float, ell: int, opuc: OpucData) -> float:
-    """P(L <= ell) = D_ell / Z for a law that is the order-ell Toeplitz
-    determinant of the recursion's symbol over its normalization Z."""
-    if ell < 0:
-        return 0.0
-    if ell > opuc.cutoff:
-        raise ValidationError(
-            f"ell = {ell} exceeds recursion cutoff {opuc.cutoff}"
-        )
-    return math.exp(-log_z + toeplitz_log_det(opuc, ell))
+    if t > _HIGHPREC_T:
+        return square_opuc_highprec(t, cutoff)
+    spec = SymbolSpec(exp_plus_t=t, exp_minus_t=t)
+    data = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
+    return _square_table(t, data.reflection)
 
 
 def _square_log_cdf(opuc: OpucData) -> np.ndarray:
@@ -526,13 +498,13 @@ def _lattice_law(model: ModelSpec, lmax: int) -> Law:
     misses error the two runs share.  A twin breakdown refuses the table.
     """
     spec, cutoff = build_symbol(model), lmax + 2
-    opuc = levinson(fourier_coeffs(spec, half_width=cutoff + 2), cutoff)
-    nodes = opuc.source.quadrature_nodes * 3 // 2 + 1
-    twin = levinson(fourier_coeffs(spec, cutoff + 2, nodes), cutoff)
+    table = fourier_coeffs(spec, half_width=cutoff + 2)
+    opuc = levinson(table, cutoff)
+    twin = levinson(fourier_coeffs(spec, cutoff + 2, table.quadrature_nodes * 3 // 2 + 1), cutoff)
     log_z = normalization_log_z(model)
     rows = {}
     for ell in range(lmax + 1):
-        p = toeplitz_prob(log_z, ell, opuc)
+        p = math.exp(toeplitz_log_det(opuc, ell) - log_z)
         # a twin value past e is no probability; the clamp keeps exp finite
         q = math.exp(min(toeplitz_log_det(twin, ell) - log_z, 1.0))
         rows[ell] = (p, abs(p - q))
@@ -551,7 +523,7 @@ def _triangle_law(model: ModelSpec, lmax: int) -> Law:
 
 
 def _external_law(model: ModelSpec, lmax: int) -> Law:
-    opuc = square_opuc(model.t, ell=lmax)
+    opuc = square_opuc_highprec(model.t, _default_cutoff(model.t, lmax))
     rows = external_rows(
         model.alpha_plus, model.alpha_minus, normalization_log_z(model), lmax, opuc
     )

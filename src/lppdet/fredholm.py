@@ -10,17 +10,16 @@ is smooth and periodic.
 These determinants give a second, structurally different route to the
 Toeplitz quantities: a ratio identity against the recursion norms, and
 a product identity pinning log D_n - log D_inf.  Both are verified
-numerically per k; nothing is assumed about the spectrum except that
-the discretized operator stays away from eigenvalue one, which is
-checked, not presumed.
+numerically per k (``identity_checks``, whose dict is the report that
+``verify fredholm`` writes); nothing is assumed about the spectrum
+except that the discretized operator stays away from eigenvalue one,
+which is checked, not presumed.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "kernel_matrix",
     "fredholm_log_det",
     "identity_checks",
-    "IdentityReport",
 ]
 
 _IMAG_TOL = 1e-8
@@ -46,7 +44,7 @@ class IntegrableKernelSpec:
 
     Its inner analytic factor exp(t z) (value 1 at the origin) over its
     outer one exp(t / z) (value 1 at infinity) is the function psi
-    driving the kernel.
+    driving the kernel, sampled at ``nodes`` equally spaced points.
     """
 
     t: float
@@ -61,36 +59,22 @@ class IntegrableKernelSpec:
                 f"nodes must be even and >= 16, got {self.nodes}"
             )
 
-    @cached_property
-    def node_points(self) -> np.ndarray:
-        j = np.arange(self.nodes)
-        return np.exp(2j * np.pi * j / self.nodes)
-
-    @cached_property
-    def node_weights(self) -> np.ndarray:
-        return 2j * np.pi * self.node_points / self.nodes
-
-    def psi(self, z):
-        return np.exp(self.t * z) / np.exp(self.t / z)
-
-    def dlog_psi(self, z):
-        """Logarithmic derivative of psi."""
-        return self.t + self.t / z**2
-
 
 def kernel_matrix(spec: IntegrableKernelSpec) -> np.ndarray:
-    """Nystrom matrix of the operator, weights folded into columns."""
-    z = spec.node_points
-    k = spec.k
-    psi_vals = spec.psi(z)
+    """Nystrom matrix of the operator at the nodes z_j = e^{2 pi i j / n},
+    with the oriented-contour weights 2 pi i z_j / n folded into columns.
+    The diagonal holds the analytic limit, through psi'/psi = t + t / z^2."""
+    t, k = spec.t, spec.k
+    z = np.exp(2j * np.pi * np.arange(spec.nodes) / spec.nodes)
+    psi = np.exp(t * z) / np.exp(t / z)
     power = z**k
-    num = np.outer(1.0 / power, power) - np.outer(psi_vals, 1.0 / psi_vals)
+    num = np.outer(1.0 / power, power) - np.outer(psi, 1.0 / psi)
     den = 2j * np.pi * (z[:, None] - z[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = num / den
-    diag = -(k / z + spec.dlog_psi(z)) / (2j * np.pi)
+    diag = -(k / z + (t + t / z**2)) / (2j * np.pi)
     np.fill_diagonal(kern, diag)
-    return kern * spec.node_weights[None, :]
+    return kern * (2j * np.pi * z / spec.nodes)[None, :]
 
 
 def fredholm_log_det(spec: IntegrableKernelSpec) -> float:
@@ -115,43 +99,17 @@ def fredholm_log_det(spec: IntegrableKernelSpec) -> float:
     return float(log_abs)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Per-k residuals of the determinant identities."""
-
-    t: float
-    nodes: int
-    ratio_residuals: tuple[float, ...]  # k = 1..k_max
-    product_residuals: tuple[float, ...]  # n = 0..k_max
-    normalized_dets: tuple[float, ...]  # 2^{-k} det(1 - K_k), k = 0..k_max
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.ratio_residuals + self.product_residuals, default=0.0)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "nodes": self.nodes,
-                "max_residual": self.max_residual,
-                "ratio_residuals": list(self.ratio_residuals),
-                "product_residuals": list(self.product_residuals),
-                "normalized_dets": list(self.normalized_dets),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-
-def identity_checks(t: float, k_max: int, opuc: OpucData) -> IdentityReport:
+def identity_checks(t: float, k_max: int, opuc: OpucData) -> dict:
     """Residuals linking Fredholm determinants to the recursion data,
     with each determinant on the kernel's default node count.
 
     Two families: the norm-ratio identity
-    1/N_{k-1} = 2 det(1-K_{k-1})/det(1-K_k) for k = 1..k_max, and the
-    product identity log D_n - t^2 = -n log 2 + log det(1-K_n) for
-    n = 0..k_max.
+    1/N_{k-1} = 2 det(1-K_{k-1})/det(1-K_k) for k = 1..k_max
+    (``ratio_residuals``), and the product identity
+    log D_n - t^2 = -n log 2 + log det(1-K_n) for n = 0..k_max
+    (``product_residuals``).  The dict also holds t, the node count, the
+    largest residual of both families and the normalized determinants
+    2^{-n} det(1 - K_n), n = 0..k_max.
     """
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
@@ -178,10 +136,11 @@ def identity_checks(t: float, k_max: int, opuc: OpucData) -> IdentityReport:
         normalized.append(math.exp(log_dets[n] - n * math.log(2.0)))
         if n < opuc.cutoff + 1:
             log_d += float(opuc.log_norms[n])
-    return IdentityReport(
-        t=t,
-        nodes=IntegrableKernelSpec.nodes,
-        ratio_residuals=tuple(ratio),
-        product_residuals=tuple(product),
-        normalized_dets=tuple(normalized),
-    )
+    return {
+        "t": t,
+        "nodes": IntegrableKernelSpec.nodes,
+        "max_residual": max(ratio + product, default=0.0),
+        "ratio_residuals": ratio,
+        "product_residuals": product,
+        "normalized_dets": normalized,
+    }

@@ -22,7 +22,9 @@ where the moment scale e^{2t} makes the float64 inner products cancel
 below roundoff, an extended-precision path runs the same recursion in
 fixed-point Python integers on Bessel moment ratios from Miller's
 backward recurrence.  A square table holds one sequence, its reflection
-coefficients: its log-norms are their tail sums (``_tail_log_norms``).
+coefficients: every square table, on either route, is built from them by
+``_square_table``, which takes its log-norms as their tail sums and checks
+them against strong Szego.
 """
 
 from __future__ import annotations
@@ -52,21 +54,22 @@ UNIT_CIRCLE_MARGIN = 1e-13
 
 @dataclass(frozen=True)
 class OpucData:
-    """Reflection coefficients and log-norms up to a cutoff.
+    """Reflection coefficients and log-norms up to a cutoff: the
+    recursion's output only, not the Fourier table it ran on.
 
     ``reflection[k]`` is b(k) = -pi_k(0) for 1 <= k <= cutoff, with the
     unused slot 0 set to 0.  ``reflection_dual`` is the second family's
     b~(k) = -rho_k(0); it equals ``reflection`` entrywise for symmetric
     symbols.  ``log_norms[k]`` is log N_k for 0 <= k <= cutoff: from a
     direct inner product in ``levinson``, so the norm recurrence can serve
-    as an independent check, and in square tables the tail sums of b.
+    as an independent check, and in square tables (``_square_table``) the
+    tail sums of b.
     """
 
     reflection: np.ndarray
     reflection_dual: np.ndarray
     log_norms: np.ndarray
     cutoff: int
-    source: FourierTable | None = None
 
     def __post_init__(self) -> None:
         n = self.cutoff + 1
@@ -168,13 +171,7 @@ def levinson(coeffs: FourierTable, cutoff: int) -> OpucData:
             )
         log_norms[k + 1] = math.log(n_cur)
 
-    return OpucData(
-        reflection=b,
-        reflection_dual=b_dual,
-        log_norms=log_norms,
-        cutoff=K,
-        source=coeffs,
-    )
+    return OpucData(reflection=b, reflection_dual=b_dual, log_norms=log_norms, cutoff=K)
 
 
 # Decimal digits of working precision per unit of t (divided by ln 10).
@@ -200,13 +197,42 @@ def _default_cutoff(t: float, ell: int) -> int:
     return int(2.0 * t + 10.0 * t ** (1.0 / 3.0) + 20.0) + max(0, ell)
 
 
-def _tail_log_norms(reflection: np.ndarray) -> np.ndarray:
-    """log N_k = -sum_{j > k} log1p(-b_j^2), k = 0..cutoff, of the symbol
-    exp(t(z + 1/z)), whose norms obey N_{k+1} = N_k (1 - b_{k+1}^2) and
-    tend to 1.  One reversed cumulative sum of terms of one sign; at the
-    converged cutoff the log-norms sum to t^2 (strong Szego)."""
+# largest |sum_k log N_k - t^2| accepted on a square table, on the tail
+# sums of b that every square-family row reads.  It grows like t^2 eps:
+# 9e-13 at t = 90, at most 1.8e-12 over the catalogue's squares to
+# t = 120, 8.6e-13 at t = 2.5 and lmax 1000.  Short of digits it grows
+# about 1000-fold per 3 digits lost.
+SZEGO_TOL = 1e-10
+
+
+def _square_table(t: float, reflection: np.ndarray) -> OpucData:
+    """The table of exp(t(z + 1/z)) from its reflection coefficients b(k),
+    k = 0..cutoff with b(0) = 0, checked against strong Szego.
+
+    The norms obey N_{k+1} = N_k (1 - b(k+1)^2) and tend to 1, so
+    log N_k = -sum_{j > k} log1p(-b(j)^2): one reversed cumulative sum of
+    terms of one sign, not Levinson's inner products, whose roundoff grows
+    with the cutoff.  At the converged cutoff ``_default_cutoff(t, 0)``
+    they sum to log Z = t^2; a table off by more than SZEGO_TOL is refused
+    with a BreakdownError, because too little working precision shows up
+    as wrong digits before it breaks the recursion.  Every square table,
+    float64 or fixed-point, is built here.
+    """
     tails = np.cumsum(np.log1p(-np.square(reflection[:0:-1])))
-    return np.append(-tails[::-1], 0.0)
+    log_norms = np.append(-tails[::-1], 0.0)
+    residual = abs(math.fsum(log_norms) - t * t)
+    if not residual <= SZEGO_TOL:
+        raise BreakdownError(
+            f"strong Szego check failed at t = {t}: the log-norms sum "
+            f"to t^2 only within {residual:.2e} > {SZEGO_TOL:.0e}; "
+            "working precision too low"
+        )
+    return OpucData(
+        reflection=reflection,
+        reflection_dual=reflection,
+        log_norms=log_norms,
+        cutoff=len(reflection) - 1,
+    )
 
 
 def _miller_moments(t: float, count: int, bits: int) -> list[int]:
@@ -220,8 +246,11 @@ def _miller_moments(t: float, count: int, bits: int) -> list[int]:
     is stable for I_j; it starts at an index M where I_M(2t)/I_0(2t) <
     2^-(bits + 32), from the bound I_n(2t) <= t^n/n! e^{t^2/(n+1)} and
     I_0 >= 1.  t enters as the exact ratio of its float value; the start
-    carries 32 guard bits past ``bits``.
+    carries 32 guard bits past ``bits``.  At t = 0 every ratio past the
+    first is 0.
     """
+    if t == 0.0:
+        return [1 << bits] + [0] * (count - 1)
     target = -(bits + 32) * math.log(2.0)
     m = count
     while m * math.log(t) - math.lgamma(m + 1) + t * t / (m + 1) > target:
@@ -246,12 +275,13 @@ def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucD
     ``_highprec_dps``).  The moments are the ratios I_j(2t)/I_0(2t) from
     Miller's backward recurrence, and each recursion step is two dot
     products and one vector update on numpy object arrays of those
-    integers.  Reflection coefficients are rounded to float64, and the
-    log-norms are their tail sums, which a cutoff short of the converged
-    one (``_default_cutoff(t, 0)``) would truncate: it is refused.
+    integers.  Reflection coefficients are rounded to float64 and make
+    the table through ``_square_table``, whose tail sums a cutoff short of
+    the converged one (``_default_cutoff(t, 0)``) would truncate: it is
+    refused.
     """
-    if t <= 0:
-        raise ValidationError(f"t must be > 0, got {t}")
+    if t < 0:
+        raise ValidationError(f"t must be >= 0, got {t}")
     if cutoff < _default_cutoff(t, 0):
         raise ValidationError(
             f"cutoff {cutoff} stops short of the converged cutoff "
@@ -282,13 +312,7 @@ def square_opuc_highprec(t: float, cutoff: int, dps: int | None = None) -> OpucD
         if n_cur <= 0:
             raise BreakdownError(f"norm N_{k + 1} not positive at high precision")
         b[k + 1] = b_next / one
-    return OpucData(
-        reflection=b,
-        reflection_dual=b,
-        log_norms=_tail_log_norms(b),
-        cutoff=cutoff,
-        source=None,
-    )
+    return _square_table(t, b)
 
 
 def toeplitz_log_det(data: OpucData, order: int) -> float:

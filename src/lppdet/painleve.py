@@ -56,7 +56,6 @@ from .opuc import OpucData, _default_cutoff, square_opuc_highprec
 
 __all__ = [
     "PiiSolution",
-    "CornerReport",
     "solve_hastings_mcleod",
     "f_gue",
     "f_goe",
@@ -426,23 +425,14 @@ def corner_scaling_t(x: float, k: int) -> float:
     return 0.5 * k * (1.0 - x / (2.0 ** (1.0 / 3.0) * k ** (2.0 / 3.0)))
 
 
-@dataclass(frozen=True)
-class CornerReport:
-    k: int
-    t: float
-    x: float
-    dev_norm_ratio: float
-    dev_poly_at_zero: float
-
-
 def corner_asymptotics_check(
     data: OpucData, t: float, k: int, sol: PiiSolution
-) -> CornerReport:
-    """Deviation of the corner entries from their edge expansions.
+) -> tuple[float, float]:
+    """Deviations of the corner entries from their edge expansions.
 
-    Compares 1/N_{k-1} against 1 + 2^{1/3} k^{-1/3} v(x) and -b(k)
-    against -(-1)^k 2^{1/3} k^{-1/3} u(x), both of which the edge scaling
-    predicts to within O(k^{-2/3}).
+    Returns |1/N_{k-1} - 1 - 2^{1/3} k^{-1/3} v(x)| and
+    |-b(k) + (-1)^k 2^{1/3} k^{-1/3} u(x)|, both of which the edge scaling
+    predicts to be O(k^{-2/3}).
     """
     if k < 2 or k > data.cutoff:
         raise ValidationError(f"k must lie in [2, cutoff] = [2, {data.cutoff}]")
@@ -459,25 +449,28 @@ def corner_asymptotics_check(
     dev_v = abs(neg_y21 - 1.0 - scale * sol.v_at(x))
     y11 = -float(data.reflection[k])  # = pi_k(0)
     dev_u = abs(y11 + (-1.0) ** k * scale * sol.u_at(x))
-    return CornerReport(k=k, t=t, x=x, dev_norm_ratio=dev_v, dev_poly_at_zero=dev_u)
+    return dev_v, dev_u
 
 
 def corner_asymptotics_study(
     k_values, x: float, sol: PiiSolution
-) -> list[CornerReport]:
-    """Run the corner check at fixed x across several k, high precision.
+) -> tuple[list[float], list[float]]:
+    """The corner check at fixed x across several k, high precision: the
+    norm-ratio deviations and the polynomial-entry deviations, one per k.
 
     Each k gets its own t from the scaling relation and a fresh
     extended-precision recursion (fixed-point integers on Miller Bessel
     moments) to the converged cutoff that its tail-sum log-norms need:
     float64 moment arithmetic loses these coefficients once e^{2t} > 1e16.
+    Like every square table it must pass the strong Szego check.
     """
-    reports = []
+    devs = []
     for k in k_values:
         t = corner_scaling_t(x, int(k))
         data = square_opuc_highprec(t, _default_cutoff(t, 0))
-        reports.append(corner_asymptotics_check(data, t, int(k), sol))
-    return reports
+        devs.append(corner_asymptotics_check(data, t, int(k), sol))
+    dev_v, dev_u = zip(*devs)
+    return list(dev_v), list(dev_u)
 
 
 def fit_power_law(ks, devs) -> tuple[float, float]:

@@ -10,8 +10,10 @@ and ``levinson_two_family`` is the float64 recursion as it ran with both
 families for every symbol.
 ``prob_square_product`` reads the square law off the complementary product
 of norms, ``square_law_bessel`` off the discrete Bessel determinant, which
-takes no recursion, and ``triangle_law_mpf`` the triangle law off a dense
-orthogonal-group determinant.  ``toeplitz_log_norms_fixed`` runs the
+takes no recursion, ``triangle_law_mpf`` the triangle law off a dense
+orthogonal-group determinant and ``external_law_dense`` the
+external-source law off dense Toeplitz minors.
+``toeplitz_log_norms_fixed`` runs the
 asymmetric recursion for any ``SymbolSpec`` in fixed-point integers, on a
 table convolved from the symbol's one-sided power series instead of the
 float64 quadrature table, and ``group_means_mpf`` the orthogonal-group
@@ -109,7 +111,6 @@ def levinson_two_family(coeffs: FourierTable, cutoff: int) -> OpucData:
         reflection_dual=b if symmetric else b_dual,
         log_norms=log_norms,
         cutoff=cutoff,
-        source=coeffs,
     )
 
 
@@ -230,6 +231,26 @@ def eval_pi_dense(coeffs: FourierTable, k: int, z) -> tuple[complex, complex]:
     for a in range(k + 1):
         star_val = star_val * zc + c[a]
     return pi_val, star_val
+
+
+def external_law_dense(t: float, a_plus: float, a_minus: float, lmax: int,
+                       dps: int = 30) -> list[float]:
+    """[D'_{ell+1} - a+ a- D'_ell] e^{-log Z} for ell = 0..lmax, from dense
+    ``dps``-digit minors D' of (1 + a+ z)(1 + a-/z) e^{t(z + 1/z)}, with
+    log Z = t^2 + (a+ + a-) t."""
+    with mp.workdps(dps):
+        t_, ap, am = mp.mpf(t), mp.mpf(a_plus), mp.mpf(a_minus)
+        bessel = [mp.besseli(n, 2 * t_) for n in range(lmax + 2)]
+
+        def phi(m):
+            return (1 + ap * am) * bessel[abs(m)] + ap * bessel[abs(m - 1)] + am * bessel[abs(m + 1)]
+
+        minors = [mp.mpf(0), mp.mpf(1)] + [
+            mp.det(mp.matrix([[phi(j - k) for k in range(n)] for j in range(n)]))
+            for n in range(1, lmax + 1)
+        ]
+        z = mp.exp(t_ * t_ + (ap + am) * t_)
+        return [float((minors[n + 1] - ap * am * minors[n]) / z) for n in range(lmax + 1)]
 
 
 def triangle_law_mpf(t: float, alpha: float, ell: int, dps: int = 120) -> float:

@@ -11,12 +11,14 @@ import sys
 import numpy as np
 import pytest
 
-from lppdet import cli, exact_dist
+from lppdet import cli, exact_dist, opuc
 from lppdet.cache import CACHE_ENV_VAR
 from lppdet.errors import BreakdownError
 from lppdet.montecarlo import SAMPLERS
 from lppdet.opuc import square_opuc_highprec
 from lppdet.symbols import MODEL_RULES, ModelKind, ModelSpec
+
+from highprec_oracle import external_law_dense
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -186,7 +188,7 @@ def test_float64_square_failing_strong_szego_exits_two(run, monkeypatch):
     good = rows()
     monkeypatch.setattr(exact_dist, "levinson", perturbed)
     with monkeypatch.context() as unchecked:
-        unchecked.setattr(exact_dist, "SZEGO_TOL", math.inf)
+        unchecked.setattr(opuc, "SZEGO_TOL", math.inf)
         bad = rows()
     assert max(abs(bad[ell][0] - good[ell][0]) for ell in good) > 1e-9
     exact_dist.check_cdf({ell: p for ell, (p, _) in bad.items()})
@@ -208,6 +210,26 @@ def test_long_float64_square_table_exits_zero(run):
     fixed = square_opuc_highprec(2.5, exact_dist._default_cutoff(2.5, 1000))
     want = np.exp(exact_dist._square_log_cdf(fixed)[:1001])
     assert np.max(np.abs(rows[:, 1] - want)) <= 3e-13
+
+
+@pytest.mark.parametrize(
+    "t, a_plus, a_minus, lmax, top",
+    [(2.0, 0.2, 4.0, 20, 0.99987038948865307), (1.0, 0.1, 8.0, 14, 0.9815788037272319)],
+)
+def test_external_rows_with_a_large_rate_match_dense_minors(run, t, a_plus, a_minus, lmax, top):
+    """Row ell multiplies the error of b(k) by up to a-^k.  On float64
+    Levinson data these tables exited 0 with their top rows 7.8e-6 and
+    2.4e-7 off 60-digit dense minors; the fixed-point table keeps every
+    row within 1e-12."""
+    code, out = run(
+        "dist", "external", "--t", repr(t), "--alpha-plus", repr(a_plus),
+        "--alpha-minus", repr(a_minus), "--lmax", str(lmax),
+    )
+    assert code == 0
+    rows = np.loadtxt(out / "dist_external.csv", delimiter=",", skiprows=1)
+    want = external_law_dense(t, a_plus, a_minus, lmax, dps=60)
+    assert want[-1] == pytest.approx(top, abs=1e-16)
+    assert np.max(np.abs(rows[:, 1] - want)) <= 1e-12
 
 
 def test_mc_cross_counts_refused_thresholds(run):
@@ -316,6 +338,16 @@ def test_failed_suite_exits_three(run, monkeypatch):
     report = json.loads((out / "verify_dpii.json").read_text())
     assert report["passed"] is False
     assert report["planted"] == 1
+
+
+def test_corner_study_short_of_digits_exits_two(run, monkeypatch, capsys):
+    """The corner study's fixed-point tables face the strong Szego check
+    too.  At 2 digits per unit of t the study read slopes -0.684 and
+    -0.983 (true: -1.013) and passed; now the t = 67.5 table is refused."""
+    monkeypatch.setattr(opuc, "_DPS_SLOPE", 2.0)
+    code, _ = run("verify", "corner-asymptotics")
+    assert code == 2
+    assert "strong Szego check failed at t = 67.5" in capsys.readouterr().err
 
 
 def test_verify_dpii_passes(run, capsys):
@@ -488,13 +520,13 @@ def test_mc_cross_external_builds_the_recursion_once(run, monkeypatch):
     """Every threshold of the external-sources law reads one recursion
     table, built to the largest sampled threshold."""
     calls = []
-    real = exact_dist.square_opuc
+    real = exact_dist.square_opuc_highprec
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(exact_dist, "square_opuc", counting)
+    monkeypatch.setattr(exact_dist, "square_opuc_highprec", counting)
     code, out = run(
         "--seed", "0", "verify", "mc-cross", "--model", "external", "--t", "8",
         "--alpha-plus", "0.3", "--alpha-minus", "0.6", "--trials", "400",

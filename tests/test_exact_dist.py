@@ -27,11 +27,10 @@ from lppdet.exact_dist import (
     ogroup_law,
     scaled_cdf,
     square_opuc,
-    toeplitz_prob,
     triangle_rows,
 )
 from lppdet.fredholm import IntegrableKernelSpec, fredholm_log_det
-from lppdet.opuc import square_opuc_highprec
+from lppdet.opuc import square_opuc_highprec, toeplitz_log_det
 from lppdet.symbols import (
     ModelKind,
     ModelSpec,
@@ -41,6 +40,7 @@ from lppdet.symbols import (
 )
 
 from highprec_oracle import (
+    external_law_dense,
     group_means_mpf,
     prob_square_product,
     square_law_bessel,
@@ -83,9 +83,13 @@ def test_square_frozen_table():
 
 
 def test_square_out_of_range(opuc_t1):
-    assert toeplitz_prob(1.0, -1, opuc_t1) == 0.0
+    """A determinant past the table, or of negative order, is refused, and
+    so is a negative lmax."""
+    for order in (-1, opuc_t1.cutoff + 5):
+        with pytest.raises(ValidationError):
+            toeplitz_log_det(opuc_t1, order)
     with pytest.raises(ValidationError):
-        toeplitz_prob(1.0, opuc_t1.cutoff + 5, opuc_t1)
+        exact_law(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0), -1)
 
 
 @settings(deadline=None, max_examples=20)
@@ -93,7 +97,7 @@ def test_square_out_of_range(opuc_t1):
 def test_square_product_route_agrees(t):
     data = square_opuc(t)
     for ell in range(0, 6):
-        direct = toeplitz_prob(t * t, ell, data)
+        direct = math.exp(toeplitz_log_det(data, ell) - t * t)
         via_product, bound = prob_square_product(t, ell, data)
         assert via_product == pytest.approx(direct, abs=1e-11 + bound)
 
@@ -130,7 +134,7 @@ def test_square_rows_match_the_discrete_bessel_determinant(t):
 @given(t=st.floats(0.1, 2.5))
 def test_square_cdf_monotone_in_threshold(t):
     data = square_opuc(t)
-    values = [toeplitz_prob(t * t, ell, data) for ell in range(0, 8)]
+    values = [math.exp(toeplitz_log_det(data, ell) - t * t) for ell in range(0, 8)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] <= 1.0 + 1e-12
 
@@ -166,9 +170,10 @@ def fixed_point_t25():
 def test_long_float64_tables_match_fixed_point_data(fixed_point_t25):
     """At lmax 1000 Levinson's float64 inner-product norms drifted 2.2e-10
     off t^2, so the strong Szego check refused the square, and the
-    triangle and external-source laws, which read the same log-norms,
-    were 1.1e-10 and 2.1e-10 off the same laws on fixed-point data.  The
-    tail sums of the reflection coefficients keep all three."""
+    triangle law, which read the same log-norms, was 1.1e-10 off the same
+    law on fixed-point data.  The tail sums of the reflection coefficients
+    keep both.  The external-source law reads the fixed-point table
+    itself at every t."""
     data = square_opuc(2.5, ell=1000)
     assert abs(math.fsum(data.log_norms) - 2.5 ** 2) <= 1e-12
     triangle = ModelSpec(kind=ModelKind.POISSON_TRIANGLE, t=2.5, alpha=0.5)
@@ -180,7 +185,7 @@ def test_long_float64_tables_match_fixed_point_data(fixed_point_t25):
     )
     rows, _ = exact_law(external, 1000)
     want = external_rows(0.3, 0.6, normalization_log_z(external), 1000, fixed_point_t25)
-    assert max(abs(rows[ell][0] - p) for ell, (p, _) in enumerate(want)) <= 2e-12
+    assert [rows[ell] for ell in range(1001)] == want
 
 
 def test_triangle_frozen_values(opuc_t1):
@@ -227,8 +232,16 @@ def test_external_frozen_values(opuc_t1):
 def test_external_reduces_to_square_at_zero_rates(opuc_t1):
     for ell in (1, 2, 3):
         assert float(external_point(1.0, 0.0, 0.0, ell, opuc_t1)) == pytest.approx(
-            toeplitz_prob(1.0, ell, opuc_t1), abs=1e-11
+            math.exp(toeplitz_log_det(opuc_t1, ell) - 1.0), abs=1e-11
         )
+
+
+def test_external_at_t_zero_is_certain():
+    """Without points L = 0, so every row is 1 up to rounding; the
+    fixed-point table that the external law reads takes t = 0 too."""
+    model = ModelSpec(kind=ModelKind.POISSON_EXTERNAL, t=0.0, alpha_plus=0.3, alpha_minus=0.5)
+    rows, _ = exact_law(model, 4)
+    assert [p for p, _ in rows.values()] == pytest.approx([1.0] * 5, abs=1e-15)
 
 
 def test_external_symmetric_in_the_two_rates(opuc_t1):
@@ -244,24 +257,6 @@ def test_external_singular_direction(opuc_t1):
     assert at == pytest.approx(0.5510366937860481, abs=1e-8)
     near = float(external_point(1.0, 2.0, 0.5 - 2e-4, 2, opuc_t1))
     assert at == pytest.approx(near, abs=1e-4)
-
-
-def _external_dense(t, a_plus, a_minus, lmax):
-    """[D_ell - a+ a- D_{ell-1}] e^{-log Z} for ell = 0..lmax, from dense
-    30-digit minors D of (1 + a+ z)(1 + a-/z) e^{t(z + 1/z)}."""
-    with mp.workdps(30):
-        t_, ap, am = mp.mpf(t), mp.mpf(a_plus), mp.mpf(a_minus)
-        bessel = [mp.besseli(n, 2 * t_) for n in range(lmax + 2)]
-
-        def phi(m):
-            return (1 + ap * am) * bessel[abs(m)] + ap * bessel[abs(m - 1)] + am * bessel[abs(m + 1)]
-
-        minors = [mp.mpf(0), mp.mpf(1)] + [
-            mp.det(mp.matrix([[phi(j - k) for k in range(n)] for j in range(n)]))
-            for n in range(1, lmax + 1)
-        ]
-        z = mp.exp(t_ * t_ + (ap + am) * t_)
-        return [float((minors[n + 1] - ap * am * minors[n]) / z) for n in range(lmax + 1)]
 
 
 @settings(deadline=None, max_examples=25)
@@ -280,10 +275,9 @@ def test_external_law_matches_dense_minors(t, a_plus, a_minus):
     symbol, on both sides of a+ a- = 1, from p(0) = e^{-log Z} on.  Row
     ell subtracts a+ a- D'_{ell-1} from D'_ell, and both grow like
     (a+ a-)^ell once a+ a- > 1, so float64 roundoff grows alike.  Each
-    row's roundoff estimate must cover the error of the same row on
-    fixed-point recursion data: it estimates the rounding of the kernel
-    and its cancellation, not the error of the float64 recursion that
-    the route reads below t = 2.5."""
+    row's roundoff estimate must cover its error: the route reads the
+    fixed-point recursion at every t, and the estimate covers the
+    rounding of the kernel and its cancellation."""
     model = ModelSpec(
         kind=ModelKind.POISSON_EXTERNAL, t=t, alpha_plus=a_plus, alpha_minus=a_minus
     )
@@ -291,11 +285,9 @@ def test_external_law_matches_dense_minors(t, a_plus, a_minus):
     assert sorted(rows) == list(range(7))
     assert rows[0][0] == pytest.approx(math.exp(-normalization_log_z(model)), rel=1e-14)
     growth = max(1.0, a_plus * a_minus)
-    fixed_point = square_opuc_highprec(t, _default_cutoff(t, 6))
-    fixed = external_rows(a_plus, a_minus, normalization_log_z(model), 6, fixed_point)
-    for ell, want in enumerate(_external_dense(t, a_plus, a_minus, 6)):
-        assert rows[ell][0] == pytest.approx(want, abs=2e-13 * growth**ell)
-        p, bound = fixed[ell]
+    for ell, want in enumerate(external_law_dense(t, a_plus, a_minus, 6)):
+        p, bound = rows[ell]
+        assert p == pytest.approx(want, abs=2e-13 * growth**ell)
         assert abs(p - want) <= bound
 
 
