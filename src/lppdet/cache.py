@@ -1,20 +1,23 @@
 """Disk cache for the expensive solver artifacts.
 
-The cache is always on.  Its root is taken from the LPPDET_CACHE_DIR
-environment variable, defaulting to ~/.cache/lppdet.  Entries are keyed by
-a digest of their construction parameters and carry the format version of
-their payload; a version mismatch or an unreadable or truncated file
-causes a silent recompute and overwrite, never an error.  Entries are
-written to a temporary file in the same directory and renamed into place,
-so a reader never sees a partial entry.
+The cache is always on, and an optimization only.  Its root is taken from
+the LPPDET_CACHE_DIR environment variable, defaulting to ~/.cache/lppdet.
+Entries are keyed by a digest of their construction parameters and carry
+the format version of their payload; a version mismatch or an unreadable
+or truncated file causes a silent recompute and overwrite, never an error,
+and so does a root that cannot be written, where the solved table serves
+without being stored.  Entries are written to a temporary file in the same
+directory and renamed into place, so a reader never sees a partial entry.
+The Painleve II entry (format 5) is a header line and raw float64s, read
+with the standard library alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
-import zipfile
 from pathlib import Path
 
 from .errors import LppdetError
@@ -37,7 +40,7 @@ def _pii_cache_path() -> Path:
     # refused and overwritten in place rather than left behind
     key = repr((X_MIN, X_RIGHT, TABLE_TOL))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return cache_root() / f"pii-{digest}.npz"
+    return cache_root() / f"pii-{digest}.f64"
 
 
 def cached_pii_solution() -> tuple[PiiSolution, bool]:
@@ -46,19 +49,23 @@ def cached_pii_solution() -> tuple[PiiSolution, bool]:
     Returns (solution, cache_hit).
     """
     path = _pii_cache_path()
-    if path.exists():
-        try:
-            return PiiSolution.load_npz(path), True
-        except (LppdetError, OSError, ValueError, KeyError, zipfile.BadZipFile):
-            pass
-    sol = solve_hastings_mcleod()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".pii-", suffix=".npz")
     try:
+        return PiiSolution.load(path), True
+    except (LppdetError, OSError):
+        pass
+    sol = solve_hastings_mcleod()
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".pii-", suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
-            sol.save_npz(handle)
+            sol.save(handle)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        tmp = None
+    except OSError:
+        pass  # the cache is an optimization only: the solved table serves unstored
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
     return sol, False

@@ -10,6 +10,10 @@ versions, the seed and a sha256 for each output file.  Exit codes:
 * 2  numerical failure (recursion breakdown, an error bound past its target,
      a table that leaves [0, 1] or falls)
 * 3  a verification suite ran to completion and found a violation
+
+The module itself loads only the standard library, the model table and
+the Painleve layer, none of which needs numpy; each command imports the
+routes it runs when it starts, so ``tw`` loads no numpy at all.
 """
 
 from __future__ import annotations
@@ -20,26 +24,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from statistics import NormalDist
 
 from . import __version__
-from .cache import cached_pii_solution
 from .errors import BreakdownError, ValidationError, VerificationError
-from .exact_dist import (
-    build_dist_table,
-    certified_law,
-    exact_law,
-    scaled_cdf,
-    square_opuc,
-)
-from .fredholm import IntegrableKernelSpec, fredholm_log_det, identity_checks
-from .montecarlo import (
-    SimConfig,
-    brute_force_lis_distribution,
-    poissonized_square_cdf,
-    run_simulation,
-)
-from .opuc import dpii_residual, toeplitz_log_det, toeplitz_log_det_dense
 from .painleve import (
     PiiSolution,
     airy_kernel_fgue,
@@ -188,6 +175,8 @@ def _write_manifest(out_dir: Path, args, outputs, extra: dict | None = None) -> 
 def cmd_dist(args, out_dir: Path) -> None:
     if args.lmax < 0:
         raise ValidationError("--lmax must be nonnegative")
+    from .exact_dist import build_dist_table
+
     model = model_from_args(args)
     table = build_dist_table(model, args.lmax)
     csv_path = out_dir / f"dist_{args.model}.csv"
@@ -211,6 +200,8 @@ def _x_grid(args) -> list[float]:
 
 
 def cmd_tw(args, out_dir: Path) -> None:
+    from .cache import cached_pii_solution
+
     xs = _x_grid(args)
     sol, cache_hit = cached_pii_solution()
     law = {"gue": f_gue, "goe": f_goe, "gse": f_gse}[args.which]
@@ -221,6 +212,9 @@ def cmd_tw(args, out_dir: Path) -> None:
 
 
 def _suite_dpii(args) -> tuple[dict, bool, str]:
+    from .exact_dist import square_opuc
+    from .opuc import dpii_residual
+
     kmax = max(args.kmax, 3)
     data = square_opuc(args.t, ell=kmax + 1)
     residuals = {str(k): dpii_residual(data, args.t, k) for k in range(2, kmax + 1)}
@@ -230,6 +224,9 @@ def _suite_dpii(args) -> tuple[dict, bool, str]:
 
 
 def _suite_fredholm(args) -> tuple[dict, bool, str]:
+    from .exact_dist import square_opuc
+    from .fredholm import identity_checks
+
     kmax = max(args.kmax, 1)
     report = identity_checks(args.t, kmax, square_opuc(args.t, ell=kmax))
     worst = report["max_residual"]
@@ -237,6 +234,8 @@ def _suite_fredholm(args) -> tuple[dict, bool, str]:
 
 
 def _suite_corner(args) -> tuple[dict, bool, str]:
+    from .cache import cached_pii_solution
+
     sol, _ = cached_pii_solution()
     ks = (40, 60, 90, 135)
     dev_v, dev_u = corner_asymptotics_study(ks, 0.0, sol)
@@ -255,7 +254,7 @@ def _suite_corner(args) -> tuple[dict, bool, str]:
     return report, ok, f"corner deviation slopes {slope_v:.3f}, {slope_u:.3f}"
 
 
-def _sampling(config: SimConfig) -> dict:
+def _sampling(config) -> dict:
     """How a simulation's draws were split; deterministic, so manifests
     stay byte-identical across reruns."""
     return {"block_size": config.block_size, "blocks": config.blocks}
@@ -270,6 +269,11 @@ _MC_FALSE_ALARM = 0.0027
 
 
 def _suite_mc_cross(args) -> tuple[dict, bool, str]:
+    from statistics import NormalDist
+
+    from .exact_dist import certified_law, exact_law
+    from .montecarlo import SimConfig, run_simulation
+
     model = model_from_args(args)
     config = SimConfig(model=model, trials=args.trials, seed=args.seed, workers=args.workers)
     emp = run_simulation(config)
@@ -320,6 +324,16 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
 
 
 def _suite_oracles(args) -> tuple[dict, bool, str]:
+    from .cache import cached_pii_solution
+    from .exact_dist import build_dist_table, square_opuc
+    from .fredholm import IntegrableKernelSpec, fredholm_log_det
+    from .montecarlo import (
+        brute_force_lis_distribution,
+        plancherel_lis_cdf,
+        poissonized_square_cdf,
+    )
+    from .opuc import toeplitz_log_det, toeplitz_log_det_dense
+
     checks = {}
 
     square = SymbolSpec(exp_plus_t=1.0, exp_minus_t=1.0)
@@ -349,8 +363,6 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
     checks["fredholm_det_t1_k0"] = abs(fredholm_log_det(spec) + log_z)
     dist = brute_force_lis_distribution(6)
     total = sum(dist.values())
-    from .montecarlo import plancherel_lis_cdf
-
     checks["plancherel_vs_brute_force"] = max(
         abs(sum(v for k, v in dist.items() if k <= ell) / total
             - float(plancherel_lis_cdf(6, ell)))
@@ -387,6 +399,9 @@ def cmd_verify(args, out_dir: Path) -> None:
 
 
 def cmd_converge(args, out_dir: Path) -> None:
+    from .cache import cached_pii_solution
+    from .exact_dist import scaled_cdf, square_opuc
+
     xs = _x_grid(args)
     t_values = sorted(set(args.t_list))
     if len(t_values) < 2:
@@ -421,6 +436,8 @@ def cmd_converge(args, out_dir: Path) -> None:
 
 
 def cmd_mc(args, out_dir: Path) -> None:
+    from .montecarlo import SimConfig, run_simulation
+
     model = model_from_args(args)
     config = SimConfig(model=model, trials=args.trials, seed=args.seed, workers=args.workers)
     emp = run_simulation(config)

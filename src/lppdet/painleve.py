@@ -23,7 +23,7 @@ The system (u, u', v, I, W) is polynomial, so it is integrated by Taylor
 series: each macro step of fixed length expands the solution about its
 right end by Cauchy-product recurrences and takes as many terms as
 ``tol`` asks.  Those step polynomials are the table (``PiiSolution``,
-cache format version 4) on [X_MIN, X_RIGHT] = [-9, 10]: a read finds x's
+cache format version 5) on [X_MIN, X_RIGHT] = [-9, 10]: a read finds x's
 step and evaluates its polynomials, so there is no output grid and no
 interpolation.  Against a 40-digit reference u and W are within about
 1e-17 on [0, 8], 1e-13 on [-4, 0], 4e-11 on [-6, -4] and 6e-8 on
@@ -33,11 +33,14 @@ roundoff like exp(0.94 |x|^{3/2}); at X_MIN = -9, u is 4e-6 off and W
 9e-7.  Right of X_RIGHT the Airy tails stand in for the table.
 
 The Airy functions come from their Maclaurin series in decimal
-arithmetic, so the layer needs numpy and the standard library only.
+arithmetic, and the table is Python floats, so the solve, the cache entry
+and the three laws need the standard library alone.
 
 An independent Airy-kernel Fredholm determinant oracle is included for
 cross-validation, plus the corner-asymptotics check tying the circle
-recursion data at the scaling edge to (u, v).
+recursion data at the scaling edge to (u, v).  The oracle and the
+power-law fit import numpy, and the corner study the circle recursion,
+only when they are called.
 """
 
 from __future__ import annotations
@@ -46,13 +49,15 @@ import bisect
 import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError, BreakdownError
-from .opuc import OpucData, _default_cutoff, square_opuc_highprec
+
+if TYPE_CHECKING:
+    from .opuc import OpucData
 
 __all__ = [
     "PiiSolution",
@@ -209,23 +214,23 @@ def _airy_v(x: float) -> float:
 @dataclass(frozen=True)
 class PiiSolution:
     """The Hastings-McLeod solution on [X_MIN, X_RIGHT] as the solver's
-    own Taylor steps (cache format version 4).
+    own Taylor steps (cache format version 5).
 
-    ``coeffs[k]`` holds, zero-padded to one order, the Taylor coefficients
-    of u, v(x) = int_inf^x u^2, I(x) = int_x^inf u and W(x) = int_x^inf v
-    (the last three nonpositive) about the right end ``_STARTS[k]`` of step
-    k; past X_RIGHT the Airy tails serve.  ``tol`` is the relative truncation
-    tolerance of the steps.
+    ``coeffs[k]`` holds four lists of floats, zero-padded to one order: the
+    Taylor coefficients of u, v(x) = int_inf^x u^2, I(x) = int_x^inf u and
+    W(x) = int_x^inf v (the last three nonpositive) about the right end
+    ``_STARTS[k]`` of step k; past X_RIGHT the Airy tails serve.  ``tol`` is
+    the relative truncation tolerance of the steps.
     """
 
-    coeffs: np.ndarray
+    coeffs: list[list[list[float]]]
     tol: float
 
-    FORMAT_VERSION = 4
+    FORMAT_VERSION = 5
 
     def _read(self, x: float, component: int) -> float:
         k = bisect.bisect_right(_STARTS, -x, key=operator.neg) - 1
-        return _horner(self.coeffs[k, component].tolist(), x - _STARTS[k])
+        return _horner(self.coeffs[k][component], x - _STARTS[k])
 
     def u_at(self, x: float) -> float:
         self._check_range(x)
@@ -258,29 +263,38 @@ class PiiSolution:
         if x < X_MIN:
             raise ValidationError(f"x = {x} below tabulated range (table starts at {X_MIN})")
 
-    def save_npz(self, path) -> None:
-        np.savez(
-            path,
-            format_version=np.array([self.FORMAT_VERSION]),
-            tol=np.array([self.tol]),
-            coeffs=self.coeffs,
-        )
+    def save(self, handle) -> None:
+        """Write the table to a binary file: one text line holding the
+        format version, ``tol`` and the order, then every coefficient as a
+        native float64, step by step and component by component."""
+        order = len(self.coeffs[0][0])
+        handle.write(f"{self.FORMAT_VERSION} {self.tol!r} {order}\n".encode())
+        handle.write(array("d", [c for step in self.coeffs for poly in step for c in poly]))
 
     @classmethod
-    def load_npz(cls, path) -> "PiiSolution":
-        with np.load(path) as d:
-            if int(d["format_version"][0]) != cls.FORMAT_VERSION:
-                raise ValidationError(
-                    f"cache format version {int(d['format_version'][0])} "
-                    f"does not match {cls.FORMAT_VERSION}"
-                )
-            coeffs = d["coeffs"]
-            if coeffs.ndim != 3 or coeffs.shape[:2] != (len(_STARTS), 4):
-                raise ValidationError(
-                    f"cached coefficients have shape {coeffs.shape}, "
-                    f"not ({len(_STARTS)}, 4, order)"
-                )
-            return cls(coeffs=coeffs, tol=float(d["tol"][0]))
+    def load(cls, path) -> "PiiSolution":
+        """The table ``save`` wrote to ``path``; an entry of another format
+        version, or one whose size does not match its header, is refused."""
+        with open(path, "rb") as handle:
+            header, _, payload = handle.read().partition(b"\n")
+        try:
+            version, tol, order = header.split()
+            version, tol, order = int(version), float(tol), int(order)
+        except ValueError:
+            raise ValidationError("cache entry has no readable header") from None
+        if version != cls.FORMAT_VERSION:
+            raise ValidationError(
+                f"cache format version {version} does not match {cls.FORMAT_VERSION}"
+            )
+        size = len(_STARTS) * 4 * order
+        if order < 1 or len(payload) != 8 * size:
+            raise ValidationError(
+                f"cached coefficients hold {len(payload)} bytes, not the shape "
+                f"({len(_STARTS)}, 4, {order}) of float64"
+            )
+        flat = array("d", payload).tolist()
+        polys = [flat[i : i + order] for i in range(0, size, order)]
+        return cls(coeffs=[polys[k : k + 4] for k in range(0, len(polys), 4)], tol=tol)
 
 
 def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
@@ -357,10 +371,10 @@ def solve_hastings_mcleod(tol: float = TABLE_TOL) -> PiiSolution:
         du = [j * c for j, c in enumerate(u)][1:]
         state = tuple(_horner(c, h) for c in (u, du, v, i, w))
         steps.append((u, v, i, w))
-    # the four polynomials of a step share its order
-    coeffs = np.zeros((len(steps), 4, max(len(u) for u, *_ in steps)))
-    for k, step in enumerate(steps):
-        coeffs[k, :, : len(step[0])] = step
+    # the four polynomials of a step share its order; zeros pad every step
+    # to the largest, which leaves each Horner read's value unchanged
+    order = max(len(u) for u, *_ in steps)
+    coeffs = [[c + [0.0] * (order - len(c)) for c in step] for step in steps]
     return PiiSolution(coeffs=coeffs, tol=tol)
 
 
@@ -393,6 +407,8 @@ def airy_kernel_fgue(x: float) -> float:
     and well below the cut; further left the Airy series at the nodes
     would need ever more digits and terms.
     """
+    import numpy as np
+
     if not X_MIN <= x < _AIRY_CUT - 1.0:
         raise ValidationError(
             f"x = {x} must lie in [{X_MIN}, {_AIRY_CUT - 1.0}), the table's window "
@@ -464,6 +480,8 @@ def corner_asymptotics_study(
     float64 moment arithmetic loses these coefficients once e^{2t} > 1e16.
     Like every square table it must pass the strong Szego check.
     """
+    from .opuc import _default_cutoff, square_opuc_highprec
+
     devs = []
     for k in k_values:
         t = corner_scaling_t(x, int(k))
@@ -475,6 +493,8 @@ def corner_asymptotics_study(
 
 def fit_power_law(ks, devs) -> tuple[float, float]:
     """Least-squares slope and constant for dev ~ C * k^slope."""
+    import numpy as np
+
     ks = np.asarray(ks, dtype=float)
     devs = np.asarray(devs, dtype=float)
     if np.any(devs <= 0):

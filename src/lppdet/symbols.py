@@ -32,11 +32,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ValidationError, BreakdownError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SymbolSpec",
@@ -110,6 +111,8 @@ class SymbolSpec:
 
 def evaluate_symbol(spec: SymbolSpec, z):
     """Evaluate phi(z); ``z`` may be a scalar or array, real or complex."""
+    import numpy as np
+
     z = np.asarray(z)
     out = np.exp(spec.exp_plus_t * z + spec.exp_minus_t / z)
     for q in spec.zeros_plus:
@@ -152,6 +155,8 @@ def fourier_coeffs(
     aliasing error folds in coefficients phi_{j +- m}, so m is required
     to be at least 4*(half_width + 1).
     """
+    import numpy as np
+
     if half_width < 0:
         raise ValidationError(f"half_width must be >= 0, got {half_width}")
     if nodes is None:

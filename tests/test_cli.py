@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from lppdet import cli, exact_dist, opuc
+from lppdet import cache, cli, exact_dist, opuc
 from lppdet.cache import CACHE_ENV_VAR
 from lppdet.errors import BreakdownError
 from lppdet.montecarlo import SAMPLERS
@@ -260,14 +260,14 @@ def test_mc_cross_refuses_an_ill_conditioned_lattice(run):
 def test_mc_cross_checks_the_range_of_its_rows(run, monkeypatch):
     """A certified row above 1 is refused as a numerical failure (exit 2);
     it is not skipped as a degenerate threshold."""
-    real = cli.exact_law
+    real = exact_dist.exact_law
 
     def above_one(model, lmax):
         rows, info = real(model, lmax)
         rows[lmax] = (1.05, 0.0)
         return rows, info
 
-    monkeypatch.setattr(cli, "exact_law", above_one)
+    monkeypatch.setattr(exact_dist, "exact_law", above_one)
     code, _ = run("verify", "mc-cross", "--model", "square", "--trials", "400")
     assert code == 2
 
@@ -542,27 +542,31 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path, fresh_env):
     """mpmath and scipy are test-only oracles: neither the package or CLI
     import, nor a square table on the fixed-point route, nor the commands
     that never solve Painleve II (``dist``, ``mc``,
-    ``verify dpii|fredholm|mc-cross``) load them."""
+    ``verify dpii|fredholm|mc-cross``) load them.  The package and CLI
+    imports load no numpy either, and ``dist`` loads neither the sampler
+    nor the Fredholm module."""
     out = str(tmp_path / "out")
     code = (
         "import sys\n"
-        "def unloaded(step):\n"
-        "    for name in ('mpmath', 'scipy'):\n"
+        "def unloaded(step, *names):\n"
+        "    for name in ('mpmath', 'scipy', *names):\n"
         "        assert name not in sys.modules, f'{name} loaded by {step}'\n"
         "import lppdet\n"
-        "unloaded('import lppdet')\n"
+        "unloaded('import lppdet', 'numpy')\n"
         "from lppdet import cli\n"
-        "unloaded('import lppdet.cli')\n"
+        "unloaded('import lppdet.cli', 'numpy')\n"
         "from lppdet.exact_dist import build_dist_table\n"
         "from lppdet.symbols import ModelKind, ModelSpec\n"
         "build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=10.0), 30)\n"
         "unloaded('a t = 10 square table')\n"
-        "for argv in (['dist', 'square', '--t', '3', '--lmax', '12'],\n"
-        "             ['mc', 'square', '--t', '3', '--trials', '500'],\n"
-        "             ['verify', 'dpii'], ['verify', 'fredholm'],\n"
-        "             ['verify', 'mc-cross']):\n"
+        "for argv, names in (\n"
+        "        (['dist', 'square', '--t', '3', '--lmax', '12'],\n"
+        "         ('lppdet.montecarlo', 'lppdet.fredholm')),\n"
+        "        (['mc', 'square', '--t', '3', '--trials', '500'], ()),\n"
+        "        (['verify', 'dpii'], ()), (['verify', 'fredholm'], ()),\n"
+        "        (['verify', 'mc-cross'], ())):\n"
         f"    assert cli.main(['--seed', '0', '--out-dir', {out!r}, *argv]) == 0, argv\n"
-        "    unloaded(' '.join(argv))\n"
+        "    unloaded(' '.join(argv), *names)\n"
     )
     subprocess.run([sys.executable, "-c", code], env=fresh_env, check=True)
 
@@ -571,27 +575,58 @@ def test_no_command_loads_scipy_on_a_cold_cache(tmp_path, fresh_env):
     """The package needs numpy alone: each of these commands, on a cache
     of its own that holds no Painleve table yet, runs without loading any
     scipy module.  ``tw gue`` must leave a solved table behind, so that the
-    check cannot pass because no solve ran."""
+    check cannot pass because no solve ran.  The Tracy-Widom tables need
+    no numpy: not the cold ``tw gue``, nor ``tw goe`` and ``tw gse``, which
+    read its table from the same cache."""
     code = (
         "import sys\n"
         "from lppdet import cli\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy' in sys.modules)\n"
     )
     commands = (
-        ["tw", "gue"], ["verify", "oracles"], ["verify", "corner-asymptotics"],
+        ["tw", "gue"], ["tw", "goe"], ["tw", "gse"],
+        ["verify", "oracles"], ["verify", "corner-asymptotics"],
         ["converge", "--t-list", "4,7"],
         ["dist", "square", "--t", "3", "--lmax", "12"],
         ["mc", "square", "--t", "3", "--trials", "500"],
     )
     for i, argv in enumerate(commands):
-        env = dict(fresh_env, **{CACHE_ENV_VAR: str(tmp_path / f"cache{i}")})
+        cache = "cache0" if argv[0] == "tw" else f"cache{i}"
+        env = dict(fresh_env, **{CACHE_ENV_VAR: str(tmp_path / cache)})
         done = subprocess.run(
             [sys.executable, "-c", code, "--out-dir", str(tmp_path / "out"), *argv],
             env=env, check=True, capture_output=True, text=True,
         )
-        assert done.stdout.splitlines()[-1] == "[]", argv
-    assert list((tmp_path / "cache0").glob("pii-*.npz"))
+        scipy_modules, numpy_loaded = done.stdout.splitlines()[-2:]
+        assert scipy_modules == "[]", argv
+        if argv[0] == "tw":
+            assert numpy_loaded == "False", argv
+            assert _manifest(tmp_path / "out")["cache_hit"] == (argv[1] != "gue"), argv
+    assert list((tmp_path / "cache0").glob("pii-*.f64"))
+
+
+def test_tw_runs_when_the_cache_cannot_be_stored(run, tmp_path, monkeypatch):
+    """The cache is an optimization only: where the table cannot be stored
+    (a cache root under a regular file, or a directory in the entry's
+    place), ``tw`` writes the same CSV from the table it solved, reports no
+    hit and leaves no temporary file behind."""
+    code, out = run("tw", "gue")
+    assert code == 0
+    expected = (out / "tw_gue.csv").read_bytes()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / cache._pii_cache_path().name).mkdir(parents=True)
+    for root in (blocker / "sub", taken):
+        monkeypatch.setenv(CACHE_ENV_VAR, str(root))
+        (out / "tw_gue.csv").unlink()
+        code, out = run("tw", "gue")
+        assert code == 0, root
+        assert (out / "tw_gue.csv").read_bytes() == expected, root
+        assert _manifest(out)["cache_hit"] is False, root
+    assert [p.name for p in taken.iterdir()] == [cache._pii_cache_path().name]
 
 
 def test_every_model_kind_has_a_cli_name_route_and_sampler(run):

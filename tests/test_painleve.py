@@ -277,28 +277,39 @@ def test_fit_power_law_recovers_exponent():
     assert const == pytest.approx(3.0, rel=1e-12)
 
 
+def _hex(sol):
+    """Every coefficient of the table as its exact float64 hex string."""
+    return [[[c.hex() for c in poly] for poly in step] for step in sol.coeffs]
+
+
 def test_save_load_round_trip(tmp_path, sol):
-    path = tmp_path / "sol.npz"
-    sol.save_npz(path)
-    again = PiiSolution.load_npz(path)
-    assert again.u_at(-3.0) == pytest.approx(sol.u_at(-3.0), abs=1e-14)
-    assert again.w_at(1.0) == pytest.approx(sol.w_at(1.0), abs=1e-14)
+    """A stored table reads back bit for bit as the solve made it."""
+    path = tmp_path / "sol.f64"
+    with open(path, "wb") as handle:
+        sol.save(handle)
+    again = PiiSolution.load(path)
+    assert _hex(again) == _hex(sol)
+    assert again.tol == sol.tol
+    assert again.u_at(-3.0) == sol.u_at(-3.0)
+    assert again.w_at(1.0) == sol.w_at(1.0)
 
 
 def test_load_rejects_other_format_version(tmp_path, sol):
-    path = tmp_path / "sol.npz"
-    sol.save_npz(path)
-    data = dict(np.load(path))
-    data["format_version"] = np.array([PiiSolution.FORMAT_VERSION + 1])
-    np.savez(path, **data)
-    with pytest.raises(ValidationError):
-        PiiSolution.load_npz(path)
+    path = tmp_path / "sol.f64"
+    with open(path, "wb") as handle:
+        sol.save(handle)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    version, tol, order = header.split()
+    assert int(version) == PiiSolution.FORMAT_VERSION
+    path.write_bytes(b" ".join([str(int(version) + 1).encode(), tol, order]) + b"\n" + payload)
+    with pytest.raises(ValidationError, match="format version"):
+        PiiSolution.load(path)
 
 
 def test_cache_file_name_is_stable():
     """The one table's key (X_MIN, X_RIGHT, TABLE_TOL) names its file;
     a new name leaves every warmed cache cold, so it changes on purpose."""
-    assert _pii_cache_path().name == "pii-81679bfdfe006ee3.npz"
+    assert _pii_cache_path().name == "pii-81679bfdfe006ee3.f64"
 
 
 def test_cache_miss_then_hit(tmp_path, monkeypatch):
@@ -307,14 +318,14 @@ def test_cache_miss_then_hit(tmp_path, monkeypatch):
     assert not hit_first
     second, hit_second = cached_pii_solution()
     assert hit_second
-    assert second.u_at(0.0) == first.u_at(0.0)
-    assert list(tmp_path.glob("pii-*.npz"))
+    assert _hex(second) == _hex(first)
+    assert list(tmp_path.glob("pii-*.f64"))
 
 
 def test_cache_recovers_from_a_partial_write(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     cached_pii_solution()
-    victim = next(tmp_path.glob("pii-*.npz"))
+    victim = next(tmp_path.glob("pii-*.f64"))
     data = victim.read_bytes()
     victim.write_bytes(data[: len(data) // 2])
     sol, hit = cached_pii_solution()
@@ -328,25 +339,24 @@ def test_cache_recovers_from_a_partial_write(tmp_path, monkeypatch):
 def test_cache_recovers_from_corruption(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     cached_pii_solution()
-    victim = next(tmp_path.glob("pii-*.npz"))
-    victim.write_bytes(b"not an archive")
+    victim = next(tmp_path.glob("pii-*.f64"))
+    victim.write_bytes(b"not a table")
     sol2, hit = cached_pii_solution()
     assert not hit
     assert sol2.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
+    assert cached_pii_solution()[1]
 
 
 def test_cache_refuses_coefficients_of_the_wrong_shape(tmp_path, monkeypatch):
     """A current-version entry with too few steps is solved again rather
     than read past its end."""
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    cached_pii_solution()
-    victim = next(tmp_path.glob("pii-*.npz"))
-    with np.load(victim) as entry:
-        data = dict(entry)
-    data["coeffs"] = data["coeffs"][:10]
-    np.savez(victim, **data)
+    first, _ = cached_pii_solution()
+    victim = next(tmp_path.glob("pii-*.f64"))
+    with open(victim, "wb") as handle:
+        PiiSolution(coeffs=first.coeffs[:10], tol=first.tol).save(handle)
     with pytest.raises(ValidationError, match="shape"):
-        PiiSolution.load_npz(victim)
+        PiiSolution.load(victim)
     sol, hit = cached_pii_solution()
     assert not hit
     assert sol.u_at(0.0) == pytest.approx(-0.36706155154803544, abs=1e-7)
@@ -354,22 +364,18 @@ def test_cache_refuses_coefficients_of_the_wrong_shape(tmp_path, monkeypatch):
 
 
 def test_cache_replaces_an_entry_of_the_previous_format(tmp_path, monkeypatch):
-    """A format 3 entry (the 0.005 grid with columns u, u', v, I and W)
-    under the same key is refused, solved again and overwritten in place."""
+    """A format 4 entry (a numpy archive of the same coefficients) under
+    the same key is refused, solved again and overwritten in place."""
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     first, _ = cached_pii_solution()
-    victim = next(tmp_path.glob("pii-*.npz"))
-    grid = np.linspace(painleve.X_MIN, 8.0, 3401)
-    columns = {name: np.array([read(x) for x in grid.tolist()])
-               for name, read in (("u", first.u_at), ("v", first.v_at),
-                                  ("I", first.i_at), ("W", first.w_at))}
-    np.savez(victim, format_version=np.array([3]), grid=grid,
-             du=np.gradient(columns["u"], grid), x_right=np.array([8.0]),
-             tol=np.array([first.tol]), **columns)
+    victim = next(tmp_path.glob("pii-*.f64"))
+    with open(victim, "wb") as handle:
+        np.savez(handle, format_version=np.array([4]), tol=np.array([first.tol]),
+                 coeffs=np.array(first.coeffs))
     sol, hit = cached_pii_solution()
     assert not hit
     assert sol.w_at(0.0) == pytest.approx(math.log(0.9693728283551878), abs=1e-7)
     assert [p.name for p in tmp_path.iterdir()] == [victim.name]
-    with np.load(victim) as entry:
-        assert int(entry["format_version"][0]) == PiiSolution.FORMAT_VERSION
+    version = victim.read_bytes().partition(b"\n")[0].split()[0]
+    assert int(version) == PiiSolution.FORMAT_VERSION
     assert cached_pii_solution()[1]
