@@ -2,8 +2,10 @@
 
 Every subcommand writes its artifacts under ``--out-dir`` together with a
 ``run_manifest.json`` recording the command, every other parsed flag but
-``--out-dir`` and ``--seed`` as its parameters, code and cache format
-versions, the seed and a sha256 for each output file.  Exit codes:
+``--out-dir`` and ``--seed`` as its parameters, the code version, the
+seed and a sha256 for each output file; the outputs depend on the
+arguments alone, and nothing is written outside ``--out-dir``.  Exit
+codes:
 
 * 0  success
 * 1  invalid input (bad flag, malformed parameter, out-of-range request)
@@ -28,13 +30,13 @@ from pathlib import Path
 from . import __version__
 from .errors import BreakdownError, ValidationError, VerificationError
 from .painleve import (
-    PiiSolution,
     airy_kernel_fgue,
     corner_asymptotics_study,
     f_goe,
     f_gse,
     f_gue,
     fit_power_law,
+    solve_hastings_mcleod,
 )
 from .symbols import (
     ModelKind,
@@ -159,10 +161,7 @@ def _write_manifest(out_dir: Path, args, outputs, extra: dict | None = None) -> 
         "command": args.command,
         "parameters": parameters,
         "seed": args.seed,
-        "versions": {
-            "code": __version__,
-            "pii_cache_format": PiiSolution.FORMAT_VERSION,
-        },
+        "versions": {"code": __version__},
         "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
     }
     if extra:
@@ -200,15 +199,13 @@ def _x_grid(args) -> list[float]:
 
 
 def cmd_tw(args, out_dir: Path) -> None:
-    from .cache import cached_pii_solution
-
     xs = _x_grid(args)
-    sol, cache_hit = cached_pii_solution()
+    sol = solve_hastings_mcleod()
     law = {"gue": f_gue, "goe": f_goe, "gse": f_gse}[args.which]
     rows = [(float(x), float(law(sol, float(x)))) for x in xs]
     csv_path = out_dir / f"tw_{args.which}.csv"
     _write_csv(csv_path, ("x", "F"), rows)
-    _write_manifest(out_dir, args, [csv_path], {"cache_hit": cache_hit})
+    _write_manifest(out_dir, args, [csv_path])
 
 
 def _suite_dpii(args) -> tuple[dict, bool, str]:
@@ -234,9 +231,7 @@ def _suite_fredholm(args) -> tuple[dict, bool, str]:
 
 
 def _suite_corner(args) -> tuple[dict, bool, str]:
-    from .cache import cached_pii_solution
-
-    sol, _ = cached_pii_solution()
+    sol = solve_hastings_mcleod()
     ks = (40, 60, 90, 135)
     dev_v, dev_u = corner_asymptotics_study(ks, 0.0, sol)
     slope_v, _ = fit_power_law(ks, dev_v)
@@ -324,7 +319,6 @@ def _suite_mc_cross(args) -> tuple[dict, bool, str]:
 
 
 def _suite_oracles(args) -> tuple[dict, bool, str]:
-    from .cache import cached_pii_solution
     from .exact_dist import build_dist_table, square_opuc
     from .fredholm import IntegrableKernelSpec, fredholm_log_det
     from .montecarlo import (
@@ -368,7 +362,7 @@ def _suite_oracles(args) -> tuple[dict, bool, str]:
             - float(plancherel_lis_cdf(6, ell)))
         for ell in range(0, 7)
     )
-    sol, _ = cached_pii_solution()
+    sol = solve_hastings_mcleod()
     checks["airy_kernel_vs_painleve"] = abs(airy_kernel_fgue(0.0) - f_gue(sol, 0.0))
 
     worst = max(checks.values())
@@ -399,14 +393,13 @@ def cmd_verify(args, out_dir: Path) -> None:
 
 
 def cmd_converge(args, out_dir: Path) -> None:
-    from .cache import cached_pii_solution
     from .exact_dist import scaled_cdf, square_opuc
 
     xs = _x_grid(args)
     t_values = sorted(set(args.t_list))
     if len(t_values) < 2:
         raise ValidationError("--t-list needs at least two distinct intensities")
-    sol, _ = cached_pii_solution()
+    sol = solve_hastings_mcleod()
     rows = []
     sups = {}
     for t in t_values:

@@ -451,11 +451,12 @@ class DistTable:
         ]
 
     def to_json(self) -> str:
+        # a row with p = 0 has log_p = -inf, which JSON cannot hold: null
         return json.dumps(
             {
                 "model": json.loads(self.model.to_json()),
                 "entries": {
-                    str(ell): {"log_p": lp, "p": p}
+                    str(ell): {"log_p": lp if p > 0 else None, "p": p}
                     for ell, (lp, p) in sorted(self.entries.items())
                 },
                 "truncation_info": self.truncation_info,

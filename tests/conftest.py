@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from lppdet.cache import CACHE_ENV_VAR
 from lppdet.exact_dist import square_opuc
 from lppdet.painleve import solve_hastings_mcleod
 
@@ -29,10 +28,10 @@ def opuc_t1():
 
 
 @pytest.fixture
-def fresh_env(tmp_path) -> dict:
+def fresh_env() -> dict:
     """Environment of a fresh interpreter that imports this checkout's
-    package and keeps its Painleve cache under ``tmp_path``."""
-    env = dict(os.environ, **{CACHE_ENV_VAR: str(tmp_path / "cache")})
+    package."""
+    env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env

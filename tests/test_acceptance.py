@@ -11,6 +11,7 @@ assertions intact.
 import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -400,9 +401,17 @@ def _tree_digest(out: Path) -> dict[str, str]:
     }
 
 
-def test_criterion_9_byte_determinism(tmp_path, criterion_log):
+def test_criterion_9_byte_determinism(tmp_path, criterion_log, monkeypatch):
+    """Reruns write the same bytes and nothing outside ``--out-dir``: the
+    Painleve table behind ``tw`` is solved on each run, not stored."""
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    for name in [k for k in os.environ if k.startswith("LPPDET_")]:
+        monkeypatch.delenv(name)
     runs = {
         "verify": ("verify", "dpii", "--t", "1.0", "--kmax", "6"),
+        "tw": ("tw", "gue"),
         "mc": (
             "--seed", "11",
             "mc", "lattice-a", "--q", "0.3,0.2", "--qp", "0.25,0.2",
@@ -427,7 +436,8 @@ def test_criterion_9_byte_determinism(tmp_path, criterion_log):
     criterion_log(
         9,
         identical,
-        "verify and mc reruns with fixed seeds are byte-identical and "
+        "verify, tw and mc reruns with fixed seeds are byte-identical and "
         "manifest hashes match the files",
     )
     assert identical
+    assert list(home.iterdir()) == []

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -11,27 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from lppdet import cache, cli, exact_dist, opuc
-from lppdet.cache import CACHE_ENV_VAR
+from lppdet import cli, exact_dist, opuc
 from lppdet.errors import BreakdownError
 from lppdet.montecarlo import SAMPLERS
 from lppdet.opuc import square_opuc_highprec
 from lppdet.symbols import MODEL_RULES, ModelKind, ModelSpec
 
 from highprec_oracle import external_law_dense
-
-
-@pytest.fixture(scope="module", autouse=True)
-def shared_cache(tmp_path_factory):
-    # one cache root for the whole module so the Painleve solve runs once
-    d = tmp_path_factory.mktemp("pii-cache")
-    old = os.environ.get(CACHE_ENV_VAR)
-    os.environ[CACHE_ENV_VAR] = str(d)
-    yield d
-    if old is None:
-        os.environ.pop(CACHE_ENV_VAR, None)
-    else:
-        os.environ[CACHE_ENV_VAR] = old
 
 
 @pytest.fixture()
@@ -360,18 +345,16 @@ def test_verify_dpii_passes(run, capsys):
 
 
 def test_tw_caches_and_reproduces(run):
+    """Each call solves the table again and writes the same bytes."""
     args = (
         "tw", "gue", "--x-min", "-1.0", "--x-max", "1.0", "--x-step", "0.5",
     )
     code, out = run(*args)
     assert code == 0
     first_bytes = (out / "tw_gue.csv").read_bytes()
-    first_hit = _manifest(out)["cache_hit"]
     code, out = run(*args)
     assert code == 0
     assert (out / "tw_gue.csv").read_bytes() == first_bytes
-    assert _manifest(out)["cache_hit"] is True
-    del first_hit  # first call may hit if an earlier test warmed the cache
     header, *rows = (out / "tw_gue.csv").read_text().splitlines()
     assert header == "x,F"
     values = [float(r.split(",")[1]) for r in rows]
@@ -571,13 +554,10 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path, fresh_env):
     subprocess.run([sys.executable, "-c", code], env=fresh_env, check=True)
 
 
-def test_no_command_loads_scipy_on_a_cold_cache(tmp_path, fresh_env):
-    """The package needs numpy alone: each of these commands, on a cache
-    of its own that holds no Painleve table yet, runs without loading any
-    scipy module.  ``tw gue`` must leave a solved table behind, so that the
-    check cannot pass because no solve ran.  The Tracy-Widom tables need
-    no numpy: not the cold ``tw gue``, nor ``tw goe`` and ``tw gse``, which
-    read its table from the same cache."""
+def test_no_command_loads_scipy_or_tw_numpy(tmp_path, fresh_env):
+    """The package needs numpy alone: none of these commands, which
+    solve the Painleve table or run a route, loads a scipy module, and
+    the Tracy-Widom tables load no numpy either."""
     code = (
         "import sys\n"
         "from lppdet import cli\n"
@@ -592,41 +572,15 @@ def test_no_command_loads_scipy_on_a_cold_cache(tmp_path, fresh_env):
         ["dist", "square", "--t", "3", "--lmax", "12"],
         ["mc", "square", "--t", "3", "--trials", "500"],
     )
-    for i, argv in enumerate(commands):
-        cache = "cache0" if argv[0] == "tw" else f"cache{i}"
-        env = dict(fresh_env, **{CACHE_ENV_VAR: str(tmp_path / cache)})
+    for argv in commands:
         done = subprocess.run(
             [sys.executable, "-c", code, "--out-dir", str(tmp_path / "out"), *argv],
-            env=env, check=True, capture_output=True, text=True,
+            env=fresh_env, check=True, capture_output=True, text=True,
         )
         scipy_modules, numpy_loaded = done.stdout.splitlines()[-2:]
         assert scipy_modules == "[]", argv
         if argv[0] == "tw":
             assert numpy_loaded == "False", argv
-            assert _manifest(tmp_path / "out")["cache_hit"] == (argv[1] != "gue"), argv
-    assert list((tmp_path / "cache0").glob("pii-*.f64"))
-
-
-def test_tw_runs_when_the_cache_cannot_be_stored(run, tmp_path, monkeypatch):
-    """The cache is an optimization only: where the table cannot be stored
-    (a cache root under a regular file, or a directory in the entry's
-    place), ``tw`` writes the same CSV from the table it solved, reports no
-    hit and leaves no temporary file behind."""
-    code, out = run("tw", "gue")
-    assert code == 0
-    expected = (out / "tw_gue.csv").read_bytes()
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    taken = tmp_path / "taken"
-    (taken / cache._pii_cache_path().name).mkdir(parents=True)
-    for root in (blocker / "sub", taken):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(root))
-        (out / "tw_gue.csv").unlink()
-        code, out = run("tw", "gue")
-        assert code == 0, root
-        assert (out / "tw_gue.csv").read_bytes() == expected, root
-        assert _manifest(out)["cache_hit"] is False, root
-    assert [p.name for p in taken.iterdir()] == [cache._pii_cache_path().name]
 
 
 def test_every_model_kind_has_a_cli_name_route_and_sampler(run):

@@ -606,17 +606,33 @@ def test_scaled_cdf_refuses_a_short_table():
     assert scaled_cdf(4.0, 30.0, data) == 1.0
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_dist_table_round_trip_and_rows():
+    """The JSON parses strictly: at t = 30 the first rows underflow to
+    p = 0, and their log_p is -inf in the CSV and null in the JSON."""
     model = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=1.0)
     table = build_dist_table(model, 5)
     rows = table.csv_rows()
     assert [r[0] for r in rows] == list(range(6))
     assert rows[1][1] == pytest.approx(0.8386125671260257, abs=1e-12)
-    payload = json.loads(table.to_json())
+    payload = json.loads(table.to_json(), parse_constant=_refuse_constant)
     assert payload["entries"] == {
         str(ell): {"log_p": lp, "p": p} for ell, (lp, p) in table.entries.items()
     }
     assert payload["model"] == json.loads(model.to_json())
+
+    table = build_dist_table(ModelSpec(kind=ModelKind.POISSON_SQUARE, t=30.0), 80)
+    zero = [ell for ell, (_, p) in table.entries.items() if p == 0.0]
+    assert zero == [0, 1, 2]
+    assert [table.csv_rows()[ell][2] for ell in zero] == [-math.inf] * 3
+    payload = json.loads(table.to_json(), parse_constant=_refuse_constant)
+    assert payload["entries"] == {
+        str(ell): {"log_p": None if ell in zero else lp, "p": p}
+        for ell, (lp, p) in table.entries.items()
+    }
 
 
 def test_dist_table_monotone_guard():
