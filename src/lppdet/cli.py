@@ -71,7 +71,9 @@ def build_parser() -> _Parser:
     models = sorted(kind.value for kind in ModelKind)
     parser.add_argument("--out-dir", default=".", help="directory for output files")
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    parser.add_argument("--workers", type=int, default=1, help="simulation processes")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="simulation processes, at most one per block"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
@@ -98,7 +100,6 @@ def build_parser() -> _Parser:
         "suite",
         choices=["dpii", "fredholm", "corner-asymptotics", "mc-cross", "oracles"],
     )
-    p_verify.add_argument("--kmax", type=int, default=8)
     p_verify.add_argument("--model", choices=models, default="square")
     add_model_flags(p_verify)
     p_verify.add_argument("--trials", type=int, default=20000)
@@ -208,15 +209,20 @@ def cmd_tw(args, out_dir: Path) -> None:
     _write_manifest(out_dir, args, [csv_path])
 
 
+# the largest index the dpii and fredholm suites check
+_VERIFY_KMAX = 8
+
+
 def _suite_dpii(args) -> tuple[dict, bool, str]:
     from .exact_dist import square_opuc
     from .opuc import dpii_residual
 
-    kmax = max(args.kmax, 3)
-    data = square_opuc(args.t, ell=kmax + 1)
-    residuals = {str(k): dpii_residual(data, args.t, k) for k in range(2, kmax + 1)}
+    data = square_opuc(args.t, ell=_VERIFY_KMAX + 1)
+    residuals = {str(k): dpii_residual(data, args.t, k) for k in range(2, _VERIFY_KMAX + 1)}
     worst = max(residuals.values())
-    report = {"t": args.t, "kmax": kmax, "residuals": residuals, "max_residual": worst}
+    report = {
+        "t": args.t, "kmax": _VERIFY_KMAX, "residuals": residuals, "max_residual": worst
+    }
     return report, worst < 1e-8, f"max discrete Painleve II residual {worst:.3e}"
 
 
@@ -224,8 +230,7 @@ def _suite_fredholm(args) -> tuple[dict, bool, str]:
     from .exact_dist import square_opuc
     from .fredholm import identity_checks
 
-    kmax = max(args.kmax, 1)
-    report = identity_checks(args.t, kmax, square_opuc(args.t, ell=kmax))
+    report = identity_checks(args.t, _VERIFY_KMAX, square_opuc(args.t, ell=_VERIFY_KMAX))
     worst = report["max_residual"]
     return report, worst < 1e-6, f"max Fredholm identity residual {worst:.3e}"
 

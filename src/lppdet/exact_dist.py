@@ -514,6 +514,11 @@ def _lattice_law(model: ModelSpec, lmax: int) -> Law:
 
 
 def _triangle_law(model: ModelSpec, lmax: int) -> Law:
+    if lmax < 1:
+        raise ValidationError(
+            f"triangle rows exist at odd thresholds only, so lmax = {lmax} "
+            "tabulates none; lmax must be at least 1"
+        )
     opuc = square_opuc(model.t, ell=lmax)
     rows = triangle_rows(model.t, model.alpha, (lmax - 1) // 2, opuc)
     return {2 * j + 1: row for j, row in enumerate(rows)}, {

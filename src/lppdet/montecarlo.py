@@ -627,7 +627,7 @@ def run_simulation(config: SimConfig) -> EmpiricalCdf:
     which depends on the model only, each with its own stream of numpy's
     default generator (PCG64) seeded by the seed sequence of (seed, block
     index), so the merged integer counts do not depend on the worker count
-    or scheduling.
+    or scheduling.  At most one process runs per block.
     """
     size = config.block_size
     jobs = [
@@ -635,14 +635,17 @@ def run_simulation(config: SimConfig) -> EmpiricalCdf:
         for b in range(config.blocks)
     ]
     totals: dict[int, int] = {}
-    if config.workers == 1 or config.blocks == 1:
+    # the pool starts all its processes at the first submit, so it gets
+    # no more of them than there are blocks
+    workers = min(config.workers, config.blocks)
+    if workers == 1:
         results = map(_run_block, jobs)
     else:
         # concurrent.futures and multiprocessing cost about 24 ms to import,
         # so a single-worker run does not load them
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_block, jobs, chunksize=1))
     for block in results:
         for v, c in block.items():

@@ -5,11 +5,11 @@ where the solution is pinned to the Airy-type decay
 
     u(x) ~ -(1 / (2 sqrt(pi) x^{1/4})) exp(-(2/3) x^{3/2}),   x -> +inf.
 
-The matching data uses the full Airy function Ai and Ai', whose relative
-distance to the true solution at the matching point is of order
-exp(-(4/3) x^{3/2}); seeding from the bare leading-order formula instead
-would cost about seven digits at x = 0 because errors grow like 1/Ai
-going left.
+The matching data is the Airy tail u = -Ai with its v, I and W from the
+Airy identities, whose relative distance to the true solution at the
+matching point is of order exp(-(4/3) x^{3/2}); seeding from the bare
+leading-order formula instead would cost about seven digits at x = 0
+because errors grow like 1/Ai going left.
 
 Alongside u the integration carries u', v(x) = int_inf^x u^2, the running
 integral I(x) = int_x^inf u and W(x) = int_x^inf v, from which the three
@@ -30,7 +30,8 @@ polynomials, so there is no output grid and no interpolation.  Against a
 relative on [8, 10].  Left of 0 the solution's own instability
 (Bornemann, arXiv:0804.2543) amplifies float64 roundoff like
 exp(0.94 |x|^{3/2}); at X_MIN = -9, u is 4e-6 off and W 9e-7.  Right of
-X_RIGHT the Airy tails stand in for the table.
+X_RIGHT the readers return the same Airy tail the solve starts from, one
+function (``_airy_tail``) that rounds each component once.
 
 The Airy functions come from their Maclaurin series in decimal
 arithmetic, and the table is Python floats, so the solve and the three
@@ -96,8 +97,8 @@ _MAX_ORDER = 100
 # (_STARTS[k + 1], _STARTS[k]], and the last one reaches down to X_MIN.
 _STARTS = tuple(X_RIGHT - k * _TAYLOR_STEP
                 for k in range(math.ceil((X_RIGHT - X_MIN) / _TAYLOR_STEP - 1e-9)))
-# Past this x, Ai, Ai' and int_x^inf Ai all lie below half the smallest
-# float64 subnormal, so each rounds to zero.
+# Past this x, Ai, Ai', int_x^inf Ai and so v and W all lie below half
+# the smallest float64 subnormal, so each rounds to zero.
 _AIRY_UNDERFLOW = 108.0
 # Past this x the three edge laws all round to 1.0 (F_beta1 is the last
 # below it, up to x = 13.62), so they return 1.0 without summing the Airy
@@ -177,39 +178,27 @@ def _airy_decimal(x: float) -> tuple[Decimal, Decimal, Decimal]:
         return ai, aip0 + d_sum * xd * xd, 1 / Decimal(3) - i_sum * xd
 
 
-def _airy(x: float) -> tuple[float, float, float]:
-    """Ai(x), Ai'(x) and int_x^inf Ai(y) dy, each correctly rounded."""
+def _airy_tail(x: float) -> tuple[float, float, float, float, float]:
+    """The state (u, u', v, I, W) of the Airy tail u = -Ai at x, each
+    component correctly rounded.
+
+    By the Airy identities v = int_inf^x Ai^2 = x Ai^2 - Ai'^2 and
+    W = -int_x^inf (y - x) Ai(y)^2 dy = (Ai Ai' - 2 x v) / 3, and
+    I = -int_x^inf Ai.  Right of 0 the terms of v and W cancel like
+    x^{3/2} (in float64 that puts W 6.5e-12 relative off at x = 20), so
+    they are combined from the 45-digit sums at 40 digits.  The solve
+    starts from this state at X_RIGHT, and the table's readers return it
+    right of there.
+    """
     if x >= _AIRY_UNDERFLOW:
-        return 0.0, -0.0, 0.0
+        return -0.0, 0.0, -0.0, -0.0, -0.0
     ai, aip, int_ai = _airy_decimal(x)
-    return float(ai), float(aip), float(int_ai)
-
-
-def _gue_tail_exponent(x: float) -> float:
-    """int_x^inf (y - x) Ai(y)^2 dy = (2/3)(x^2 Ai^2 - x Ai'^2) - Ai Ai' / 3
-    (Airy identities), correctly rounded.  Right of 0 the terms cancel
-    like x^{3/2} (in float64 that puts the result 6.5e-12 relative off at
-    x = 20), so they are combined from the 45-digit sums at 40 digits."""
-    if x >= _AIRY_UNDERFLOW:
-        return 0.0
-    ai, aip, _ = _airy_decimal(x)
     with localcontext() as ctx:
         ctx.prec = 40
         xd = Decimal(x)
-        return float((2 * xd * (xd * ai * ai - aip * aip) - ai * aip) / 3)
-
-
-def _airy_v(x: float) -> float:
-    """v = int_inf^x Ai(y)^2 dy = x Ai^2 - Ai'^2 (Airy identity), correctly
-    rounded.  The two terms cancel like x^{3/2}, as in
-    ``_gue_tail_exponent``, so they are combined from the 45-digit sums at
-    40 digits."""
-    if x >= _AIRY_UNDERFLOW:
-        return -0.0
-    ai, aip, _ = _airy_decimal(x)
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return float(Decimal(x) * ai * ai - aip * aip)
+        v = xd * ai * ai - aip * aip
+        w = (ai * aip - 2 * xd * v) / 3
+    return -float(ai), -float(aip), float(v), -float(int_ai), float(w)
 
 
 @dataclass(frozen=True)
@@ -220,47 +209,36 @@ class PiiSolution:
     ``coeffs[k]`` holds four lists of floats, zero-padded to one order: the
     Taylor coefficients of u, v(x) = int_inf^x u^2, I(x) = int_x^inf u and
     W(x) = int_x^inf v (the last three nonpositive) about the right end
-    ``_STARTS[k]`` of step k; past X_RIGHT the Airy tails serve.  ``tol`` is
-    the relative truncation tolerance of the steps.
+    ``_STARTS[k]`` of step k; past X_RIGHT the Airy tail serves.
     """
 
     coeffs: list[list[list[float]]]
-    tol: float
 
     def _read(self, x: float, component: int) -> float:
-        k = bisect.bisect_right(_STARTS, -x, key=operator.neg) - 1
-        return _horner(self.coeffs[k][component], x - _STARTS[k])
-
-    def u_at(self, x: float) -> float:
-        self._check_range(x)
-        if x > X_RIGHT:
-            return -_airy(x)[0]
-        return self._read(x, 0)
-
-    def v_at(self, x: float) -> float:
-        self._check_range(x)
-        if x > X_RIGHT:
-            return _airy_v(x)
-        return self._read(x, 1)
-
-    def i_at(self, x: float) -> float:
-        self._check_range(x)
-        if x > X_RIGHT:
-            return -_airy(x)[2]
-        return self._read(x, 2)
-
-    def w_at(self, x: float) -> float:
-        """W(x) = int_x^inf v dy = -int_x^inf (y - x) u(y)^2 dy."""
-        self._check_range(x)
-        if x > X_RIGHT:
-            return -_gue_tail_exponent(x)
-        return self._read(x, 3)
-
-    def _check_range(self, x: float) -> None:
+        """Component 0-3 (u, v, I, W) at x: the Airy tail right of X_RIGHT,
+        else the Horner read of x's step."""
         if not math.isfinite(x):
             raise ValidationError(f"x must be finite, got {x!r}")
         if x < X_MIN:
             raise ValidationError(f"x = {x} below tabulated range (table starts at {X_MIN})")
+        if x > X_RIGHT:
+            u, _, v, i, w = _airy_tail(x)
+            return (u, v, i, w)[component]
+        k = bisect.bisect_right(_STARTS, -x, key=operator.neg) - 1
+        return _horner(self.coeffs[k][component], x - _STARTS[k])
+
+    def u_at(self, x: float) -> float:
+        return self._read(x, 0)
+
+    def v_at(self, x: float) -> float:
+        return self._read(x, 1)
+
+    def i_at(self, x: float) -> float:
+        return self._read(x, 2)
+
+    def w_at(self, x: float) -> float:
+        """W(x) = int_x^inf v dy = -int_x^inf (y - x) u(y)^2 dy."""
+        return self._read(x, 3)
 
 
 def _taylor_step(x0: float, state, h: float, tol: float) -> list[list[float]]:
@@ -314,7 +292,7 @@ def _horner(coeffs, x: float) -> float:
 
 
 def solve_hastings_mcleod(tol: float = TABLE_TOL) -> PiiSolution:
-    """Integrate the Hastings-McLeod solution from Airy data at X_RIGHT
+    """Integrate the Hastings-McLeod solution from the Airy tail at X_RIGHT
     down to X_MIN.
 
     Taylor series in macro steps of fixed length ``_TAYLOR_STEP``, whose
@@ -327,9 +305,7 @@ def solve_hastings_mcleod(tol: float = TABLE_TOL) -> PiiSolution:
     """
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
-    ai, aip, int_ai = _airy(X_RIGHT)
-    state = (-ai, -aip, -(aip * aip - X_RIGHT * ai * ai), -int_ai,
-             -_gue_tail_exponent(X_RIGHT))
+    state = _airy_tail(X_RIGHT)
     steps = []
     for x0, x1 in zip(_STARTS, [*_STARTS[1:], X_MIN]):
         h = x1 - x0
@@ -341,7 +317,7 @@ def solve_hastings_mcleod(tol: float = TABLE_TOL) -> PiiSolution:
     # to the largest, which leaves each Horner read's value unchanged
     order = max(len(u) for u, *_ in steps)
     coeffs = [[c + [0.0] * (order - len(c)) for c in step] for step in steps]
-    return PiiSolution(coeffs=coeffs, tol=tol)
+    return PiiSolution(coeffs=coeffs)
 
 
 def f_gue(sol: PiiSolution, x: float) -> float:
@@ -384,11 +360,12 @@ def airy_kernel_fgue(x: float) -> float:
     a, b = x, _AIRY_CUT
     xs = 0.5 * (b - a) * nodes + 0.5 * (b + a)
     ws = 0.5 * (b - a) * weights
-    ai, aip, _ = np.array([_airy(node) for node in xs]).T
+    # u = -Ai and u' = -Ai': the kernel is even in the pair
+    u, du, *_ = np.array([_airy_tail(node) for node in xs]).T
     diff = xs[:, None] - xs[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        kern = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
-    np.fill_diagonal(kern, aip * aip - xs * ai * ai)
+        kern = (u[:, None] * du[None, :] - du[:, None] * u[None, :]) / diff
+    np.fill_diagonal(kern, du * du - xs * u * u)
     sw = np.sqrt(ws)
     mat = np.eye(_AIRY_NODES) - sw[:, None] * kern * sw[None, :]
     sign, logdet = np.linalg.slogdet(mat)

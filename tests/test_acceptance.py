@@ -410,7 +410,7 @@ def test_criterion_9_byte_determinism(tmp_path, criterion_log, monkeypatch):
     for name in [k for k in os.environ if k.startswith("LPPDET_")]:
         monkeypatch.delenv(name)
     runs = {
-        "verify": ("verify", "dpii", "--t", "1.0", "--kmax", "6"),
+        "verify": ("verify", "dpii", "--t", "1.0"),
         "tw": ("tw", "gue"),
         "mc": (
             "--seed", "11",

@@ -138,6 +138,15 @@ def test_numerical_failure_exits_two(run, monkeypatch, exc):
     assert code == 2
 
 
+def test_triangle_table_without_an_odd_threshold_exits_one(run, capsys):
+    """Triangle rows exist at odd thresholds only: lmax 0 would write a
+    header-only table."""
+    code, out = run("dist", "triangle", "--t", "1", "--alpha", "0.5", "--lmax", "0")
+    assert code == 1
+    assert "odd thresholds only" in capsys.readouterr().err
+    assert not (out / "dist_triangle.csv").exists()
+
+
 def test_ill_conditioned_group_average_exits_two(run, capsys):
     code, _ = run("dist", "triangle-fs", "--t", "4", "--alpha", "1", "--lmax", "8")
     assert code == 0
@@ -336,7 +345,7 @@ def test_corner_study_short_of_digits_exits_two(run, monkeypatch, capsys):
 
 
 def test_verify_dpii_passes(run, capsys):
-    code, out = run("verify", "dpii", "--t", "1.0", "--kmax", "6")
+    code, out = run("verify", "dpii", "--t", "1.0")
     assert code == 0
     assert "verify dpii: pass" in capsys.readouterr().out
     report = json.loads((out / "verify_dpii.json").read_text())

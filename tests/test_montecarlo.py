@@ -468,6 +468,35 @@ def test_worker_count_does_not_change_counts():
         assert run_simulation(base).counts == run_simulation(multi).counts
 
 
+def test_pool_gets_no_more_workers_than_blocks(monkeypatch):
+    """The pool starts every worker at once, so 64 requested workers on two
+    blocks must open a pool of two; a serial stand-in records it."""
+    import concurrent.futures
+
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    model = ModelSpec(kind=ModelKind.POISSON_SQUARE, t=5.0)
+    many = SimConfig(model=model, trials=4096, seed=3, workers=64)
+    assert many.blocks == 2
+    counts = run_simulation(many).counts
+    assert opened == [2]
+    assert counts == run_simulation(SimConfig(model=model, trials=4096, seed=3)).counts
+
+
 def test_lattice_blocks_are_sized_by_their_cells():
     """2048 draws times the multiples that fit 2^18 cells, at least one;
     the symmetrized kinds have n x n cells and the Poisson kinds 2048."""

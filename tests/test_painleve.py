@@ -69,23 +69,24 @@ def test_left_tail_follows_deift_its_krasovsky(sol):
 
 
 def test_airy_functions_against_mpmath():
-    """Ai, Ai' and int_x^inf Ai within 4 ulps relative on [-12, 20], and
-    exact zeros past the point where all three underflow.  The reference
-    integral is 1/3 - int_0^x Ai, which cancels 28 digits at x = 20."""
+    """u = -Ai, u' = -Ai' and I = -int_x^inf Ai within 4 ulps relative on
+    [-12, 20], and exact zeros in all five components past the point
+    where Ai, Ai' and the integral underflow.  The reference integral is
+    1/3 - int_0^x Ai, which cancels 28 digits at x = 20."""
     eps = np.finfo(float).eps
     with mp.workdps(80):
         for x in np.linspace(-12.0, 20.0, 129):
-            got = painleve._airy(float(x))
+            u, du, _, i, _ = painleve._airy_tail(float(x))
             X = mp.mpf(float(x))
             want = (mp.airyai(X), mp.airyai(X, derivative=1),
                     mp.mpf(1) / 3 - mp.airyai(X, derivative=-1))
-            for g, w in zip(got, want):
+            for g, w in zip((-u, -du, -i), want):
                 assert abs(g - w) <= 4 * eps * abs(w), (float(x), g, w)
         X = mp.mpf(painleve._AIRY_UNDERFLOW)
         tail = mp.quad(mp.airyai, [X, mp.inf])
         for w in (mp.airyai(X), mp.airyai(X, derivative=1), tail):
             assert abs(w) < mp.mpf(2) ** -1075
-    assert painleve._airy(painleve._AIRY_UNDERFLOW) == (0.0, 0.0, 0.0)
+    assert painleve._airy_tail(painleve._AIRY_UNDERFLOW) == (0.0,) * 5
 
 
 def test_airy_functions_far_right_against_mpmath():
@@ -96,12 +97,12 @@ def test_airy_functions_far_right_against_mpmath():
     eps = np.finfo(float).eps
     with mp.workdps(40):
         for x in (30.0, 50.0, 80.0, 100.0):
-            got = painleve._airy(x)
+            u, du, _, i, _ = painleve._airy_tail(x)
             X = mp.mpf(x)
             cells = [X + k / mp.sqrt(X) for k in range(41)]
             want = (mp.airyai(X), mp.airyai(X, derivative=1),
                     mp.quad(mp.airyai, cells, method="gauss-legendre"))
-            for g, w in zip(got, want):
+            for g, w in zip((-u, -du, -i), want):
                 assert abs(g - w) <= 4 * eps * abs(w), (x, g, w)
 
 
@@ -132,19 +133,29 @@ def test_table_meets_the_airy_tails_at_its_right_end(sol):
     past = math.nextafter(right, math.inf)
     for read in (sol.u_at, sol.v_at, sol.i_at, sol.w_at):
         assert read(right) == pytest.approx(read(past), rel=1e-13, abs=0.0), read
-    assert sol.w_at(right) == -painleve._gue_tail_exponent(right)
+    assert sol.w_at(right) == painleve._airy_tail(right)[4]
+
+
+def test_table_starts_from_the_airy_tail(sol):
+    """The solve's start state is the tail the readers return past
+    X_RIGHT, bit for bit: u, v, I and W read at X_RIGHT, and u' as the
+    linear coefficient of the first step's u series."""
+    right = painleve.X_RIGHT
+    u, du, v, i, w = painleve._airy_tail(right)
+    assert (sol.u_at(right), sol.v_at(right), sol.i_at(right), sol.w_at(right)) == (u, v, i, w)
+    assert sol.coeffs[0][0][1] == du
 
 
 def test_gue_tail_exponent_against_mpmath():
-    """The closed form cancels like x^{3/2} right of 0; formed from the
-    decimal sums it is within 4 ulps relative all the same."""
+    """The closed form of W cancels like x^{3/2} right of 0; formed from
+    the decimal sums it is within 4 ulps relative all the same."""
     eps = np.finfo(float).eps
     with mp.workdps(60):
         for x in (8.5, 10.0, 12.0, 20.0, 50.0):
             X = mp.mpf(x)
             ai, aip = mp.airyai(X), mp.airyai(X, derivative=1)
             want = 2 * X * (X * ai * ai - aip * aip) / 3 - ai * aip / 3
-            got = painleve._gue_tail_exponent(x)
+            got = -painleve._airy_tail(x)[4]
             assert abs(got - want) <= 4 * eps * abs(want), (x, got, want)
 
 
@@ -165,7 +176,7 @@ def test_right_tail_keeps_relative_digits(sol):
     """Past x = 5, u is -Ai to about Ai^2 relative, so W = log F_beta2
     must match the Airy closed form in relative terms, not just absolutely."""
     for x in (5.5, 6.5, 7.5):
-        airy_w = -painleve._gue_tail_exponent(x)
+        airy_w = painleve._airy_tail(x)[4]
         assert sol.w_at(x) == pytest.approx(airy_w, rel=1e-9, abs=0.0), x
 
 
